@@ -291,9 +291,10 @@ def build(
 
 def supports_update(scheme: Union[str, FittedScheme, type]) -> bool:
     """Whether a scheme (by registered name, class, or fitted instance)
-    implements the :class:`MutableScheme` churn extension."""
+    implements the :class:`MutableScheme` churn extension: the class's
+    ``supports_update`` attribute."""
     if isinstance(scheme, str):
-        return bool(SCHEMES.get(scheme).meta.get("supports_update", False))
+        scheme = SCHEMES.get(scheme).obj
     target = scheme if isinstance(scheme, type) else type(scheme)
     return bool(getattr(target, "supports_update", False))
 
@@ -309,10 +310,7 @@ def update(scheme: FittedScheme, joins=(), leaves=()) -> UpdateReceipt:
     ``AttributeError``) naming the schemes that do support updates.
     """
     if not supports_update(scheme):
-        mutable = sorted(
-            name for name, entry in SCHEMES.items()
-            if entry.meta.get("supports_update")
-        )
+        mutable = sorted(name for name in SCHEMES.names() if supports_update(name))
         raise UnsupportedUpdate(
             f"{type(scheme).__name__} does not support incremental updates; "
             f"schemes with update support: {', '.join(mutable)}"
@@ -401,10 +399,6 @@ def describe() -> str:
     lines.append("")
     lines.append(f"schemes ({len(SCHEMES)})")
     for name, problem, summary in list_schemes():
-        tag = (
-            " [+update]"
-            if SCHEMES.get(name).meta.get("supports_update")
-            else ""
-        )
+        tag = " [+update]" if supports_update(name) else ""
         lines.append(f"  {name:<14s} [{problem}]{tag} {summary}")
     return "\n".join(lines)

@@ -12,8 +12,8 @@ static :class:`~repro.api.schemes.Scheme` protocol:
 * :class:`UnsupportedUpdate` — the typed error static schemes raise
   (``api.update`` never leaks an ``AttributeError``).
 
-Which registered schemes are mutable is registry metadata
-(``supports_update``), surfaced by ``repro list`` and
+Which registered schemes are mutable is their class's
+``supports_update`` attribute, surfaced by ``repro list`` and
 :func:`repro.api.supports_update`.
 """
 

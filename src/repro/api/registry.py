@@ -55,23 +55,14 @@ def register_workload(
 
 
 def register_scheme(
-    name: str,
-    *,
-    summary: str = "",
-    problem: str = "",
-    supports_update: bool = False,
+    name: str, *, summary: str = "", problem: str = ""
 ) -> Callable:
     """Decorator: register a :class:`~repro.api.schemes.Scheme` adapter.
 
-    ``supports_update=True`` marks schemes whose fitted instances
-    implement the :class:`~repro.api.mutation.MutableScheme` extension
-    (``update``/``pending_patch_stats``/``compact``); ``repro list``
-    surfaces the flag and :func:`repro.api.update` consults it in error
-    messages.
+    Whether a scheme is mutable is its class's ``supports_update``
+    attribute, not registry metadata (see :func:`repro.api.supports_update`).
     """
-    return SCHEMES.register(
-        name, summary=summary, problem=problem, supports_update=supports_update
-    )
+    return SCHEMES.register(name, summary=summary, problem=problem)
 
 
 def workload_names() -> Tuple[str, ...]:

@@ -271,7 +271,6 @@ class _EstimatorScheme(FittedScheme):
 @register_scheme(
     "triangulation", problem="distance-estimation",
     summary="Theorem 3.2 (0,δ)-triangulation via rings of neighbors",
-    supports_update=True,
 )
 class TriangulationScheme(_MutableSchemeMixin, _EstimatorScheme):
     config_cls = TriangulationConfig
@@ -316,7 +315,6 @@ class TriangulationScheme(_MutableSchemeMixin, _EstimatorScheme):
 @register_scheme(
     "beacons", problem="distance-estimation",
     summary="common-beacon (ε,δ)-triangulation baseline [33, 50]",
-    supports_update=True,
 )
 class BeaconsScheme(_MutableSchemeMixin, _EstimatorScheme):
     config_cls = BeaconsConfig
@@ -585,7 +583,6 @@ class TrivialRoutingScheme(_RoutingAdapter):
 @register_scheme(
     "route-thm2.1", problem="routing",
     summary="Theorem 2.1 rings-over-nets (1+δ)-stretch routing",
-    supports_update=True,
 )
 class RingRoutingScheme(_MutableSchemeMixin, _RoutingAdapter):
     @classmethod

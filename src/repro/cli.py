@@ -76,15 +76,6 @@ def _workload_from_args(args: argparse.Namespace):
     )
 
 
-def _build_metric(args: argparse.Namespace):
-    """Deprecated alias for the registry-driven workload builder.
-
-    Kept so scripts that imported the old helper keep working; prefer
-    ``repro.api.build_workload``.
-    """
-    return _workload_from_args(args).metric
-
-
 def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
     from repro.api import DEFAULT_N
 
@@ -196,13 +187,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _mutable_scheme_names() -> list[str]:
-    """Registered schemes flagged ``supports_update``."""
-    from repro.api import SCHEMES
+    """Registered schemes whose class has ``supports_update``."""
+    from repro.api import SCHEMES, supports_update
 
-    return [
-        name for name, entry in SCHEMES.items()
-        if entry.meta.get("supports_update")
-    ]
+    return [name for name in SCHEMES.names() if supports_update(name)]
 
 
 def _parse_node_list(text: Optional[str]) -> list[int]:

@@ -243,7 +243,7 @@ class PackedRings:
 
     # -- incremental membership ----------------------------------------
 
-    def membership_patch(self, membership=None, **kwargs):
+    def membership_patch(self, membership=None):
         """A :class:`~repro.core.patch.CSRPatch` over this structure's
         member arrays — the entry point for join/leave churn.  The rings
         themselves stay pristine; reads through the patch see them
@@ -252,9 +252,7 @@ class PackedRings:
 
         if membership is None:
             membership = Membership(self.n)
-        return CSRPatch(
-            self.indptr, self.members, membership=membership, **kwargs
-        )
+        return CSRPatch(self.indptr, self.members, membership=membership)
 
     # -- accounting -----------------------------------------------------
 

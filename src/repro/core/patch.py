@@ -18,32 +18,65 @@ model:
   pending churn are served from the pristine arrays masked by the live
   active set.  Append-only join/tombstone segments record what is
   pending; :meth:`CSRPatch.maybe_merge` folds them into a fresh packed
-  block when a size or staleness threshold trips.
-* Reads of inactive nodes raise :class:`InactiveNode`; reads that
-  overlap a pending patch are the ones the structures bracket with an
-  IVL-style bound (Rinberg & Keidar): the served value must lie between
-  the pre-merge and post-merge answers.
+  block when the merge policy (:func:`merge_due`) trips.
+* Reads of inactive nodes raise :class:`InactiveNode`
+  (:func:`require_active`); reads that overlap a pending patch are the
+  ones the structures bracket with an IVL-style bound (Rinberg &
+  Keidar): the served value must lie between the pre-merge and
+  post-merge answers (:func:`ivl_violations`).
 
 Nothing here knows about distances or rings — it is pure membership +
-CSR bookkeeping, shared by the labeling and routing structures.
+CSR bookkeeping, shared by the labeling and routing structures, which
+take the merge policy, the inactive-read check, the IVL hull and the
+:class:`PatchStats` snapshot from this module rather than restating them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["InactiveNode", "Membership", "CSRPatch", "PatchStats"]
+__all__ = [
+    "InactiveNode",
+    "Membership",
+    "CSRPatch",
+    "PatchStats",
+    "MERGE_DIRTY_FRACTION",
+    "MERGE_STALENESS",
+    "merge_due",
+    "require_active",
+    "ivl_violations",
+    "patch_stats",
+]
+
+#: Merge policy: fold pending churn once this share of rows is dirty ...
+MERGE_DIRTY_FRACTION = 0.5
+#: ... or once this many updates arrived since the last merge.
+MERGE_STALENESS = 128
 
 
 class InactiveNode(LookupError):
     """A read or update referenced a node that is not currently active."""
 
 
-def _as_ids(nodes: Iterable[int]) -> np.ndarray:
-    arr = np.unique(np.asarray(list(nodes), dtype=np.int64))
+def _as_ids(nodes: Iterable[int], what: str, universe: int) -> np.ndarray:
+    """One side of a churn batch as sorted unique ids, validated: every
+    id an integer (not a bool, not a float) inside ``[0, universe)``."""
+    nodes = list(nodes)
+    odd = [
+        x for x in nodes
+        if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer))
+    ]
+    if odd:
+        raise ValueError(f"{what} ids must be integers, got {odd}")
+    arr = np.unique(np.asarray(nodes, dtype=np.int64))
+    if arr.size and (arr[0] < 0 or arr[-1] >= universe):
+        raise ValueError(
+            f"{what} ids out of range [0, {universe}): "
+            f"{arr[(arr < 0) | (arr >= universe)].tolist()}"
+        )
     return arr
 
 
@@ -63,18 +96,7 @@ class PatchStats:
     auto_merges: int
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "universe": self.universe,
-            "active_nodes": self.active_nodes,
-            "rows": self.rows,
-            "dirty_rows": self.dirty_rows,
-            "pending_joins": self.pending_joins,
-            "pending_leaves": self.pending_leaves,
-            "updates": self.updates,
-            "updates_since_merge": self.updates_since_merge,
-            "merges": self.merges,
-            "auto_merges": self.auto_merges,
-        }
+        return asdict(self)
 
 
 class Membership:
@@ -132,14 +154,8 @@ class Membership:
         disjoint — the same node cannot both join and leave in one batch.
         Returns the normalized ``(joins, leaves)`` id arrays.
         """
-        join_ids = _as_ids(joins)
-        leave_ids = _as_ids(leaves)
-        for arr, what in ((join_ids, "join"), (leave_ids, "leave")):
-            if arr.size and (arr.min() < 0 or arr.max() >= self.universe):
-                raise ValueError(
-                    f"{what} ids out of range [0, {self.universe}): "
-                    f"{arr[(arr < 0) | (arr >= self.universe)].tolist()}"
-                )
+        join_ids = _as_ids(joins, "join", self.universe)
+        leave_ids = _as_ids(leaves, "leave", self.universe)
         both = np.intersect1d(join_ids, leave_ids)
         if both.size:
             raise ValueError(
@@ -174,6 +190,71 @@ class Membership:
         self.merges += 1
 
 
+def merge_due(membership: Membership, dirty: int, rows: int) -> bool:
+    """The merge policy: pending churn is folded once ``dirty / rows``
+    reaches :data:`MERGE_DIRTY_FRACTION` or :data:`MERGE_STALENESS`
+    updates arrived since the last merge.  The constants are read at
+    call time, so patching them here changes every structure's policy."""
+    if membership.is_clean():
+        return False
+    return (
+        dirty / max(1, rows) >= MERGE_DIRTY_FRACTION
+        or membership.updates_since_merge >= MERGE_STALENESS
+    )
+
+
+def require_active(membership: Optional[Membership], us, vs) -> None:
+    """Reject a read of pairs ``(us, vs)`` (ids or aligned id arrays)
+    that names an inactive node, with :class:`InactiveNode`.  A structure
+    that has never been updated has no membership: every node is active."""
+    if membership is None:
+        return
+    ids = np.concatenate((np.ravel(us), np.ravel(vs)))
+    gone = ids[~membership.active[ids]]
+    if gone.size:
+        raise InactiveNode(f"node(s) {np.unique(gone).tolist()} are not active")
+
+
+def ivl_violations(served, pre, post) -> int:
+    """How many served values lie outside their IVL hull
+    ``[min(pre, post) - tol, max(pre, post) + tol]``, where ``tol`` is
+    ``1e-9 * max(1, |served|)`` for a finite value and 0 otherwise.  A NaN
+    never lies inside, so it counts as a violation."""
+    served = np.asarray(served, dtype=float)
+    lo = np.minimum(pre, post)
+    hi = np.maximum(pre, post)
+    tol = np.where(
+        np.isfinite(served), 1e-9 * np.maximum(1.0, np.abs(served)), 0.0
+    )
+    inside = (lo - tol <= served) & (served <= hi + tol)
+    return int(inside.size - np.count_nonzero(inside))
+
+
+def patch_stats(
+    membership: Optional[Membership],
+    universe: int,
+    rows: int,
+    dirty_rows: int = 0,
+    auto_merges: int = 0,
+) -> PatchStats:
+    """The :class:`PatchStats` snapshot of a structure with ``rows`` rows.
+    ``membership=None`` is a structure never updated: all ``universe``
+    nodes active and nothing pending."""
+    m = membership if membership is not None else Membership(universe)
+    return PatchStats(
+        universe=m.universe,
+        active_nodes=m.active_count,
+        rows=rows,
+        dirty_rows=dirty_rows,
+        pending_joins=m.pending_joins(),
+        pending_leaves=m.pending_leaves(),
+        updates=m.updates,
+        updates_since_merge=m.updates_since_merge,
+        merges=m.merges,
+        auto_merges=auto_merges,
+    )
+
+
 class CSRPatch:
     """A patch buffer over one CSR block of node-id rows.
 
@@ -192,8 +273,6 @@ class CSRPatch:
         payloads: Sequence[np.ndarray] = (),
         universe: Optional[int] = None,
         membership: Optional[Membership] = None,
-        merge_threshold: float = 0.5,
-        staleness_limit: int = 128,
     ) -> None:
         self.pristine_indptr = np.asarray(indptr, dtype=np.int64)
         self.pristine_keys = np.asarray(keys)
@@ -211,8 +290,6 @@ class CSRPatch:
                 universe = int(self.pristine_keys.max()) + 1 if self.pristine_keys.size else 0
             membership = Membership(universe)
         self.membership = membership
-        self.merge_threshold = float(merge_threshold)
-        self.staleness_limit = int(staleness_limit)
         self.rows = int(self.pristine_indptr.size - 1)
         # Served (merged) arrays start as aliases of the pristine block.
         self.merged_indptr = self.pristine_indptr
@@ -307,18 +384,12 @@ class CSRPatch:
         self.membership.commit()
 
     def maybe_merge(self) -> bool:
-        """Merge when the dirty-row fraction or staleness threshold trips."""
-        if self.membership.is_clean():
+        """Merge when the merge policy (:func:`merge_due`) trips."""
+        if not merge_due(self.membership, self.dirty_row_count, self.rows):
             return False
-        frac = self.dirty_row_count / max(1, self.rows)
-        if (
-            frac >= self.merge_threshold
-            or self.membership.updates_since_merge >= self.staleness_limit
-        ):
-            self.merge()
-            self.auto_merges += 1
-            return True
-        return False
+        self.merge()
+        self.auto_merges += 1
+        return True
 
     def is_clean(self) -> bool:
         return self.membership.is_clean()
@@ -326,18 +397,9 @@ class CSRPatch:
     # -- reporting ------------------------------------------------------
 
     def stats(self) -> PatchStats:
-        m = self.membership
-        return PatchStats(
-            universe=m.universe,
-            active_nodes=m.active_count,
-            rows=self.rows,
-            dirty_rows=self.dirty_row_count,
-            pending_joins=m.pending_joins(),
-            pending_leaves=m.pending_leaves(),
-            updates=m.updates,
-            updates_since_merge=m.updates_since_merge,
-            merges=m.merges,
-            auto_merges=self.auto_merges,
+        return patch_stats(
+            self.membership, self.membership.universe, self.rows,
+            self.dirty_row_count, self.auto_merges,
         )
 
     def __repr__(self) -> str:

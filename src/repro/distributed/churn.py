@@ -19,7 +19,7 @@ stabilizes it — the practical face of the theory/practice coverage gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class ChurnSimulation:
         repair_probes: int = 0,
         seed: SeedLike = None,
         trace: Optional[ChurnTrace] = None,
-        incremental: bool = False,
     ) -> None:
         if not 0 <= churn_rate < 1:
             raise ValueError("churn_rate must be in [0, 1)")
@@ -71,9 +70,6 @@ class ChurnSimulation:
         #: optional shared schedule; when set, epoch e replays
         #: ``trace.events[e]`` instead of drawing victims from the RNG
         self.trace = trace
-        #: incremental scrub: maintain a member → {(node, ring_idx)}
-        #: inverted index instead of sweeping every ring per epoch
-        self.incremental = incremental
         self.rng = ensure_rng(seed)
         #: resolved RNG entropy (reproducibility even for seed=None runs)
         self.resolved_seed = rng_entropy(self.rng)
@@ -84,21 +80,6 @@ class ChurnSimulation:
         # Trace mode tracks the live set so bootstrap/repair probes only
         # touch active peers; legacy replacement churn keeps all active.
         self._active = np.ones(metric.n, dtype=bool)
-        self._member_index: Optional[Dict[int, Set[Tuple[int, int]]]] = None
-
-    # -- incremental inverted index -------------------------------------------
-
-    def _index(self) -> Dict[int, Set[Tuple[int, int]]]:
-        """member → {(node, ring_idx)} over the whole overlay, built once
-        by a full sweep and maintained by every subsequent mutation."""
-        if self._member_index is None:
-            index: Dict[int, Set[Tuple[int, int]]] = {}
-            for node_id, node in enumerate(self.overlay.nodes):
-                for idx, members in node.rings.items():
-                    for v in members:
-                        index.setdefault(int(v), set()).add((node_id, idx))
-            self._member_index = index
-        return self._member_index
 
     def _others(self, u: NodeId) -> np.ndarray:
         """Active candidate peers for probes from ``u``."""
@@ -107,38 +88,15 @@ class ChurnSimulation:
 
     def _clear_rings(self, u: NodeId) -> None:
         """Drop all of u's outgoing ring entries (leave / rebootstrap)."""
-        node = self.overlay.nodes[u]
-        if self._member_index is not None:
-            for idx, members in node.rings.items():
-                for v in members:
-                    entries = self._member_index.get(int(v))
-                    if entries is not None:
-                        entries.discard((u, idx))
-        node.rings = {}
+        self.overlay.nodes[u].rings = {}
 
     # -- ring surgery ---------------------------------------------------------
 
-    def _scrub(self, leaver: NodeId) -> None:
-        """Remove a leaver from every ring of every node."""
-        self._scrub_many(np.asarray([leaver]))
-
     def _scrub_many(self, leavers: np.ndarray) -> None:
-        """Remove a whole epoch's leavers in one pass: one vectorized
-        membership test per ring instead of a full overlay sweep per
-        leaver (identical result — every victim is scrubbed before any
-        rejoins happen).  With ``incremental=True``, the inverted index
-        names exactly the (node, ring) pairs holding a leaver, so the
-        cost is O(affected rings), not O(total rings)."""
-        if self.incremental:
-            index = self._index()
-            gone = set(int(v) for v in np.asarray(leavers).ravel())
-            for leaver in sorted(gone):
-                for node_id, idx in sorted(index.pop(leaver, set())):
-                    members = self.overlay.nodes[node_id].rings.get(idx, ())
-                    self.overlay.nodes[node_id].rings[idx] = tuple(
-                        v for v in members if int(v) not in gone
-                    )
-            return
+        """Remove a whole epoch's leavers from every ring of every node in
+        one pass: one vectorized membership test per ring instead of a
+        full overlay sweep per leaver (identical result — every victim is
+        scrubbed before any rejoins happen)."""
         for node in self.overlay.nodes:
             for idx, members in list(node.rings.items()):
                 if not members:
@@ -155,8 +113,6 @@ class ChurnSimulation:
         members = node.rings.get(idx, ())
         if v != u and v not in members and len(members) < self.overlay.nodes_per_ring:
             node.rings[idx] = tuple(sorted(members + (v,)))
-            if self._member_index is not None:
-                self._member_index.setdefault(int(v), set()).add((int(u), idx))
 
     def _bootstrap(self, joiner: NodeId) -> None:
         """A (re)joining node probes a random sample to seed its rings,

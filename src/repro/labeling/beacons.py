@@ -17,7 +17,14 @@ import numpy as np
 
 from repro._types import NodeId
 from repro.bits import SizeAccount, bits_for_count
-from repro.core.patch import InactiveNode, Membership, PatchStats
+from repro.core.patch import (
+    Membership,
+    PatchStats,
+    ivl_violations,
+    merge_due,
+    patch_stats,
+    require_active,
+)
 from repro.labeling.encoding import DistanceCodec
 from repro.metrics.base import MetricSpace
 from repro.rng import SeedLike, ensure_rng
@@ -73,8 +80,6 @@ class BeaconTriangulation:
         self.revision = 0
         self.ivl_checks = 0
         self.ivl_violations = 0
-        self.merge_threshold = 0.5
-        self.staleness_limit = 128
         self._auto_merges = 0
 
     # -- incremental updates -------------------------------------------
@@ -107,16 +112,14 @@ class BeaconTriangulation:
     def apply_update(self, joins=(), leaves=()) -> bool:
         """Apply one join/leave batch.  Label distances stay pristine;
         beacons owned by departed nodes are masked out of every read.
-        Returns whether this update triggered an automatic merge."""
+        Returns whether this update triggered an automatic merge (the
+        merge policy of :func:`~repro.core.patch.merge_due`, with beacon
+        columns as the rows)."""
         m = self._ensure_membership()
         m.apply(joins, leaves)
         self.revision += 1
         self._view = None
-        changed = self._pending_beacon_changes()
-        if not m.is_clean() and (
-            changed / max(1, self._beacons0.size) >= self.merge_threshold
-            or m.updates_since_merge >= self.staleness_limit
-        ):
+        if merge_due(m, self._pending_beacon_changes(), self._beacons0.size):
             self.compact()
             self._auto_merges += 1
             return True
@@ -133,34 +136,10 @@ class BeaconTriangulation:
         return self.pending_patch_stats()
 
     def pending_patch_stats(self) -> PatchStats:
-        m = self._membership
-        n = self.metric.n
-        if m is None:
-            return PatchStats(
-                universe=n, active_nodes=n, rows=int(self._beacons0.size),
-                dirty_rows=0, pending_joins=0, pending_leaves=0, updates=0,
-                updates_since_merge=0, merges=0, auto_merges=0,
-            )
-        return PatchStats(
-            universe=n,
-            active_nodes=m.active_count,
-            rows=int(self._beacons0.size),
-            dirty_rows=self._pending_beacon_changes(),
-            pending_joins=m.pending_joins(),
-            pending_leaves=m.pending_leaves(),
-            updates=m.updates,
-            updates_since_merge=m.updates_since_merge,
-            merges=m.merges,
-            auto_merges=self._auto_merges,
+        return patch_stats(
+            self._membership, self.metric.n, int(self._beacons0.size),
+            self._pending_beacon_changes(), self._auto_merges,
         )
-
-    def _check_active(self, u: NodeId, v: NodeId) -> None:
-        m = self._membership
-        if m is None:
-            return
-        if not m.active[u] or not m.active[v]:
-            missing = [x for x in (u, v) if not m.active[x]]
-            raise InactiveNode(f"node(s) {missing} are not active")
 
     @property
     def order(self) -> int:
@@ -214,7 +193,7 @@ class BeaconTriangulation:
 
     def bounds(self, u: NodeId, v: NodeId) -> Tuple[float, float]:
         """(D-, D+) for the pair, from labels only."""
-        self._check_active(u, v)
+        require_active(self._membership, u, v)
         if self._beacon_dirty():
             _, view = self._live_view()
             lu, lv = view[u], view[v]
@@ -222,7 +201,7 @@ class BeaconTriangulation:
                 return 0.0, float("inf")
             upper = float(np.min(lu + lv))
             lower = float(np.max(np.abs(lu - lv)))
-            self._ivl_check_one(u, v, upper)
+            self._ivl_check([u], [v], upper)
             return lower, upper
         lu, lv = self._labels[u], self._labels[v]
         if lu.size == 0:
@@ -231,11 +210,12 @@ class BeaconTriangulation:
         lower = float(np.max(np.abs(lu - lv)))
         return lower, upper
 
-    def _ivl_bracket(self, us, vs):
-        """(pre, post) D+ endpoints for the IVL hull: ``pre`` over the
-        last-merged beacon columns, ``post`` over the live columns but
-        recomputed by fancy column indexing — a different slicing path
-        than the boolean-masked serving view."""
+    def _ivl_check(self, us, vs, served) -> None:
+        """Count served D+ values against their IVL hull
+        (:func:`~repro.core.patch.ivl_violations`).  The endpoints are
+        ``pre`` over the last-merged beacon columns and ``post`` over the
+        live columns, recomputed by fancy column indexing — a different
+        slicing path than the boolean-masked serving view."""
         m = self._membership
         us = np.asarray(us, dtype=np.intp)
         vs = np.asarray(vs, dtype=np.intp)
@@ -250,15 +230,8 @@ class BeaconTriangulation:
             ).min(axis=1)
         else:
             post = np.full(us.shape, np.inf)
-        return pre, post
-
-    def _ivl_check_one(self, u: NodeId, v: NodeId, served: float) -> None:
-        pre, post = self._ivl_bracket([u], [v])
-        lo, hi = min(pre[0], post[0]), max(pre[0], post[0])
-        tol = 1e-9 * max(1.0, abs(served)) if np.isfinite(served) else 0.0
-        self.ivl_checks += 1
-        if not (lo - tol <= served <= hi + tol):
-            self.ivl_violations += 1
+        self.ivl_checks += int(us.size)
+        self.ivl_violations += ivl_violations(served, pre, post)
 
     def estimate(self, u: NodeId, v: NodeId) -> float:
         """The distance estimate (the upper bound D+, as in the paper)."""
@@ -270,14 +243,7 @@ class BeaconTriangulation:
         """Batched (D-, D+) for aligned source/target index arrays."""
         us = np.asarray(us, dtype=np.intp)
         vs = np.asarray(vs, dtype=np.intp)
-        m = self._membership
-        if m is not None:
-            bad = ~(m.active[us] & m.active[vs])
-            if np.any(bad):
-                nodes = np.unique(np.concatenate([us[bad], vs[bad]]))
-                raise InactiveNode(
-                    f"node(s) {nodes[~m.active[nodes]].tolist()} are not active"
-                )
+        require_active(self._membership, us, vs)
         if self._beacon_dirty():
             _, view = self._live_view()
             if view.shape[1] == 0:
@@ -288,16 +254,7 @@ class BeaconTriangulation:
                 lv = view[vs]
                 upper = (lu + lv).min(axis=1)
                 lower = np.abs(lu - lv).max(axis=1)
-            pre, post = self._ivl_bracket(us, vs)
-            lo = np.minimum(pre, post)
-            hi = np.maximum(pre, post)
-            tol = np.where(
-                np.isfinite(upper), 1e-9 * np.maximum(1.0, np.abs(upper)), 0.0
-            )
-            self.ivl_checks += int(us.size)
-            self.ivl_violations += int(
-                np.count_nonzero((upper < lo - tol) | (upper > hi + tol))
-            )
+            self._ivl_check(us, vs, upper)
             return lower, upper
         lu = self._labels[us]
         lv = self._labels[vs]

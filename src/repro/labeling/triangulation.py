@@ -29,7 +29,13 @@ import numpy as np
 from repro._types import NodeId
 from repro.bits import SizeAccount, bits_for_count
 from repro.core.packed import pack_csr
-from repro.core.patch import CSRPatch, InactiveNode, PatchStats
+from repro.core.patch import (
+    CSRPatch,
+    PatchStats,
+    ivl_violations,
+    patch_stats,
+    require_active,
+)
 from repro.labeling._dplus import PackedLabels
 from repro.labeling._scales import ScaleStructure
 from repro.labeling.encoding import DistanceCodec
@@ -79,9 +85,6 @@ class RingTriangulation:
         self.revision = 0
         self.ivl_checks = 0
         self.ivl_violations = 0
-        #: patch-merge policy (consulted when the patch is first created)
-        self.merge_threshold = 0.5
-        self.staleness_limit = 128
 
     # -- CSR access --------------------------------------------------------
 
@@ -100,8 +103,6 @@ class RingTriangulation:
             self._patch = CSRPatch(
                 self._indptr, self._ids, payloads=(self._dist,),
                 universe=self.metric.n,
-                merge_threshold=self.merge_threshold,
-                staleness_limit=self.staleness_limit,
             )
         return self._patch
 
@@ -116,8 +117,8 @@ class RingTriangulation:
         """Apply one join/leave batch to the label structure.
 
         Labels stay pristine; reads filter by the live active set until
-        the patch's size/staleness threshold trips a merge.  Returns
-        whether this update triggered an automatic merge.
+        the merge policy (:func:`~repro.core.patch.merge_due`) trips a
+        merge.  Returns whether this update triggered an automatic merge.
         """
         patch = self._ensure_patch()
         patch.apply(joins, leaves)
@@ -136,22 +137,8 @@ class RingTriangulation:
 
     def pending_patch_stats(self) -> PatchStats:
         if self._patch is None:
-            n = self.metric.n
-            return PatchStats(
-                universe=n, active_nodes=n, rows=n, dirty_rows=0,
-                pending_joins=0, pending_leaves=0, updates=0,
-                updates_since_merge=0, merges=0, auto_merges=0,
-            )
+            return patch_stats(None, self.metric.n, self.metric.n)
         return self._patch.stats()
-
-    def _check_active(self, u: NodeId, v: NodeId) -> None:
-        patch = self._patch
-        if patch is None:
-            return
-        act = patch.membership.active
-        if not act[u] or not act[v]:
-            missing = [x for x in (u, v) if not act[x]]
-            raise InactiveNode(f"node(s) {missing} are not active")
 
     def _ivl_check(self, u: NodeId, v: NodeId, served: float) -> None:
         """IVL-style bound for a read overlapping a pending patch.
@@ -159,10 +146,11 @@ class RingTriangulation:
         ``pre`` is D+ over the last-merged arrays, ``post`` D+ over the
         pristine arrays intersected *before* masking by the active set —
         a deliberately different code path from the serving one (which
-        masks before intersecting).  The served value must land in
-        ``[min(pre, post), max(pre, post)]``; for pairs the pending churn
-        does not actually affect, pre == post and the check becomes a
-        bit-level cross-validation of the two paths.
+        masks before intersecting).  The served value must land in the
+        hull of ``pre`` and ``post``
+        (:func:`~repro.core.patch.ivl_violations`); for pairs the pending
+        churn does not actually affect, pre == post and the check becomes
+        a bit-level cross-validation of the two paths.
         """
         patch = self._patch
         ids_u, (dist_u,) = patch.merged_row(u)
@@ -186,11 +174,8 @@ class RingTriangulation:
             post = float(dsum.min())
         else:
             post = float("inf")
-        lo, hi = min(pre, post), max(pre, post)
-        tol = 1e-9 * max(1.0, abs(served)) if np.isfinite(served) else 0.0
         self.ivl_checks += 1
-        if not (lo - tol <= served <= hi + tol):
-            self.ivl_violations += 1
+        self.ivl_violations += ivl_violations(served, pre, post)
 
     # -- structure metrics -------------------------------------------------
 
@@ -241,7 +226,7 @@ class RingTriangulation:
         patch = self._patch
         if patch is None:
             return self.bounds(u, v)[1]
-        self._check_active(u, v)
+        require_active(patch.membership, u, v)
         served = self.bounds(u, v)[1]
         if patch.row_dirty(u) or patch.row_dirty(v):
             self._ivl_check(u, v, served)
@@ -267,13 +252,7 @@ class RingTriangulation:
             return self._packed.dplus_many(us, vs)
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        act = patch.membership.active
-        bad = ~(act[us] & act[vs])
-        if np.any(bad):
-            nodes = np.unique(np.concatenate([us[bad], vs[bad]]))
-            raise InactiveNode(
-                f"node(s) {nodes[~act[nodes]].tolist()} are not active"
-            )
+        require_active(patch.membership, us, vs)
         if patch.is_clean():
             if self._packed is None:
                 self._packed = PackedLabels.from_csr(
@@ -333,8 +312,6 @@ class RingTriangulation:
         tri.revision = 0
         tri.ivl_checks = 0
         tri.ivl_violations = 0
-        tri.merge_threshold = 0.5
-        tri.staleness_limit = 128
         return tri
 
     def certified_ratio_bound(self) -> float:

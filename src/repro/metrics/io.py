@@ -4,13 +4,11 @@ Benchmark workloads and externally supplied latency matrices are shared
 on disk; loading always returns a validated
 :class:`~repro.metrics.matrix.DistanceMatrixMetric`.
 
-Writes go through the versioned container format of
-:mod:`repro.serve.container` (kind ``"metric"``): a JSON header plus
-64-byte-aligned raw array segments, so a reload memory-maps the matrix
-instead of inflating a zip archive.  Reads sniff the file: container
-files open zero-copy, while legacy ``.npz`` archives (everything this
-module wrote before the container format existed) keep loading through
-the old ``np.load`` path.
+Files use the versioned container format of :mod:`repro.serve.container`
+(kind ``"metric"``): a JSON header plus 64-byte-aligned raw array
+segments, so a reload memory-maps the matrix instead of inflating a zip
+archive.  Anything else is rejected with
+:class:`~repro.serve.container.ContainerError` (a ``ValueError``).
 """
 
 from __future__ import annotations
@@ -24,16 +22,6 @@ from repro.metrics.base import MetricSpace
 from repro.metrics.matrix import DistanceMatrixMetric
 
 PathLike = Union[str, Path]
-
-
-def _is_container(path: Path) -> bool:
-    from repro.serve.container import MAGIC
-
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
 
 
 def save_metric(metric: MetricSpace, path: PathLike) -> str:
@@ -55,36 +43,20 @@ def save_metric(metric: MetricSpace, path: PathLike) -> str:
 
 
 def load_metric(path: PathLike, mmap: bool = True) -> DistanceMatrixMetric:
-    """Load a metric saved by :func:`save_metric` (validated on load).
+    """Load a metric saved by :func:`save_metric` (validated on load;
+    the file is memory-mapped when ``mmap=True``)."""
+    from repro.serve.container import read_container
 
-    Accepts both container files (memory-mapped when ``mmap=True``) and
-    legacy ``.npz`` archives.
-    """
-    path = Path(path)
-    if _is_container(path):
-        from repro.serve.container import read_container
-
-        container = read_container(path, mmap=mmap)
-        if container.kind != "metric" or "matrix" not in container.arrays:
-            raise ValueError(f"{path}: not a saved metric (no 'matrix' array)")
-        # Copy out of the mapping: the metric owns a mutable matrix.
-        return DistanceMatrixMetric(np.array(container.arrays["matrix"]))
-    with np.load(path) as data:
-        if "matrix" not in data:
-            raise ValueError(f"{path}: not a saved metric (no 'matrix' array)")
-        return DistanceMatrixMetric(np.array(data["matrix"]))
+    container = read_container(path, mmap=mmap)
+    if container.kind != "metric" or "matrix" not in container.arrays:
+        raise ValueError(f"{path}: not a saved metric (no 'matrix' array)")
+    # Copy out of the mapping: the metric owns a mutable matrix.
+    return DistanceMatrixMetric(np.array(container.arrays["matrix"]))
 
 
 def load_points(path: PathLike) -> Optional[np.ndarray]:
     """Coordinates stored alongside the matrix, if any."""
-    path = Path(path)
-    if _is_container(path):
-        from repro.serve.container import read_container
+    from repro.serve.container import read_container
 
-        container = read_container(path)
-        points = container.arrays.get("points")
-        return None if points is None else np.array(points)
-    with np.load(path) as data:
-        if "points" in data:
-            return np.array(data["points"])
-    return None
+    points = read_container(path).arrays.get("points")
+    return None if points is None else np.array(points)

@@ -45,7 +45,7 @@ import numpy as np
 from repro._types import NodeId
 from repro.bits import SizeAccount, bits_for_count
 from repro.core.packed import PackedRings
-from repro.core.patch import CSRPatch, InactiveNode, Membership, PatchStats
+from repro.core.patch import CSRPatch, PatchStats, patch_stats, require_active
 from repro.core.rings import net_rings
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import FirstHopTable
@@ -135,8 +135,6 @@ class RingRouting(RoutingScheme):
         self.revision = 0
         self.ivl_checks = 0
         self.ivl_violations = 0
-        self.merge_threshold = 0.5
-        self.staleness_limit = 128
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -211,10 +209,7 @@ class RingRouting(RoutingScheme):
     def _ensure_mutable(self) -> CSRPatch:
         if self._patch is None:
             self._patch = CSRPatch(
-                self._indptr, self._members,
-                membership=Membership(self.graph.n),
-                merge_threshold=self.merge_threshold,
-                staleness_limit=self.staleness_limit,
+                self._indptr, self._members, universe=self.graph.n
             )
             # G_j from the pristine rings: v ∈ G_j  ⟺  v ∈ ring(v, j)
             # (a net point is always within r_j of itself).
@@ -313,12 +308,7 @@ class RingRouting(RoutingScheme):
 
     def pending_patch_stats(self) -> PatchStats:
         if self._patch is None:
-            n = self.graph.n
-            return PatchStats(
-                universe=n, active_nodes=n, rows=n * self.levels,
-                dirty_rows=0, pending_joins=0, pending_leaves=0, updates=0,
-                updates_since_merge=0, merges=0, auto_merges=0,
-            )
+            return patch_stats(None, self.graph.n, self.graph.n * self.levels)
         return self._patch.stats()
 
     # ------------------------------------------------------------------
@@ -519,10 +509,7 @@ class RingRouting(RoutingScheme):
         self, source: NodeId, target: NodeId, max_hops: Optional[int] = None
     ) -> RouteResult:
         if self._patch is not None:
-            act = self._patch.membership.active
-            if not act[source] or not act[target]:
-                missing = [x for x in (source, target) if not act[x]]
-                raise InactiveNode(f"node(s) {missing} are not active")
+            require_active(self._patch.membership, source, target)
         label = self.labels[target]
         limit = max_hops if max_hops is not None else 4 * self.graph.n + 16
         header = self.header_bits(label)

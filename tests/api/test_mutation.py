@@ -1,7 +1,7 @@
 """The MutableScheme extension of the api surface.
 
 Covers the update facade (`api.update` / `api.supports_update`), the
-UpdateReceipt value object, the registry's `supports_update` metadata,
+UpdateReceipt value object, the scheme classes' `supports_update` flag,
 the typed UnsupportedUpdate error for static schemes, and the BuildCache
 staleness regression: a cached workload instance whose revision moved
 (because a scheme built on it was mutated) must never be served again.
@@ -34,10 +34,11 @@ class TestSupportsUpdate:
         assert api.supports_update(tri)
         assert isinstance(tri, MutableScheme)
 
-    def test_registry_metadata_flag(self):
+    def test_scheme_class_flag(self):
         for name, entry in api.SCHEMES.items():
             expected = name in MUTABLE
-            assert bool(entry.meta.get("supports_update")) is expected, name
+            assert entry.obj.supports_update is expected, name
+            assert "supports_update" not in entry.meta, name
 
     def test_describe_tags_mutable_schemes(self):
         text = api.describe()

@@ -4,7 +4,8 @@ The contracts the mutable structures rely on: validated membership
 batches over a fixed universe, an exact inverted index from changed ids
 to dirty CSR rows, live filtered reads bit-identical to what the next
 merge produces, merges that always filter the pristine block (so
-leave/rejoin cycles reconverge), and threshold/staleness auto-merge.
+leave/rejoin cycles reconverge), threshold/staleness auto-merge, and the
+IVL hull every structure checks pending reads against.
 """
 
 from __future__ import annotations
@@ -12,18 +13,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core import CSRPatch, InactiveNode, Membership, PatchStats
+from repro.core import patch as patch_policy
 from repro.core.packed import PackedRings
 from repro.core.rings import cardinality_rings
 from repro.metrics.synthetic import random_hypercube_metric
 
 
-def _toy_patch(**kwargs) -> CSRPatch:
+def _toy_patch() -> CSRPatch:
     # Rows: 0 -> [0, 1, 2], 1 -> [2, 3], 2 -> [] , 3 -> [1, 4]
     indptr = np.array([0, 3, 5, 5, 7], dtype=np.int64)
     keys = np.array([0, 1, 2, 2, 3, 1, 4], dtype=np.int64)
     dist = np.array([0.0, 1.0, 2.0, 0.5, 1.5, 2.5, 3.5])
-    return CSRPatch(indptr, keys, payloads=(dist,), universe=5, **kwargs)
+    return CSRPatch(indptr, keys, payloads=(dist,), universe=5)
 
 
 class TestMembership:
@@ -44,6 +47,37 @@ class TestMembership:
             m.apply(leaves=[2])
         with pytest.raises(ValueError, match="both join and leave"):
             m.apply(joins=[2], leaves=[2])
+
+    @pytest.mark.parametrize("batch", [
+        {"leaves": [3.7]},
+        {"leaves": [3, True]},
+        {"leaves": np.array([1.0, 3.0])},
+        {"joins": [2.0]},
+        {"joins": [False]},
+        {"joins": np.array([0.0])},
+    ])
+    def test_apply_rejects_non_integer_ids(self, batch):
+        # nodes 0 and 2 are away, so each join above would be valid if
+        # its ids were silently truncated to integers
+        m = Membership(6)
+        m.apply(leaves=[0, 2])
+        before = m.active.copy()
+        with pytest.raises(ValueError, match="must be integers"):
+            m.apply(**batch)
+        assert np.array_equal(m.active, before)
+        assert m.updates == 1
+
+    def test_apply_accepts_integer_tuples_and_arrays(self):
+        m = Membership(6)
+        m.apply(joins=(), leaves=(1, 4))
+        m.apply(joins=np.array([4], dtype=np.int64), leaves=[np.int32(5)])
+        assert m.active_ids().tolist() == [0, 2, 3, 4]
+
+    def test_update_rejects_non_integer_ids(self):
+        fitted = api.build("beacons", "hypercube", n=64)
+        with pytest.raises(ValueError, match=r"leave ids must be integers.*3\.7.*True"):
+            api.update(fitted, leaves=[3.7, True])
+        assert fitted.pending_patch_stats().active_nodes == 64
 
     def test_segments_and_commit(self):
         m = Membership(6)
@@ -120,8 +154,9 @@ class TestCSRPatch:
             patch.merged_payloads[0], patch.pristine_payloads[0]
         )
 
-    def test_auto_merge_on_dirty_fraction(self):
-        patch = _toy_patch(merge_threshold=0.5, staleness_limit=10**9)
+    def test_auto_merge_on_dirty_fraction(self, monkeypatch):
+        monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 10**9)
+        patch = _toy_patch()
         patch.apply(leaves=[4])  # 1/4 rows dirty: below threshold
         assert not patch.maybe_merge()
         patch.apply(leaves=[2])  # rows 0, 1 join row 3: 3/4 dirty
@@ -129,8 +164,10 @@ class TestCSRPatch:
         assert patch.auto_merges == 1
         assert patch.stats().merges == 1
 
-    def test_auto_merge_on_staleness(self):
-        patch = _toy_patch(merge_threshold=1.1, staleness_limit=3)
+    def test_auto_merge_on_staleness(self, monkeypatch):
+        monkeypatch.setattr(patch_policy, "MERGE_DIRTY_FRACTION", 1.1)
+        monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 3)
+        patch = _toy_patch()
         patch.apply(leaves=[4])
         assert not patch.maybe_merge()
         patch.apply(joins=[4])
@@ -150,11 +187,40 @@ class TestCSRPatch:
         assert d["dirty_rows"] == patch.dirty_row_count
         assert PatchStats(**d) == stats
 
+    def test_stats_of_never_updated_structure(self):
+        stats = patch_policy.patch_stats(None, universe=7, rows=3)
+        assert stats == PatchStats(
+            universe=7, active_nodes=7, rows=3, dirty_rows=0,
+            pending_joins=0, pending_leaves=0, updates=0,
+            updates_since_merge=0, merges=0, auto_merges=0,
+        )
+
     def test_payload_misalignment_rejected(self):
         indptr = np.array([0, 2], dtype=np.int64)
         keys = np.array([0, 1], dtype=np.int64)
         with pytest.raises(ValueError, match="align"):
             CSRPatch(indptr, keys, payloads=(np.zeros(3),), universe=2)
+
+
+class TestIVLHull:
+    def test_inside_hull_and_tolerance(self):
+        pre = np.array([1.0, 2.0, 5.0, 1.0])
+        post = np.array([3.0, 2.0, 4.0, 1.0])
+        served = np.array([2.0, 2.0 + 1e-10, 4.5, 1.0 - 1e-10])
+        assert patch_policy.ivl_violations(served, pre, post) == 0
+
+    def test_outside_hull_counts(self):
+        served = np.array([0.5, 3.5, 2.0 + 1e-6])
+        assert patch_policy.ivl_violations(served, np.ones(3), np.full(3, 2.0)) == 3
+
+    def test_infinite_and_nan_values(self):
+        inf = float("inf")
+        assert patch_policy.ivl_violations(inf, inf, inf) == 0
+        assert patch_policy.ivl_violations(inf, 1.0, inf) == 0
+        assert patch_policy.ivl_violations(inf, 1.0, 2.0) == 1
+        # a NaN is never inside the hull
+        assert patch_policy.ivl_violations(float("nan"), 1.0, 2.0) == 1
+        assert patch_policy.ivl_violations(np.array([np.nan, 1.5]), 1.0, 2.0) == 1
 
 
 class TestPackedRingsIntegration:

@@ -1,5 +1,6 @@
 """Churn over Meridian overlays."""
 
+import numpy as np
 import pytest
 
 from repro.distributed import ChurnSimulation
@@ -25,7 +26,7 @@ class TestChurn:
     def test_scrub_removes_leaver_everywhere(self, metric):
         overlay = MeridianOverlay(metric, seed=0)
         sim = ChurnSimulation(metric, overlay, churn_rate=0.0, seed=2)
-        sim._scrub(5)
+        sim._scrub_many(np.asarray([5]))
         for node in overlay.nodes:
             for members in node.rings.values():
                 assert 5 not in members
@@ -53,7 +54,7 @@ class TestChurn:
     def test_bootstrap_gives_joiner_rings(self, metric):
         overlay = MeridianOverlay(metric, seed=0)
         sim = ChurnSimulation(metric, overlay, churn_rate=0.0, bootstrap_probes=8, seed=5)
-        sim._scrub(3)
+        sim._scrub_many(np.asarray([3]))
         overlay.nodes[3].rings = {}
         sim._bootstrap(3)
         assert overlay.nodes[3].out_degree() > 0

@@ -2,9 +2,9 @@
 
 Covers: seeded generation semantics (replacement model, disjoint
 joins/leaves, rejoin cohorts, exclusions), JSON round-trip + digest
-stability, ChurnSimulation replaying a trace (with incremental-vs-legacy
-scrub parity), and the netsim fault planner deriving its crash windows
-from — and recording — the same trace.
+stability, ChurnSimulation replaying a trace, and the netsim fault
+planner deriving its crash windows from — and recording — the same
+trace.
 """
 
 from __future__ import annotations
@@ -134,39 +134,6 @@ class TestChurnSimulationTrace:
         with pytest.raises(ValueError, match="trace covers"):
             ChurnSimulation(metric, MeridianOverlay(metric, seed=0),
                             trace=trace)
-
-    def test_incremental_matches_legacy_scrub(self, metric):
-        trace = ChurnTrace.generate(n=48, events=4, rate=0.1, seed=8)
-
-        def run(incremental):
-            overlay = MeridianOverlay(metric, seed=0)
-            sim = ChurnSimulation(
-                metric, overlay, churn_rate=0.0, bootstrap_probes=8,
-                seed=11, trace=trace, incremental=incremental,
-            )
-            reports = sim.run(len(trace.events), quality_queries=40)
-            rings = [dict(node.rings) for node in overlay.nodes]
-            return reports, rings
-
-        legacy_reports, legacy_rings = run(False)
-        incr_reports, incr_rings = run(True)
-        assert legacy_rings == incr_rings
-        assert legacy_reports == incr_reports
-
-    def test_incremental_matches_legacy_random_mode(self, metric):
-        def run(incremental):
-            overlay = MeridianOverlay(metric, seed=0)
-            sim = ChurnSimulation(
-                metric, overlay, churn_rate=0.15, bootstrap_probes=8,
-                seed=13, incremental=incremental,
-            )
-            reports = sim.run(3, quality_queries=40)
-            return reports, [dict(node.rings) for node in overlay.nodes]
-
-        legacy_reports, legacy_rings = run(False)
-        incr_reports, incr_rings = run(True)
-        assert legacy_rings == incr_rings
-        assert legacy_reports == incr_reports
 
 
 class TestNetsimIntegration:

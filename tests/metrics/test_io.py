@@ -34,7 +34,7 @@ class TestMetricIO:
     def test_bad_file_rejected(self, tmp_path):
         path = tmp_path / "other.npz"
         np.savez(path, stuff=np.zeros(3))
-        with pytest.raises(ValueError, match="matrix"):
+        with pytest.raises(ValueError, match="not a repro container"):
             load_metric(path)
 
     def test_loaded_metric_validated(self, tmp_path):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import patch as patch_policy
 from repro.core.patch import InactiveNode
 from repro.distributed.trace import ChurnTrace
 from repro.graphs.generators import knn_geometric_graph
@@ -41,11 +42,13 @@ def _metric(kind: str, seed: int):
     return ShortestPathMetric(graph, dense=False, row_cache_bytes=1 << 20)
 
 
-def _disable_auto_merge(struct) -> None:
-    # consulted at patch creation: keeps every patch pending so reads
-    # stay on the dirty-row (IVL-checked) path until compact()
-    struct.merge_threshold = 1.1
-    struct.staleness_limit = 10**9
+@pytest.fixture()
+def no_auto_merge(monkeypatch):
+    # the merge policy reads these at call time: every patch stays
+    # pending, so reads stay on the dirty-row (IVL-checked) path until
+    # compact()
+    monkeypatch.setattr(patch_policy, "MERGE_DIRTY_FRACTION", 1.1)
+    monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 10**9)
 
 
 def _stream(struct, trace, read=None):
@@ -72,6 +75,7 @@ def _sample_active_pairs(trace, seed=99, pairs=200):
     return us[keep], vs[keep]
 
 
+@pytest.mark.usefixtures("no_auto_merge")
 @pytest.mark.parametrize("kind", ["euclidean", "graph-lazy"])
 @pytest.mark.parametrize("seed", SEEDS)
 class TestCompactionParity:
@@ -80,7 +84,6 @@ class TestCompactionParity:
         trace = ChurnTrace.generate(n=N, events=10, rate=0.08, seed=seed)
 
         streamed = RingTriangulation(metric, delta=0.3)
-        _disable_auto_merge(streamed)
         _stream(streamed, trace)
         streamed.compact()
 
@@ -99,7 +102,6 @@ class TestCompactionParity:
         trace = ChurnTrace.generate(n=N, events=10, rate=0.08, seed=seed)
 
         streamed = BeaconTriangulation(metric, k=12, seed=5)
-        _disable_auto_merge(streamed)
         _stream(streamed, trace)
         streamed.compact()
 
@@ -122,7 +124,6 @@ class TestCompactionParity:
         trace = ChurnTrace.generate(n=N, events=6, rate=0.06, seed=seed)
 
         streamed = RingRouting(graph, delta=0.3, metric=metric)
-        _disable_auto_merge(streamed)
         _stream(streamed, trace)
         streamed.compact()
 
@@ -142,6 +143,7 @@ class TestCompactionParity:
             )
 
 
+@pytest.mark.usefixtures("no_auto_merge")
 @pytest.mark.parametrize("kind", ["euclidean", "graph-lazy"])
 @pytest.mark.parametrize("seed", SEEDS)
 class TestIVLMidPatch:
@@ -164,7 +166,6 @@ class TestIVLMidPatch:
         metric = _metric(kind, seed)
         trace = ChurnTrace.generate(n=N, events=10, rate=0.08, seed=seed)
         tri = RingTriangulation(metric, delta=0.3)
-        _disable_auto_merge(tri)
         advance = self._active_reader(trace)
         rng = np.random.default_rng(seed)
 
@@ -182,7 +183,6 @@ class TestIVLMidPatch:
         metric = _metric(kind, seed)
         trace = ChurnTrace.generate(n=N, events=10, rate=0.08, seed=seed)
         tri = BeaconTriangulation(metric, k=12, seed=5)
-        _disable_auto_merge(tri)
         advance = self._active_reader(trace)
         rng = np.random.default_rng(seed)
 
@@ -204,7 +204,6 @@ class TestIVLMidPatch:
                                     row_cache_bytes=1 << 20)
         trace = ChurnTrace.generate(n=N, events=6, rate=0.06, seed=seed)
         scheme = RingRouting(graph, delta=0.3, metric=metric)
-        _disable_auto_merge(scheme)
         advance = self._active_reader(trace)
         rng = np.random.default_rng(seed)
 
