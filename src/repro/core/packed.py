@@ -33,7 +33,7 @@ from repro._types import NodeId
 from repro.bits import SizeAccount, bits_for_count
 from repro.metrics.base import MetricSpace
 
-__all__ = ["PackedRings", "exact_capped_rings", "pack_csr"]
+__all__ = ["PackedRings", "csr_gather", "exact_capped_rings", "pack_csr"]
 
 
 def pack_csr(
@@ -54,6 +54,26 @@ def pack_csr(
         np.concatenate(chunk_list) if chunk_list else np.empty(0, dtype)
     ).astype(dtype, copy=False)
     return indptr, data
+
+
+def csr_gather(
+    indptr: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where ``rows`` sit in a CSR block, in one vectorized pass.
+
+    Returns ``(idx, counts)``: ``data[idx]`` is the rows' entries
+    concatenated in the order given (``data[indptr[r]:indptr[r+1]]`` for
+    each ``r``), and ``counts[i]`` is the length of row ``rows[i]``.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    # Output slot p of row i holds entry starts[i] + (p - first slot of i).
+    idx = np.arange(total, dtype=np.int64)
+    idx += np.repeat(starts - (ends - counts), counts)
+    return idx, counts
 
 
 class PackedRings:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._types import NodeId
+from repro._types import NodeId, as_node_pairs
 from repro.bits import SizeAccount, bits_for_count
 from repro.core.patch import (
     Membership,
@@ -266,8 +266,7 @@ class BeaconTriangulation:
 
     def estimate_many(self, us, vs) -> np.ndarray:
         """Batched D+ estimates (0 on the diagonal), one matrix pass."""
-        us = np.asarray(us, dtype=np.intp)
-        vs = np.asarray(vs, dtype=np.intp)
+        us, vs = as_node_pairs(us, vs, self.metric.n)
         _, upper = self.bounds_many(us, vs)
         return np.where(us == vs, 0.0, upper)
 

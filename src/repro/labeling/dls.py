@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro._types import NodeId
+from repro._types import NodeId, as_node_pairs
 from repro.bits import SizeAccount, bits_for_count
 from repro.labeling._scales import ScaleStructure
 from repro.labeling.encoding import DistanceCodec
@@ -607,8 +607,7 @@ class RingDLS:
         is what makes :func:`repro.engine.bulk_estimates` fast for the
         paper's own labeling scheme.
         """
-        us = np.asarray(us, dtype=np.intp).ravel()
-        vs = np.asarray(vs, dtype=np.intp).ravel()
+        us, vs = as_node_pairs(us, vs, self.metric.n)
         out = np.empty(us.shape[0], dtype=float)
         for i in range(us.shape[0]):
             u, v = int(us[i]), int(vs[i])

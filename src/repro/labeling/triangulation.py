@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro._types import NodeId
+from repro._types import NodeId, as_node_pairs
 from repro.bits import SizeAccount, bits_for_count
 from repro.core.packed import pack_csr
 from repro.core.patch import (
@@ -232,42 +232,37 @@ class RingTriangulation:
             self._ivl_check(u, v, served)
         return served
 
+    def _packed_labels(self) -> PackedLabels:
+        """The merged CSR label arrays as :class:`PackedLabels` (built on
+        first use, dropped when a merge replaces the arrays)."""
+        if self._packed is None:
+            self._packed = PackedLabels(
+                self.metric.n, self._indptr, self._ids, self._dist
+            )
+        return self._packed
+
     def estimate_many(self, us, vs) -> np.ndarray:
         """Batched D+ over the packed labels (0 on the diagonal).
 
         The CSR label arrays are handed to :class:`PackedLabels` without
-        any per-dict conversion, so a whole pair batch runs as chunked
-        broadcast intersections instead of per-pair dict walks.  With a
-        pending patch, clean-row pairs still take the packed fast path
-        (their merged rows are unaffected by the pending churn); pairs
-        touching a dirty row fall back to per-pair filtered estimates
-        with the IVL bound checked on each.
+        any per-dict conversion, so a whole pair batch runs as one
+        scatter/gather pass per chunk instead of per-pair intersections.
+        With a pending patch, clean-row pairs still take the packed fast
+        path (their merged rows are unaffected by the pending churn);
+        pairs touching a dirty row fall back to per-pair filtered
+        estimates with the IVL bound checked on each.
         """
+        us, vs = as_node_pairs(us, vs, self.metric.n)
         patch = self._patch
-        if patch is None:
-            if self._packed is None:
-                self._packed = PackedLabels.from_csr(
-                    self.metric.n, self._indptr, self._ids, self._dist
-                )
-            return self._packed.dplus_many(us, vs)
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        require_active(patch.membership, us, vs)
-        if patch.is_clean():
-            if self._packed is None:
-                self._packed = PackedLabels.from_csr(
-                    self.metric.n, self._indptr, self._ids, self._dist
-                )
-            return self._packed.dplus_many(us, vs)
+        if patch is not None:
+            require_active(patch.membership, us, vs)
+        if patch is None or patch.is_clean():
+            return self._packed_labels().dplus_many(us, vs)
         dirty = patch.rows_dirty(us) | patch.rows_dirty(vs)
         out = np.empty(us.shape, dtype=float)
         clean = ~dirty
         if np.any(clean):
-            if self._packed is None:
-                self._packed = PackedLabels.from_csr(
-                    self.metric.n, self._indptr, self._ids, self._dist
-                )
-            out[clean] = self._packed.dplus_many(us[clean], vs[clean])
+            out[clean] = self._packed_labels().dplus_many(us[clean], vs[clean])
         for i in np.flatnonzero(dirty):
             out[i] = self.estimate(int(us[i]), int(vs[i]))
         return out
@@ -446,8 +441,8 @@ class TriangulationDLS:
 
     def estimate_many(self, us, vs) -> np.ndarray:
         """Batched quantized D+ (same packed-label path as Theorem 3.2)."""
+        n = self.triangulation.metric.n
+        us, vs = as_node_pairs(us, vs, n)
         if self._packed is None:
-            self._packed = PackedLabels.from_csr(
-                self.triangulation.metric.n, self._indptr, self._ids, self._dist
-            )
+            self._packed = PackedLabels(n, self._indptr, self._ids, self._dist)
         return self._packed.dplus_many(us, vs)

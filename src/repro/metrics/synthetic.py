@@ -57,16 +57,17 @@ def exponential_line(n: int, base: float = 2.0) -> EuclideanMetric:
     """The exponential line ``{base^0, base^1, ..., base^(n-1)}``.
 
     A doubling metric (dimension O(1)) whose grid dimension and aspect
-    ratio are huge: ``Δ ~ base^n``.  For ``base=2`` keep ``n <= 900`` so
-    distances stay within float64 range.
+    ratio are huge: ``Δ ~ base^n``.  :class:`EuclideanMetric` squares
+    coordinate differences, so the largest, just under ``base^(n-1)``,
+    must square within float64 range: for ``base=2``, ``n <= 512``.
     """
     if n < 1:
         raise ValueError("n must be positive")
     max_exponent = (n - 1) * np.log2(base)
-    if max_exponent > 1000:
+    if 2 * max_exponent >= 1024:
         raise ValueError(
-            f"base**(n-1) overflows float64 (need base^(n-1) < 2^1000, "
-            f"got exponent {max_exponent:.0f})"
+            f"squared distances overflow float64 (need base^(2(n-1)) < 2^1024, "
+            f"got exponent {2 * max_exponent:.0f})"
         )
     points = np.power(base, np.arange(n, dtype=float))
     return EuclideanMetric(points[:, None])

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro._types import NodeId
 from repro.bits import SizeAccount, bits_for_count
-from repro.core.packed import PackedRings
+from repro.core.packed import PackedRings, csr_gather
 from repro.core.patch import CSRPatch, PatchStats, patch_stats, require_active
 from repro.core.rings import net_rings
 from repro.graphs.graph import WeightedGraph
@@ -425,15 +425,7 @@ class RingRouting(RoutingScheme):
 
     def _gathered_next_rings(self, fs: np.ndarray, j_next: int) -> np.ndarray:
         """Concatenated ``ring(f, j_next)`` members over ``fs`` (CSR gather)."""
-        rix = fs.astype(np.int64) * self.levels + j_next
-        starts = self._indptr[rix]
-        counts = self._indptr[rix + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=self._members.dtype)
-        base = np.cumsum(counts) - counts
-        pair_of = np.repeat(np.arange(fs.size, dtype=np.int64), counts)
-        idx = np.arange(total, dtype=np.int64) - base[pair_of] + starts[pair_of]
+        idx, _ = csr_gather(self._indptr, fs.astype(np.int64) * self.levels + j_next)
         return self._members[idx]
 
     def _zeta_triple_counts(self) -> np.ndarray:

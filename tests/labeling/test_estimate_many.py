@@ -13,8 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.packed import pack_csr
 from repro.engine import bulk_estimates
-from repro.labeling import RingDLS, RingTriangulation, TriangulationDLS
+from repro.labeling import (
+    BeaconTriangulation,
+    RingDLS,
+    RingTriangulation,
+    TriangulationDLS,
+)
+from repro.labeling import _dplus
 from repro.labeling._dplus import PackedLabels
 
 DELTA = 0.4
@@ -27,7 +34,16 @@ def estimators(hypercube32, scales_hypercube32):
         "triangulation": tri,
         "triangulation-dls": TriangulationDLS(tri),
         "ring-dls": RingDLS(hypercube32, DELTA, scales=scales_hypercube32),
+        "beacons": BeaconTriangulation(hypercube32, k=8, seed=0),
     }
+
+
+def _packed(labels) -> PackedLabels:
+    """Pack ``beacon -> distance`` dicts, ids ascending within each row."""
+    rows = [sorted(label.items()) for label in labels]
+    indptr, ids = pack_csr([[b for b, _ in row] for row in rows], dtype=np.int64)
+    _, dist = pack_csr([[d for _, d in row] for row in rows], dtype=float)
+    return PackedLabels(len(labels), indptr, ids, dist)
 
 
 def _pair_batch(n: int) -> tuple:
@@ -59,8 +75,27 @@ def test_bulk_estimates_takes_the_vectorized_path(estimators, hypercube32, name)
     assert np.array_equal(via_engine, estimator.estimate_many(us, vs))
 
 
+@pytest.mark.parametrize(
+    "name", ["triangulation", "triangulation-dls", "ring-dls", "beacons"]
+)
+@pytest.mark.parametrize(
+    "us, vs, match",
+    [
+        ([0, 1, 2], [1], "differ in length"),
+        ([0], [1, 2], "differ in length"),
+        ([-2], [5], "out of range"),
+        ([3], [-1], "out of range"),
+        ([0, 32], [1, 2], "out of range"),
+    ],
+)
+def test_estimate_many_rejects_malformed_batches(estimators, name, us, vs, match):
+    # Unequal sides must not broadcast, nor a negative id wrap to another node.
+    with pytest.raises(ValueError, match=match):
+        estimators[name].estimate_many(us, vs)
+
+
 def test_packed_labels_edge_cases():
-    packed = PackedLabels([{1: 1.0}, {2: 2.0}, {}, {1: 0.5, 2: 0.25}])
+    packed = _packed([{1: 1.0}, {2: 2.0}, {}, {1: 0.5, 2: 0.25}])
     got = packed.dplus_many([0, 0, 2, 3, 1], [1, 3, 3, 3, 1])
     assert got[0] == np.inf  # no common beacon
     assert got[1] == pytest.approx(1.5)  # beacon 1: 1.0 + 0.5
@@ -70,12 +105,12 @@ def test_packed_labels_edge_cases():
     assert packed.dplus_many([], []).shape == (0,)
 
 
-def test_packed_labels_chunking_is_transparent():
+def test_packed_labels_chunking_is_transparent(monkeypatch):
     labels = [{j: float(j + u) for j in range(u % 7 + 1)} for u in range(40)]
-    packed = PackedLabels(labels)
+    packed = _packed(labels)
     rng = np.random.default_rng(0)
     us = rng.integers(0, 40, 500)
     vs = rng.integers(0, 40, 500)
     expected = packed.dplus_many(us, vs)
-    packed.max_gather = 16  # force many tiny chunks
+    monkeypatch.setattr(_dplus, "SCRATCH", 100)  # chunks of 2 pairs
     assert np.array_equal(packed.dplus_many(us, vs), expected)

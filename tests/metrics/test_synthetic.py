@@ -56,6 +56,16 @@ class TestLines:
         with pytest.raises(ValueError, match="overflow"):
             exponential_line(1200)
 
+    @pytest.mark.parametrize("base, largest", [(2.0, 512), (1.7, 669), (3.0, 324)])
+    def test_exponential_line_guard_tracks_squared_distances(self, base, largest):
+        # Base 2: d(0, 512)^2 = 2^1024 overflows float64, so n = 513 must
+        # be rejected rather than give inf distances from its endpoints.
+        with pytest.raises(ValueError, match="overflow"):
+            exponential_line(largest + 1, base=base)
+        m = exponential_line(largest, base=base)
+        assert np.isfinite(m.distances_from(0)).all()
+        assert np.isfinite(m.distances_from(largest - 1)).all()
+
     def test_exponential_line_custom_base(self):
         m = exponential_line(10, base=1.5)
         assert m.distance(0, 1) == pytest.approx(0.5)

@@ -1,16 +1,22 @@
-"""Batched metric queries agree with per-pair ``distance`` everywhere.
+"""Batched queries agree with their per-pair definitions everywhere.
 
 The engine leans on ``distances_between`` / ``pairwise`` being drop-in
 replacements for ``distance`` loops; these properties pin that down for
 every registered workload (covering the euclidean, matrix and
-shortest-path metric backends plus the generic base implementation) and
-for the codec's vectorized roundtrip.
+shortest-path metric backends plus the generic base implementation), for
+the codec's vectorized roundtrip, and for the packed-label D+ kernel
+against a plain per-pair loop.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import api
+from repro.core.packed import pack_csr
+from repro.labeling import _dplus
+from repro.labeling._dplus import PackedLabels
 from repro.labeling.encoding import DistanceCodec
 from repro.metrics.base import RowCache
 
@@ -112,3 +118,74 @@ class TestCodecRoundtripMany:
         codec = DistanceCodec(0.5, 2.0, 6)
         with pytest.raises(ValueError):
             codec.roundtrip_many(np.array([-1.0]))
+
+
+# -- packed-label D+ ---------------------------------------------------------
+
+#: a few values drawn often, so common beacons tie on d_ub + d_vb
+TIED = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
+DISTANCES = TIED | st.floats(min_value=0.0, max_value=1e6)
+
+
+def _pack(rows):
+    """``PackedLabels`` over per-node ``[(beacon, distance), ...]`` rows."""
+    indptr, ids = pack_csr([[b for b, _ in row] for row in rows], dtype=np.int64)
+    _, dist = pack_csr([[d for _, d in row] for row in rows], dtype=float)
+    return PackedLabels(len(rows), indptr, ids, dist)
+
+
+def _dplus_loop(rows, us, vs):
+    """D+ pair by pair in plain Python: 0 on the diagonal, else the min
+    of d_ub + d_vb over the common beacons b (inf when there is none)."""
+    out = []
+    for u, v in zip(us, vs):
+        if u == v:
+            out.append(0.0)
+            continue
+        d_u = dict(rows[u])
+        sums = [d_u[b] + d for b, d in rows[v] if b in d_u]
+        out.append(min(sums, default=float("inf")))
+    return np.array(out, dtype=float)
+
+
+@st.composite
+def label_batches(draw):
+    """Random CSR labels (n in [1, 60], rows of 0..n sorted distinct ids)
+    and a pair batch with diagonal and repeated pairs."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    rows = []
+    for _ in range(n):
+        ids = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        dist = draw(st.lists(DISTANCES, min_size=len(ids), max_size=len(ids)))
+        rows.append(list(zip(ids, dist)))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=40))
+    pairs += [(u, u) for u in draw(st.lists(node, max_size=4))]
+    pairs += pairs[: draw(st.integers(0, 5))]
+    us = [u for u, _ in pairs]
+    vs = [v for _, v in pairs]
+    return rows, us, vs
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_batches())
+def test_dplus_many_matches_per_pair_loop(batch):
+    rows, us, vs = batch
+    packed = _pack(rows)
+    expected = _dplus_loop(rows, us, vs)
+    assert np.array_equal(packed.dplus_many(us, vs), expected)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_dplus, "SCRATCH", 1)  # one pair per chunk
+        assert np.array_equal(packed.dplus_many(us, vs), expected)
+
+
+def test_dplus_many_full_rows_match_per_pair_loop():
+    # Shaped like the churn-tri read batch: every row holds every node.
+    n = 500
+    rng = np.random.default_rng(9)
+    dist = rng.random((n, n))
+    rows = [list(zip(range(n), dist[u].tolist())) for u in range(n)]
+    pairs = rng.integers(0, n, size=(272, 2))
+    pairs[:4, 1] = pairs[:4, 0]
+    us, vs = pairs[:, 0].tolist(), pairs[:, 1].tolist()
+    assert np.array_equal(_pack(rows).dplus_many(us, vs), _dplus_loop(rows, us, vs))
