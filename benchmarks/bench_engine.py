@@ -64,6 +64,7 @@ def legacy_build(metric, beacon_ids) -> BeaconTriangulation:
         for j, b in enumerate(tri.beacons):
             labels[u, j] = tri.codec.roundtrip(float(row[b]))
     tri._labels = labels
+    tri._init_mutation_state()
     return tri
 
 

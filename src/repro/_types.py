@@ -5,11 +5,12 @@ dense integer ids in ``[0, n)``.  Keeping the alias in one module makes the
 intent of signatures such as ``def distance(self, u: NodeId, v: NodeId)``
 explicit without pulling in heavyweight typing machinery.
 :func:`as_node_pairs` is the one check that a batch of node pairs
-honours that contract.
+honours that contract (:func:`as_node_pair` applies it to one pair).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -24,15 +25,50 @@ NodeIds = Union[Sequence[int], np.ndarray]
 Distance = float
 
 
+_BOOL_TYPES = frozenset({bool, np.bool_})
+
+
+def integer_ids(ids, what: str = "node") -> np.ndarray:
+    """``ids`` (a scalar, a sequence or nested sequences) as an int64 array.
+
+    Raises :class:`ValueError`, calling them ``what`` ids, when an id is
+    not an integer: a float or a bool would otherwise be truncated to
+    another node (``1.9`` and ``True`` both to node 1).  NumPy infers a
+    float or bool dtype for those, except for bools mixed into ints,
+    which it infers as int; a Python sequence is therefore also checked
+    element by element.
+    """
+    arr = np.asarray(ids)
+    if arr.size and (arr.dtype.kind not in "iu" or _holds_bools(ids, arr)):
+        raise ValueError(
+            f"{what} ids must be integers, not bools or floats: "
+            f"{np.asarray(ids, dtype=object).ravel()[:8].tolist()}"
+        )
+    return arr.astype(np.int64, copy=False)
+
+
+def _holds_bools(ids, arr: np.ndarray) -> bool:
+    """Whether the sequence ``ids``, read by NumPy as the int array
+    ``arr``, holds a bool.  Read as an int a bool is 0 or 1, so only an
+    array with such a value needs the element scan."""
+    if isinstance(ids, np.ndarray) or arr.ndim == 0 or not (arr <= 1).any():
+        return False
+    flat = ids
+    for _ in range(arr.ndim - 1):
+        flat = chain.from_iterable(flat)
+    return not _BOOL_TYPES.isdisjoint(map(type, flat))
+
+
 def as_node_pairs(us, vs, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """A pair batch ``(us, vs)`` as two equal-length 1-D int64 arrays.
 
-    Raises :class:`ValueError` when the two sides differ in length (they
-    would otherwise broadcast) or an id lies outside ``[0, n)`` (a
-    negative one would otherwise wrap around to another node).
+    Raises :class:`ValueError` when an id is not an integer (see
+    :func:`integer_ids`), an id lies outside ``[0, n)`` (a negative one
+    would otherwise wrap around to another node), or the two sides differ
+    in length (they would otherwise broadcast).
     """
-    us = np.asarray(us, dtype=np.int64).ravel()
-    vs = np.asarray(vs, dtype=np.int64).ravel()
+    us = integer_ids(us).ravel()
+    vs = integer_ids(vs).ravel()
     if us.shape != vs.shape:
         raise ValueError(
             f"pair batch sides differ in length: {us.size} != {vs.size}"
@@ -42,3 +78,13 @@ def as_node_pairs(us, vs, n: int) -> Tuple[np.ndarray, np.ndarray]:
             bad = side[(side < 0) | (side >= n)]
             raise ValueError(f"node ids out of range [0, {n}): {bad.tolist()}")
     return us, vs
+
+
+def as_node_pair(u, v, n: int) -> Tuple[int, int]:
+    """One node pair, checked by :func:`as_node_pairs`, as two ints."""
+    if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n:
+        return u, v  # what as_node_pairs would return, without the arrays
+    us, vs = as_node_pairs(u, v, n)
+    if us.size != 1:
+        raise ValueError(f"expected one node pair, got {us.size}")
+    return int(us[0]), int(vs[0])

@@ -101,12 +101,12 @@ class BuildCache:
         save_metric(instance.metric, path)
         self.spills += 1
 
-    def instance(self, spec: Workload, executor=None) -> WorkloadInstance:
+    def instance(self, spec: Workload) -> WorkloadInstance:
         try:
             hash(spec)
         except TypeError:
             # Unhashable seed (e.g. a live Generator): build uncached.
-            return self._attach(realize(spec), executor)
+            return realize(spec)
         if spec in self._instances:
             cached = self._instances[spec]
             if getattr(cached, "revision", 0):
@@ -119,7 +119,7 @@ class BuildCache:
             else:
                 self.hits += 1
                 self._instances.move_to_end(spec)
-                return self._attach(cached, executor)
+                return cached
         self.misses += 1
         built = self._hydrate(spec) if self._spillable(spec) else None
         if built is None:
@@ -129,16 +129,7 @@ class BuildCache:
         self._instances[spec] = built
         while len(self._instances) > self.maxsize:
             self._instances.popitem(last=False)
-        return self._attach(built, executor)
-
-    @staticmethod
-    def _attach(instance: WorkloadInstance, executor) -> WorkloadInstance:
-        # The executor is execution policy, not identity: sharded builds
-        # are bit-for-bit serial builds, so attaching it to a cached
-        # instance is safe and it never participates in the cache key.
-        if executor is not None:
-            instance.executor = executor
-        return instance
+        return built
 
     def clear(self) -> None:
         """Drop memoized instances (spilled files stay on disk)."""
@@ -181,7 +172,6 @@ def build_workload(
     seed: Optional[SeedLike] = 0,
     *,
     cache: Optional[BuildCache] = None,
-    executor: Any = None,
     **params: Any,
 ) -> WorkloadInstance:
     """Realize a workload by name (memoized) or pass an instance through.
@@ -189,24 +179,21 @@ def build_workload(
     ``build_workload("expline", n=64, base=1.7)`` builds (or fetches) the
     64-point exponential line; deterministic generators ignore ``seed``.
     When ``n`` is omitted the instance size falls back to
-    :data:`DEFAULT_N` (= 96).  ``executor`` (a
-    :class:`repro.construction.BuildExecutor`) is attached to the
-    instance so scheme builders shard their construction scans; it never
-    changes results.
+    :data:`DEFAULT_N` (= 96).
     """
     if isinstance(workload, WorkloadInstance):
         if n is not None or params:
             raise ValueError(
                 "cannot override n/params of an already-built WorkloadInstance"
             )
-        return BuildCache._attach(workload, executor)
+        return workload
     if isinstance(workload, Workload):
         if n is not None or params:
             raise ValueError("pass parameters via Workload.make, not both")
         spec = workload
     else:
         spec = Workload.make(workload, n=n, seed=seed, **params)
-    return (cache or _DEFAULT_CACHE).instance(spec, executor=executor)
+    return (cache or _DEFAULT_CACHE).instance(spec)
 
 
 def _split_params(
@@ -250,7 +237,6 @@ def build(
     config: Union[None, Mapping[str, Any], Any] = None,
     workload_params: Optional[Mapping[str, Any]] = None,
     cache: Optional[BuildCache] = None,
-    executor: Any = None,
     **params: Any,
 ) -> FittedScheme:
     """Build a registered scheme on a registered workload.
@@ -260,9 +246,7 @@ def build(
     parameters go to the generator, anything else (or anything both
     accept) raises with the valid choices spelled out.  ``seed`` drives
     both the workload generator and every randomized part of the scheme,
-    so equal seeds give identical builds.  ``executor`` shards the
-    construction scans (see :mod:`repro.construction`) without changing
-    a single bit of the built structure.
+    so equal seeds give identical builds.
     """
     entry = SCHEMES.get(scheme)
     scheme_cls = entry.obj
@@ -283,9 +267,7 @@ def build(
     elif isinstance(config, Mapping):
         config = scheme_cls.config_cls.from_dict(config)
 
-    instance = build_workload(
-        workload, n=n, seed=seed, cache=cache, executor=executor, **wl_params
-    )
+    instance = build_workload(workload, n=n, seed=seed, cache=cache, **wl_params)
     return scheme_cls.build(instance, config, seed=seed)
 
 

@@ -480,7 +480,7 @@ class _RoutingAdapter(FittedScheme):
     config_cls = RoutingConfig
 
     @classmethod
-    def _factory(cls, graph, config: RoutingConfig, metric=None, executor=None):
+    def _factory(cls, graph, config: RoutingConfig, metric=None):
         raise NotImplementedError
 
     @classmethod
@@ -488,10 +488,7 @@ class _RoutingAdapter(FittedScheme):
         from repro.routing.metric_overlay import MetricRouting
 
         if workload.graph is not None:
-            inner = cls._factory(
-                workload.graph, config,
-                metric=workload.metric, executor=workload.executor,
-            )
+            inner = cls._factory(workload.graph, config, metric=workload.metric)
             # Lazy metric backend: keep everything matrix-free and let the
             # evaluators take true distances from batched metric queries.
             dense = getattr(workload.metric, "dense", True)
@@ -567,7 +564,7 @@ class _RoutingAdapter(FittedScheme):
 )
 class TrivialRoutingScheme(_RoutingAdapter):
     @classmethod
-    def _factory(cls, graph, config, metric=None, executor=None):
+    def _factory(cls, graph, config, metric=None):
         from repro.routing.trivial import TrivialRouting
 
         return TrivialRouting(
@@ -586,12 +583,10 @@ class TrivialRoutingScheme(_RoutingAdapter):
 )
 class RingRoutingScheme(_MutableSchemeMixin, _RoutingAdapter):
     @classmethod
-    def _factory(cls, graph, config, metric=None, executor=None):
+    def _factory(cls, graph, config, metric=None):
         from repro.routing.ring_scheme import RingRouting
 
-        return RingRouting(
-            graph, delta=config.delta, metric=metric, executor=executor
-        )
+        return RingRouting(graph, delta=config.delta, metric=metric)
 
     def guarantee(self) -> Dict[str, Any]:
         out = super().guarantee()
@@ -605,12 +600,12 @@ class RingRoutingScheme(_MutableSchemeMixin, _RoutingAdapter):
 )
 class LabelRoutingScheme(_RoutingAdapter):
     @classmethod
-    def _factory(cls, graph, config, metric=None, executor=None):
+    def _factory(cls, graph, config, metric=None):
         from repro.routing.label_scheme import LabelRouting
 
         return LabelRouting(
             graph, delta=config.delta, estimator=config.estimator,
-            metric=metric, executor=executor,
+            metric=metric,
         )
 
 
@@ -620,7 +615,7 @@ class LabelRoutingScheme(_RoutingAdapter):
 )
 class TwoModeRoutingScheme(_RoutingAdapter):
     @classmethod
-    def _factory(cls, graph, config, metric=None, executor=None):
+    def _factory(cls, graph, config, metric=None):
         from repro.routing.twomode import TwoModeRouting
 
         return TwoModeRouting(

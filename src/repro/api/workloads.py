@@ -124,13 +124,7 @@ class Workload:
 
 
 class WorkloadInstance:
-    """A realized workload: metric, optional graph, shared structures.
-
-    ``executor`` is the :class:`repro.construction.BuildExecutor` scheme
-    builders should shard their construction scans over; it is attached
-    by the facade (``build_workers``), never part of the cache key —
-    sharded builds are bit-for-bit identical to serial ones.
-    """
+    """A realized workload: metric, optional graph, shared structures."""
 
     def __init__(
         self,
@@ -141,7 +135,6 @@ class WorkloadInstance:
         self.spec = spec
         self.metric = metric
         self.graph = graph
-        self.executor = None
         #: bumped by MutableScheme updates; BuildCache refuses to serve a
         #: cached instance whose revision moved past the pristine build
         self.revision = 0
@@ -168,9 +161,7 @@ class WorkloadInstance:
         """The §3 scale structure for ``delta``, built once per delta."""
         key = round(float(delta), 12)
         if key not in self._scales:
-            self._scales[key] = ScaleStructure(
-                self.metric, delta=float(delta), executor=self.executor
-            )
+            self._scales[key] = ScaleStructure(self.metric, delta=float(delta))
         return self._scales[key]
 
     def nested_nets(self) -> NestedNets:
@@ -183,7 +174,6 @@ class WorkloadInstance:
                 metric,
                 levels=metric.log_aspect_ratio() + 1,
                 base_radius=metric.min_distance(),
-                executor=self.executor,
             )
         return self._nets
 

@@ -76,11 +76,15 @@ def _workload_from_args(args: argparse.Namespace):
     )
 
 
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_workload_arguments(
+    parser: argparse.ArgumentParser, choices: Optional[Sequence[str]] = None
+) -> None:
+    """``--workload`` (metric workloads unless ``choices`` says otherwise)
+    plus the size, shape and seed flags."""
     from repro.api import DEFAULT_N
 
     parser.add_argument("--workload", default="hypercube",
-                        choices=_metric_workload_names())
+                        choices=choices or _metric_workload_names())
     parser.add_argument("--n", type=int, default=DEFAULT_N,
                         help=f"instance size (default: api.DEFAULT_N = {DEFAULT_N})")
     parser.add_argument("--dim", type=int, default=2)
@@ -200,6 +204,16 @@ def _parse_node_list(text: Optional[str]) -> list[int]:
 
 
 def _cmd_update(args: argparse.Namespace) -> int:
+    from repro import api
+
+    try:
+        return _stream_updates(args)
+    except api.UnsupportedUpdate as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+
+
+def _stream_updates(args: argparse.Namespace) -> int:
     from repro import api
 
     fitted = api.build(
@@ -343,7 +357,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result_set = run(
         spec,
         processes=args.processes,
-        build_workers=args.build_workers,
         resume=args.resume,
         out_dir=args.out,
         persist=not args.no_persist,
@@ -602,7 +615,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_update = sub.add_parser(
         "update", help="stream join/leave churn into a mutable scheme")
-    _add_workload_arguments(p_update)
+    # Every workload: route-thm2.1 updates only on a graph workload.
+    from repro.api import workload_names
+
+    _add_workload_arguments(p_update, choices=workload_names())
     p_update.add_argument(
         "--scheme", default="triangulation", choices=_mutable_scheme_names(),
         help="which mutable scheme to build and update")
@@ -634,10 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--processes", type=int, default=None,
                        help="cell-level process pool size; 0 or omitted = "
                             "one per core (os.cpu_count()), 1 = serial")
-    p_run.add_argument("--build-workers", type=int, default=None,
-                       help="shard construction scans inside each build: "
-                            "0 = one per core, omitted = serial "
-                            "(results are identical either way)")
     p_run.add_argument("--override-n", type=int, default=None, metavar="N",
                        help="rebuild every workload of the suite at size N "
                             "(persists as <suite>-nN; CI smokes the *-large "

@@ -38,6 +38,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro._types import integer_ids
+
 __all__ = [
     "InactiveNode",
     "Membership",
@@ -64,14 +66,7 @@ class InactiveNode(LookupError):
 def _as_ids(nodes: Iterable[int], what: str, universe: int) -> np.ndarray:
     """One side of a churn batch as sorted unique ids, validated: every
     id an integer (not a bool, not a float) inside ``[0, universe)``."""
-    nodes = list(nodes)
-    odd = [
-        x for x in nodes
-        if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer))
-    ]
-    if odd:
-        raise ValueError(f"{what} ids must be integers, got {odd}")
-    arr = np.unique(np.asarray(nodes, dtype=np.int64))
+    arr = np.unique(integer_ids(list(nodes), what))
     if arr.size and (arr[0] < 0 or arr[-1] >= universe):
         raise ValueError(
             f"{what} ids out of range [0, {universe}): "

@@ -185,17 +185,14 @@ def net_rings(
     nets: NestedNets,
     radius_for_level: Callable[[int], float],
     levels: Optional[Iterable[int]] = None,
-    executor=None,
     backend: str = "packed",
 ) -> AnyRings:
     """Deterministic rings ``Y_uj = B_u(radius_for_level(j)) ∩ G_j``.
 
     This is the Theorem 2.1 construction with ``radius_for_level(j) =
     4Δ/(δ 2^j)`` and the Theorem 4.1 construction with ``2^{j+2}/δ``.
-    ``executor`` (a :class:`repro.construction.BuildExecutor`, defaulting
-    to the hierarchy's own) shards each level's block scan over the
-    centers without changing a single member.  Members are in net order
-    (the level's admission order), identical across backends.
+    Members are in net order (the level's admission order), identical
+    across backends.
     """
     level_list = list(levels) if levels is not None else list(range(nets.levels))
     n = metric.n
@@ -207,7 +204,7 @@ def net_rings(
     for k, j in enumerate(level_list):
         r = radius_for_level(j)
         radii[:, k] = r
-        per_level.append(nets.members_in_balls(j, all_nodes, r, executor=executor))
+        per_level.append(nets.members_in_balls(j, all_nodes, r))
     chunks = [per_level[k][u] for u in range(n) for k in range(len(level_list))]
     return _pack_or_dict(
         metric, backend, level_list, radii, chunks,

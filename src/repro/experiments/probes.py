@@ -45,8 +45,7 @@ def _overlay_out_degree(fitted) -> Dict[str, Any]:
 
 
 @register_probe("net-hierarchy",
-                summary="nested 2^j-net sizes + build cost on the cell's "
-                        "workload (sharded by the run's build executor)")
+                summary="nested 2^j-net sizes + build cost on the cell's workload")
 def _net_hierarchy(fitted) -> Dict[str, Any]:
     """Builds the workload's shared nested-net hierarchy and reports per-
     level sizes (Lemma 1.4's packing in action), wall-clock, and — on the

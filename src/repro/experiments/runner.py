@@ -8,19 +8,12 @@ several schemes on one workload realize the metric once) and
 provenance and persists the :class:`~repro.experiments.results.ResultSet`
 under ``benchmarks/results/``.
 
-Two independent parallelism axes:
-
-* ``processes`` — *across cells*: workload groups fan out over a process
-  pool, each worker running one group serially with its own build cache.
-  ``None``/``0`` resolves to ``os.cpu_count()`` (and the resolved value
-  is recorded in the ResultSet provenance); ``1`` forces serial.
-* ``build_workers`` — *within one build*: the construction scans
-  (nets, rings) shard over a
-  :class:`repro.construction.BuildExecutor`.  ``None`` is serial, ``0``
-  resolves to every core.  When both axes are requested, the workers of
-  the cell pool shard in-process (chunked) instead of nesting pools.
-
-Results are deterministic and order-stable regardless of either knob.
+``processes`` parallelizes *across cells*: workload groups fan out over
+a process pool, each worker running one group serially with its own
+build cache.  ``None``/``0`` resolves to ``os.cpu_count()`` (and the
+resolved value is recorded in the ResultSet provenance); ``1`` forces
+serial.  Each build itself is one serial scan.  Results are
+deterministic and order-stable regardless of ``processes``.
 
 ``resume=True`` reloads a previously persisted set for the same spec
 hash and only executes the missing cells — a killed grid run picks up
@@ -29,11 +22,11 @@ where it stopped.
 
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.construction import make_executor, resolve_workers
 from repro.experiments.probes import run_probes
 from repro.experiments.results import (
     RESULTSET_SUFFIX,
@@ -45,10 +38,19 @@ from repro.experiments.results import (
 )
 from repro.experiments.spec import Cell, ExperimentSpec
 
-__all__ = ["run", "run_cell"]
+__all__ = ["resolve_workers", "run", "run_cell"]
 
 
-def run_cell(cell: Cell, cache=None, executor=None) -> CellResult:
+def resolve_workers(requested: Optional[int] = None) -> int:
+    """Worker count for a request: ``None``/``0`` means every core."""
+    if requested is None or requested == 0:
+        return os.cpu_count() or 1
+    if requested < 0:
+        raise ValueError(f"worker count must be >= 0, got {requested}")
+    return int(requested)
+
+
+def run_cell(cell: Cell, cache=None) -> CellResult:
     """Execute one grid cell: build, evaluate over the plan, run probes."""
     from repro import api
 
@@ -59,7 +61,6 @@ def run_cell(cell: Cell, cache=None, executor=None) -> CellResult:
         seed=cell.seed,
         config=dict(cell.config),
         cache=cache,
-        executor=executor,
     )
     t1 = time.perf_counter()
     metrics = api.evaluate(fitted, cell.plan)
@@ -83,24 +84,19 @@ def run_cell(cell: Cell, cache=None, executor=None) -> CellResult:
     )
 
 
-def _run_group(payload) -> List[Dict[str, Any]]:
+def _run_group(cell_dicts: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Worker entry point: run one workload group with a private cache.
 
     Takes and returns plain dicts so the payload pickles cheaply across
-    the process pool.  Build sharding inside a pooled worker stays
-    in-process (chunked executor) — pools are never nested.
+    the process pool.
     """
     from repro.api import BuildCache
 
-    cell_dicts, build_shards = payload
     cache = BuildCache(maxsize=4)
-    executor = make_executor(1, shards=build_shards) if build_shards > 1 else None
-    out = []
-    for data in cell_dicts:
-        out.append(
-            run_cell(Cell.from_dict(data), cache=cache, executor=executor).to_dict()
-        )
-    return out
+    return [
+        run_cell(Cell.from_dict(data), cache=cache).to_dict()
+        for data in cell_dicts
+    ]
 
 
 def _group_by_workload(cells: Sequence[Cell]) -> List[List[Cell]]:
@@ -114,7 +110,6 @@ def run(
     spec: ExperimentSpec,
     *,
     processes: Optional[int] = None,
-    build_workers: Optional[int] = None,
     resume: bool = False,
     out_dir: Optional[Union[str, Path]] = None,
     persist: bool = True,
@@ -129,9 +124,6 @@ def run(
         Cell-level process pool size.  ``None``/``0`` resolves from
         ``os.cpu_count()``; the resolved value lands in the provenance.
         A resolved value of 1 runs serially in-process.
-    build_workers:
-        Construction-scan sharding inside each build (``None`` = serial,
-        ``0`` = every core); see :mod:`repro.construction`.
     resume:
         Reuse cell results from a previously persisted set for the same
         spec (matched by spec hash; a stale file for a *different* grid
@@ -143,9 +135,6 @@ def run(
         (defaults to the process-wide facade cache).
     """
     resolved_processes = resolve_workers(processes)
-    resolved_build = (
-        0 if build_workers is None else resolve_workers(build_workers)
-    )
     cells = spec.cells()
     out_path = Path(out_dir) if out_dir is not None else default_results_dir()
     target = out_path / f"{spec.name}{RESULTSET_SUFFIX}"
@@ -172,10 +161,7 @@ def run(
             from concurrent.futures import ProcessPoolExecutor
 
             groups = _group_by_workload(todo)
-            shards = resolved_build if resolved_build > 1 else 1
-            payloads = [
-                ([c.to_dict() for c in group], shards) for group in groups
-            ]
+            payloads = [[c.to_dict() for c in group] for group in groups]
             with ProcessPoolExecutor(max_workers=resolved_processes) as pool:
                 for group, results in zip(groups, pool.map(_run_group, payloads)):
                     for cell, data in zip(group, results):
@@ -183,24 +169,16 @@ def run(
                         if verbose:
                             print(f"[{spec.name}] done {cell.title}")
         else:
-            executor = (
-                make_executor(resolved_build) if resolved_build > 1 else None
-            )
-            try:
-                for cell in todo:
-                    fresh[cell.key] = run_cell(cell, cache=cache, executor=executor)
-                    if verbose:
-                        print(f"[{spec.name}] done {cell.title}")
-            finally:
-                if executor is not None:
-                    executor.close()
+            for cell in todo:
+                fresh[cell.key] = run_cell(cell, cache=cache)
+                if verbose:
+                    print(f"[{spec.name}] done {cell.title}")
 
     results = [done.get(c.key) or fresh[c.key] for c in cells]
     provenance = run_provenance(spec)
     provenance["cells"] = len(cells)
     provenance["resumed_cells"] = len(cells) - len(todo)
     provenance["processes"] = resolved_processes
-    provenance["build_workers"] = max(1, resolved_build)
     result_set = ResultSet(spec=spec, results=results, provenance=provenance)
     if persist:
         result_set.save(target)

@@ -381,14 +381,13 @@ def _churn_stream_smoke() -> ExperimentSpec:
 # Large-scale suites (n = 10⁴): the schemes whose evaluation is fully
 # vectorized and whose structures stay o(n²).  Graph workloads select the
 # lazy shortest-path backend (dense=False) so nothing Θ(n²) is ever
-# allocated; net construction runs on the sharded batched scan (thread
-# ``repro run --build-workers`` through it).
+# allocated; net construction runs on the batched scan.
 # ----------------------------------------------------------------------
 
 
 @SUITES.register("table1-large",
                  summary="Table 1 at n=10⁴: packed Thm 2.1 rings, lazy graph "
-                         "backend, matrix-free baseline, sharded nets")
+                         "backend, matrix-free baseline, batched nets")
 def _table1_large() -> ExperimentSpec:
     return ExperimentSpec.make(
         "table1-large",

@@ -43,12 +43,10 @@ class ScaleStructure:
         metric: MetricSpace,
         delta: float,
         y_ball_factor: float = 12.0,
-        executor=None,
     ) -> None:
         """``y_ball_factor`` is the paper's constant 12 in the Y-ring ball
         radius ``12 r_ui / δ``; the ablation benches sweep it to show how
-        much of the order is theory-constant slack at laptop n.
-        ``executor`` shards the nested-net build (results unchanged)."""
+        much of the order is theory-constant slack at laptop n."""
         if not 0 < delta < 1:
             raise ValueError(f"delta must be in (0,1), got {delta}")
         if y_ball_factor <= 0:
@@ -60,9 +58,7 @@ class ScaleStructure:
         self.diameter = metric.diameter()
         self.levels_n = max(1, int(math.ceil(math.log2(max(2, metric.n)))))
         net_levels = metric.log_aspect_ratio() + 4
-        self.nets = NestedNets(
-            metric, levels=net_levels, base_radius=self.base, executor=executor
-        )
+        self.nets = NestedNets(metric, levels=net_levels, base_radius=self.base)
         self.packings: List[EpsMuPacking] = [
             eps_mu_packing(metric, 2.0**-i) for i in range(self.levels_n)
         ]

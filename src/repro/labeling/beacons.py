@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._types import NodeId, as_node_pairs
+from repro._types import NodeId, as_node_pair, as_node_pairs
 from repro.bits import SizeAccount, bits_for_count
 from repro.core.patch import (
     Membership,
@@ -193,6 +193,7 @@ class BeaconTriangulation:
 
     def bounds(self, u: NodeId, v: NodeId) -> Tuple[float, float]:
         """(D-, D+) for the pair, from labels only."""
+        u, v = as_node_pair(u, v, self.metric.n)
         require_active(self._membership, u, v)
         if self._beacon_dirty():
             _, view = self._live_view()
@@ -235,14 +236,14 @@ class BeaconTriangulation:
 
     def estimate(self, u: NodeId, v: NodeId) -> float:
         """The distance estimate (the upper bound D+, as in the paper)."""
+        u, v = as_node_pair(u, v, self.metric.n)
         if u == v:
             return 0.0
         return self.bounds(u, v)[1]
 
     def bounds_many(self, us, vs) -> Tuple[np.ndarray, np.ndarray]:
         """Batched (D-, D+) for aligned source/target index arrays."""
-        us = np.asarray(us, dtype=np.intp)
-        vs = np.asarray(vs, dtype=np.intp)
+        us, vs = as_node_pairs(us, vs, self.metric.n)
         require_active(self._membership, us, vs)
         if self._beacon_dirty():
             _, view = self._live_view()

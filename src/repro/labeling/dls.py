@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro._types import NodeId, as_node_pairs
+from repro._types import NodeId, as_node_pair, as_node_pairs
 from repro.bits import SizeAccount, bits_for_count
 from repro.labeling._scales import ScaleStructure
 from repro.labeling.encoding import DistanceCodec
@@ -511,6 +511,7 @@ class RingDLS:
 
     def estimate(self, u: NodeId, v: NodeId) -> float:
         """Distance estimate for a node pair via their labels."""
+        u, v = as_node_pair(u, v, self.metric.n)
         if u == v:
             return 0.0
         return self.estimate_from_labels(self.labels[u], self.labels[v])

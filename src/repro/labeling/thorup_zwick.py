@@ -24,7 +24,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro._types import NodeId
+from repro._types import NodeId, as_node_pair
 from repro.bits import SizeAccount, bits_for_count
 from repro.labeling.encoding import DistanceCodec
 from repro.metrics.base import MetricSpace
@@ -195,6 +195,7 @@ class ThorupZwickOracle:
 
     def estimate(self, u: NodeId, v: NodeId) -> float:
         """The TZ query walk; a (2k−1)-approximation of d(u, v)."""
+        u, v = as_node_pair(u, v, self.metric.n)
         if u == v:
             return 0.0
         w = u

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro._types import NodeId, as_node_pairs
+from repro._types import NodeId, as_node_pair, as_node_pairs
 from repro.bits import SizeAccount, bits_for_count
 from repro.core.packed import pack_csr
 from repro.core.patch import (
@@ -214,6 +214,7 @@ class RingTriangulation:
 
     def bounds(self, u: NodeId, v: NodeId) -> Tuple[float, float]:
         """(D-, D+) over common beacons; (0, inf) when none exist."""
+        u, v = as_node_pair(u, v, self.metric.n)
         du, dv = self._common_distances(u, v)
         if du.size == 0:
             return 0.0, float("inf")
@@ -221,6 +222,7 @@ class RingTriangulation:
 
     def estimate(self, u: NodeId, v: NodeId) -> float:
         """Distance estimate D+ (exact-distance labels)."""
+        u, v = as_node_pair(u, v, self.metric.n)
         if u == v:
             return 0.0
         patch = self._patch
@@ -427,6 +429,7 @@ class TriangulationDLS:
 
     def estimate(self, u: NodeId, v: NodeId) -> float:
         """D+ over common stored beacons (labels only)."""
+        u, v = as_node_pair(u, v, self.triangulation.metric.n)
         if u == v:
             return 0.0
         lo_u, hi_u = self._indptr[u], self._indptr[u + 1]

@@ -140,7 +140,7 @@ class ShortestPathMetric(MetricSpace):
             return self._matrix[np.ix_(us, vs)]
         # Strictly row-oriented: one Dijkstra per *source*, never the
         # transposed gather — shortest-path sums are only symmetric up to
-        # the last ulp, and the sharded net builders' bit-for-bit guarantee
+        # the last ulp, and the batched net builders' bit-for-bit guarantee
         # rides on every backend answering in row orientation.  Callers
         # with a few targets and many sources exploit symmetry explicitly
         # (compute the transposed block and `.T` it), as the beacon

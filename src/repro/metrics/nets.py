@@ -7,14 +7,28 @@ from an existing set of far-apart points — which is exactly what makes the
 *nested* hierarchy ``G_log∆ ⊂ ... ⊂ G_1 ⊂ G_0`` of Theorem 3.2 possible:
 each coarser net is a valid seed for the next finer one.
 
-Construction runs on the batched scan of :mod:`repro.construction.nets`:
-candidates are admitted a block at a time and the distance-to-net array
-is updated over sharded (sources x span) blocks, bit-for-bit identical
-to the sequential id-order scan for any
-:class:`~repro.construction.BuildExecutor` (serial, chunked, or a
-process pool) and any shard count.  :class:`NestedNets` additionally
-threads the distance-to-net array from each coarser level into the next
-finer one, so a whole hierarchy costs one scan's worth of updates.
+Construction is the paper's id-order greedy scan, batched
+(:func:`greedy_scan`) and bit-for-bit identical to admitting one node
+per distance row:
+
+* **Batch admission.**  Candidates (ids whose distance to the current net
+  is >= r) are taken a batch at a time; one small batch-by-batch block
+  resolves, *exactly as the sequential scan would*, which batch members
+  survive the admissions before them (a member is admitted iff its
+  distance to every earlier-admitted batch member is >= r — the only way
+  its net-distance can have dropped below r since the batch was formed).
+* **Blocked min update.**  Admitted points fold into the running
+  net-distance array via ``min`` over (sources x all nodes) blocks of at
+  most :data:`_BLOCK_ELEMS` elements.
+* **Radius-capped rows.**  The scan only ever compares net-distances
+  against r, so any distance known to exceed r may be stored as ``+inf``.
+  Metrics exposing ``rows_within(sources, radius)`` (the lazy
+  shortest-path backend: Dijkstra with an early cutoff) exploit this —
+  each source explores only its r-ball instead of the whole graph.
+* **Carried state.**  :class:`NestedNets` seeds each finer level with the
+  coarser scan's final net-distance array (values capped at the coarser
+  radius are still exact wherever they matter), so a whole hierarchy
+  costs one scan's worth of updates.
 
 Lemma 1.4 (at most ``(4 r'/r)^α`` net points in any radius-r' ball) is what
 bounds every ring cardinality in the paper; tests verify it empirically.
@@ -22,29 +36,121 @@ bounds every ring cardinality in the paper; tests verify it empirically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._types import NodeId
-from repro.construction.executor import BuildExecutor
-from repro.construction.nets import (
-    ball_members_sharded,
-    greedy_scan,
-    nearest_members_sharded,
-)
 from repro.metrics.base import MetricSpace
 
-#: Max elements per batched distance block (~8 MB of float64) used by the
-#: chunked net validators/builders, so peak memory stays bounded at any n.
-_PACKING_CHUNK_ELEMS = 1 << 20
+#: Max elements per transient distance block (~8 MB of float64), so peak
+#: memory stays bounded at any n.
+_BLOCK_ELEMS = 1 << 20
+
+#: Candidate batch size for the admission scan.
+_ADMIT_BATCH = 256
+
+
+def _pair_block(metric, heads: np.ndarray, radius: float) -> np.ndarray:
+    """The heads-by-heads distance block; entries > radius may be ``+inf``.
+
+    Uses the metric's radius-capped fast path when it has one (the lazy
+    graph backend explores only each source's radius-ball); otherwise an
+    exact batched gather.  Callers may only use the result through the
+    ``value >= radius`` predicate, where the cap is invisible.
+    """
+    rows_within = getattr(metric, "rows_within", None)
+    if rows_within is not None and np.isfinite(radius):
+        out = np.empty((heads.size, heads.size))
+        chunk = max(1, _BLOCK_ELEMS // max(1, metric.n))
+        for start in range(0, heads.size, chunk):
+            rows = rows_within(heads[start : start + chunk], radius)
+            out[start : start + rows.shape[0]] = rows[:, heads]
+        return out
+    return metric.distances_between(heads, heads)
+
+
+def _min_distance_update(
+    metric, min_dist: np.ndarray, sources: np.ndarray, radius: float
+) -> None:
+    """Fold d(source, ·) into ``min_dist`` in place, a source block at a time.
+
+    With a finite ``radius`` a metric exposing ``rows_within`` serves
+    radius-capped rows (distances beyond ``radius`` read ``+inf``);
+    ``radius=inf`` asks for exact rows.  ``min`` is exact, so the block
+    size never changes a bit of the result.
+    """
+    sources = np.asarray(sources, dtype=np.intp)
+    n = min_dist.size
+    if sources.size == 0 or n == 0:
+        return
+    rows_within = getattr(metric, "rows_within", None)
+    capped = rows_within is not None and np.isfinite(radius)
+    targets = np.arange(n)
+    chunk = max(1, _BLOCK_ELEMS // n)
+    for start in range(0, sources.size, chunk):
+        block = sources[start : start + chunk]
+        rows = (
+            rows_within(block, radius) if capped
+            else metric.distances_between(block, targets)
+        )
+        np.minimum(min_dist, rows.min(axis=0), out=min_dist)
+
+
+def greedy_scan(
+    metric,
+    r: float,
+    seed_points: Optional[Sequence[int]] = None,
+    min_dist: Optional[np.ndarray] = None,
+    batch: int = _ADMIT_BATCH,
+) -> Tuple[List[int], np.ndarray]:
+    """The batched id-order farthest-point scan; returns ``(net, min_dist)``.
+
+    Identical output to the sequential scan for every ``batch``.  When
+    ``min_dist`` is given it must already hold the (possibly capped, at
+    some radius >= r) distances to ``seed_points``, e.g. the array a
+    coarser :func:`greedy_scan` returned — the seed initialization is
+    then skipped.  The returned array holds, for every node, the distance
+    to the final net, capped at values >= r (exact below r).
+    """
+    n = metric.n
+    net: List[int] = list(seed_points) if seed_points else []
+    if min_dist is None:
+        min_dist = np.full(n, np.inf)
+        if net:
+            _min_distance_update(metric, min_dist, net, r)
+    pos = 0
+    while pos < n:
+        candidates = np.flatnonzero(min_dist[pos:] >= r)
+        if candidates.size == 0:
+            break
+        heads = (pos + candidates[:batch]).astype(np.intp)
+        if heads.size == 1:
+            admitted = heads
+        else:
+            # One block among the batch resolves intra-batch conflicts in
+            # the exact order the sequential scan would visit them.
+            block = _pair_block(metric, heads, r)
+            survivors_min = np.full(heads.size, np.inf)
+            keep: List[int] = []
+            for idx in range(heads.size):
+                if survivors_min[idx] >= r:
+                    keep.append(idx)
+                    np.minimum(survivors_min, block[idx], out=survivors_min)
+            admitted = heads[keep]
+        net.extend(int(v) for v in admitted)
+        pos = int(heads[-1]) + 1
+        # Full-span update (not just the unsettled suffix): the returned
+        # array must be the capped distance-to-net for *every* node, so it
+        # can seed the next finer level of a nested hierarchy.
+        _min_distance_update(metric, min_dist, admitted, r)
+    return net, min_dist
 
 
 def greedy_net(
     metric: MetricSpace,
     r: float,
     seed_points: Optional[Sequence[NodeId]] = None,
-    executor: Optional[BuildExecutor] = None,
 ) -> List[NodeId]:
     """Construct an r-net greedily (paper §1.1).
 
@@ -53,35 +159,29 @@ def greedy_net(
     coarser net) and adds any node at distance >= r from all current net
     points until the covering property holds.
 
-    Nodes are scanned in id order, so the construction is deterministic —
-    and independent of ``executor``, which only changes how the distance
-    blocks are scheduled (see :mod:`repro.construction`).
+    Nodes are scanned in id order, so the construction is deterministic.
     """
-    net, _ = greedy_scan(metric, r, seed_points=seed_points, executor=executor)
+    net, _ = greedy_scan(metric, r, seed_points=seed_points)
     return net
 
 
 def is_r_net(metric: MetricSpace, points: Sequence[NodeId], r: float) -> bool:
     """Check both net properties (covering within r, packing >= r).
 
-    The packing check runs on batched distance blocks (chunked so memory
-    stays bounded even for nets of size Θ(n)).
+    Both checks run on batched distance blocks (chunked so memory stays
+    bounded even for nets of size Θ(n)).
     """
     points = np.asarray(list(points), dtype=np.intp)
     if points.size == 0:
         return metric.n == 0
-    n = metric.n
     m = points.size
-    min_dist = np.full(n, np.inf)
-    chunk = max(1, _PACKING_CHUNK_ELEMS // max(1, n))
-    for start in range(0, m, chunk):
-        block = metric.distances_between(points[start : start + chunk], np.arange(n))
-        np.minimum(min_dist, block.min(axis=0), out=min_dist)
+    min_dist = np.full(metric.n, np.inf)
+    _min_distance_update(metric, min_dist, points, np.inf)
     covering = bool(np.all(min_dist <= r * (1 + 1e-9)))
     if not covering:
         return False
     # Packing: every off-diagonal pair of net points at distance >= r.
-    chunk = max(1, _PACKING_CHUNK_ELEMS // m)
+    chunk = max(1, _BLOCK_ELEMS // m)
     for start in range(0, m, chunk):
         rows = points[start : start + chunk]
         block = metric.distances_between(rows, points)
@@ -89,6 +189,14 @@ def is_r_net(metric: MetricSpace, points: Sequence[NodeId], r: float) -> bool:
         if bool(np.any(block < r * (1 - 1e-9))):
             return False
     return True
+
+
+def _center_blocks(metric, us: np.ndarray, candidates: np.ndarray) -> Iterator[np.ndarray]:
+    """``(centers, candidates)`` distance blocks of at most
+    :data:`_BLOCK_ELEMS` elements, covering ``us`` in order."""
+    chunk = max(1, _BLOCK_ELEMS // max(1, candidates.size))
+    for start in range(0, us.size, chunk):
+        yield metric.distances_between(us[start : start + chunk], candidates)
 
 
 class NestedNets:
@@ -113,7 +221,6 @@ class NestedNets:
         levels: int,
         base_radius: float = 1.0,
         descending: bool = False,
-        executor: Optional[BuildExecutor] = None,
     ) -> None:
         if levels < 1:
             raise ValueError("levels must be positive")
@@ -121,7 +228,6 @@ class NestedNets:
         self.levels = levels
         self.base_radius = base_radius
         self.descending = descending
-        self.executor = executor
 
         self._nets: Dict[int, List[NodeId]] = {}
         # Build from the coarsest level down, seeding each finer net with
@@ -134,11 +240,7 @@ class NestedNets:
         carried: Optional[np.ndarray] = None
         for j in order:
             seed, carried = greedy_scan(
-                metric,
-                self.radius_of(j),
-                seed_points=seed,
-                executor=executor,
-                min_dist=carried,
+                metric, self.radius_of(j), seed_points=seed, min_dist=carried
             )
             self._nets[j] = seed
 
@@ -168,27 +270,20 @@ class NestedNets:
         return candidates[row[candidates] <= r]
 
     def members_in_balls(
-        self,
-        j: int,
-        us: Sequence[NodeId],
-        r: float,
-        executor: Optional[BuildExecutor] = None,
+        self, j: int, us: Sequence[NodeId], r: float
     ) -> List[np.ndarray]:
-        """``members_in_ball(j, u, r)`` for many centers in one batched query.
+        """``members_in_ball(j, u, r)`` for many centers in batched blocks.
 
         Computes ``(centers, |G_j|)`` distance blocks instead of one full
-        row per center — the hot path of the ring builders — sharded over
-        the centers when an executor is given (defaults to the one the
-        hierarchy was built with).
+        row per center — the hot path of the ring builders.
         """
         us = np.asarray(list(us), dtype=np.intp)
-        return ball_members_sharded(
-            self.metric,
-            us,
-            self.net_array(j),
-            r,
-            executor=executor if executor is not None else self.executor,
-        )
+        candidates = self.net_array(j)
+        return [
+            candidates[row <= r]
+            for block in _center_blocks(self.metric, us, candidates)
+            for row in block
+        ]
 
     def nearest_member(self, j: int, u: NodeId) -> NodeId:
         """The level-``j`` net point closest to ``u`` (covering => within radius)."""
@@ -196,20 +291,16 @@ class NestedNets:
         row = self.metric.distances_from(u)
         return int(candidates[np.argmin(row[candidates])])
 
-    def nearest_members(
-        self,
-        j: int,
-        us: Sequence[NodeId],
-        executor: Optional[BuildExecutor] = None,
-    ) -> np.ndarray:
-        """:meth:`nearest_member` for many centers in batched blocks."""
+    def nearest_members(self, j: int, us: Sequence[NodeId]) -> np.ndarray:
+        """:meth:`nearest_member` for many centers in batched blocks (the
+        first candidate on ties)."""
         us = np.asarray(list(us), dtype=np.intp)
-        return nearest_members_sharded(
-            self.metric,
-            us,
-            self.net_array(j),
-            executor=executor if executor is not None else self.executor,
-        )
+        candidates = self.net_array(j)
+        parts = [
+            candidates[np.argmin(block, axis=1)]
+            for block in _center_blocks(self.metric, us, candidates)
+        ]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
 
     def __len__(self) -> int:
         return self.levels

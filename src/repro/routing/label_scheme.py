@@ -48,7 +48,6 @@ class LabelRouting(RoutingScheme):
         estimator: str = "triangulation",
         metric: Optional[ShortestPathMetric] = None,
         label_delta: float = 0.45,
-        executor=None,
     ) -> None:
         if not 0 < delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -67,13 +66,11 @@ class LabelRouting(RoutingScheme):
         min_d = self.metric.min_distance()
         diameter = self.metric.diameter()
         self.levels = int(math.ceil(math.log2(diameter / min_d))) + 2
-        self.nets = NestedNets(
-            self.metric, levels=self.levels, base_radius=min_d, executor=executor
-        )
+        self.nets = NestedNets(self.metric, levels=self.levels, base_radius=min_d)
         self._ring_radius = [
             min_d * (2.0 ** (j + 2)) / delta for j in range(self.levels)
         ]
-        # Rings packed into one CSR block (a sharded block scan per level),
+        # Rings packed into one CSR block (a batched block scan per level),
         # then reduced to the per-node neighbor sets F(u) = ∪_j F_j(u) \ {u}
         # as a second CSR block: one `np.unique` over each node's
         # contiguous member span instead of Python set unions.  Only the
@@ -82,7 +79,6 @@ class LabelRouting(RoutingScheme):
         rings_packed = net_rings(
             self.metric, self.nets,
             lambda j: self._ring_radius[j],
-            executor=executor,
         )
         nbr_chunks = []
         for u in range(graph.n):

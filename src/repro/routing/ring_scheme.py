@@ -70,7 +70,6 @@ class RingRouting(RoutingScheme):
         graph: WeightedGraph,
         delta: float,
         metric: Optional[ShortestPathMetric] = None,
-        executor=None,
     ) -> None:
         if not 0 < delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
@@ -93,19 +92,18 @@ class RingRouting(RoutingScheme):
         self.levels = int(math.ceil(math.log2(diameter / min_d))) + 2
         self.nets = NestedNets(
             self.metric, levels=self.levels, base_radius=diameter,
-            descending=True, executor=executor,
+            descending=True,
         )
         self._ring_radius = [
             4.0 * diameter / (delta * 2.0**j) for j in range(self.levels)
         ]
 
-        # Rings, packed: one sharded block scan per level feeds a single
+        # Rings, packed: one batched block scan per level feeds a single
         # CSR block; sorting the member slices makes them double as the
         # host enumerations φ_uj.
         self.rings_packed = net_rings(
             self.metric, self.nets,
             lambda j: self._ring_radius[j],
-            executor=executor,
         ).with_sorted_members()
         self._indptr = self.rings_packed.indptr
         self._members = self.rings_packed.members

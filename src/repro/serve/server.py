@@ -35,6 +35,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro._types import as_node_pairs, integer_ids
+
 __all__ = ["StructureServer", "serve_structure"]
 
 
@@ -249,12 +251,11 @@ class StructureServer:
                 pass
 
     def _parse_pairs(self, request: Dict) -> Tuple[np.ndarray, np.ndarray]:
-        pairs = np.asarray(request.get("pairs", ()), dtype=np.int64)
+        # A float or JSON ``true`` id is refused, never truncated to a node.
+        pairs = integer_ids(request.get("pairs", ()))
         if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.shape[0] == 0:
             raise ValueError("pairs must be a non-empty list of [u, v] pairs")
-        if pairs.min() < 0 or pairs.max() >= self._n:
-            raise ValueError(f"node ids must be in [0, {self._n})")
-        return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
+        return as_node_pairs(pairs[:, 0], pairs[:, 1], self._n)
 
     async def _op_estimate(self, request: Dict) -> Dict:
         us, vs = self._parse_pairs(request)

@@ -1,5 +1,5 @@
-"""PR-4 experiment-layer behaviour: multi-seed aggregation, worker
-resolution + provenance, build-worker sharding parity, --override-n."""
+"""Experiment-layer behaviour at scale: multi-seed aggregation, worker
+resolution + provenance, --override-n."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import BuildCache, PlanConfig, Workload
 from repro.experiments import ExperimentSpec, SchemeSpec, get_suite, run
+from repro.experiments.runner import resolve_workers
 
 
 def seeded_spec() -> ExperimentSpec:
@@ -71,6 +72,19 @@ class TestOverSeeds:
 
 
 class TestWorkerResolution:
+    def test_none_and_zero_resolve_to_cpu_count(self):
+        expected = os.cpu_count() or 1
+        assert resolve_workers(None) == expected
+        assert resolve_workers(0) == expected
+
+    def test_explicit_counts_pass_through(self):
+        assert resolve_workers(1) == 1
+        assert resolve_workers(5) == 5
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            resolve_workers(-1)
+
     def test_processes_zero_resolves_to_cpu_count(self, tmp_path):
         spec = ExperimentSpec.make(
             "unit-procs",
@@ -80,32 +94,9 @@ class TestWorkerResolution:
         )
         rs = run(spec, out_dir=tmp_path, processes=0, cache=BuildCache())
         assert rs.provenance["processes"] == (os.cpu_count() or 1)
-        assert rs.provenance["build_workers"] == 1
 
     def test_serial_provenance(self, seeded_run):
         assert seeded_run.provenance["processes"] == 1
-        assert seeded_run.provenance["build_workers"] == 1
-
-
-class TestBuildWorkersParity:
-    def test_sharded_build_matches_serial(self, tmp_path):
-        spec = ExperimentSpec.make(
-            "unit-sharded",
-            workloads=[
-                Workload.make("knn-graph", n=40, k=4, seed=7, dense=False)
-            ],
-            schemes=[SchemeSpec.make("route-thm2.1", delta=0.3)],
-            plans=[PlanConfig(kind="uniform", pairs=40, seed=2)],
-        )
-        serial = run(spec, out_dir=tmp_path / "a", processes=1,
-                     cache=BuildCache())
-        sharded = run(spec, out_dir=tmp_path / "b", processes=1,
-                      build_workers=2, cache=BuildCache())
-        assert serial.provenance["build_workers"] == 1
-        assert sharded.provenance["build_workers"] == 2
-        for a, b in zip(serial, sharded):
-            assert a.metrics == b.metrics
-            assert a.size_bits == b.size_bits
 
 
 class TestOverrideN:

@@ -116,3 +116,30 @@ class TestServeCommands:
             assert "row-cache" in out
         finally:
             api.clear_cache()
+
+
+class TestUpdateCommand:
+    def test_triangulation_trace_then_compact(self, capsys):
+        code = main(["update", "--scheme", "triangulation", "--workload",
+                     "hypercube", "--n", "64", "--events", "8", "--compact"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "events              8" in out
+        assert "dirty_rows         0" in out
+
+    def test_route_thm21_updates_on_a_graph_workload(self, capsys):
+        code = main(["update", "--scheme", "route-thm2.1", "--workload",
+                     "knn-graph", "--n", "48", "--events", "6", "--compact"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "workload  knn-graph (n=48)" in out
+        assert "ivl_violations      0" in out
+
+    def test_unsupported_pair_is_a_one_line_error(self, capsys):
+        # route-thm2.1 on a metric workload routes over a static overlay.
+        code = main(["update", "--scheme", "route-thm2.1", "--workload",
+                     "hypercube", "--n", "32", "--events", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "graph workload" in err

@@ -19,6 +19,7 @@ from repro.labeling import (
     BeaconTriangulation,
     RingDLS,
     RingTriangulation,
+    ThorupZwickOracle,
     TriangulationDLS,
 )
 from repro.labeling import _dplus
@@ -35,6 +36,7 @@ def estimators(hypercube32, scales_hypercube32):
         "triangulation-dls": TriangulationDLS(tri),
         "ring-dls": RingDLS(hypercube32, DELTA, scales=scales_hypercube32),
         "beacons": BeaconTriangulation(hypercube32, k=8, seed=0),
+        "tz-oracle": ThorupZwickOracle(hypercube32, k=2, seed=0),
     }
 
 
@@ -92,6 +94,35 @@ def test_estimate_many_rejects_malformed_batches(estimators, name, us, vs, match
     # Unequal sides must not broadcast, nor a negative id wrap to another node.
     with pytest.raises(ValueError, match=match):
         estimators[name].estimate_many(us, vs)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["triangulation", "triangulation-dls", "ring-dls", "beacons", "tz-oracle"],
+)
+def test_reads_reject_malformed_ids(estimators, hypercube32, name):
+    # A negative id would read another node's label (or, on CSR labels,
+    # offsets from two different rows) and a float or bool id would be
+    # truncated to another node: every read refuses them instead.
+    estimator = estimators[name]
+
+    def reads(*names):
+        return [getattr(estimator, a) for a in names if hasattr(estimator, a)]
+
+    scalar_reads = reads("estimate", "bounds")
+    batched_reads = reads("estimate_many", "bounds_many")
+    n = hypercube32.n
+    for bad in (-2, n, 1.9, True, np.float64(3.0), np.bool_(False)):
+        for read in scalar_reads:
+            for u, v in ((bad, 5), (5, bad), (bad, bad)):
+                with pytest.raises(ValueError):
+                    read(u, v)
+    for us, vs in (([1.9], [2.7]), ([True], [2]), ([1, True], [2, 3])):
+        for read in batched_reads:
+            with pytest.raises(ValueError, match="integers"):
+                read(us, vs)
+    # Integer ids of any integer type still read the same node.
+    assert estimator.estimate(np.int64(5), np.int32(3)) == estimator.estimate(5, 3)
 
 
 def test_packed_labels_edge_cases():

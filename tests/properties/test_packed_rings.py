@@ -4,9 +4,9 @@ The contract of the CSR backend: ``backend="packed"`` and
 ``backend="dict"`` produce *identical* ring structures — same keys,
 same radii, same member tuples in the same order, same RNG draws for
 the sampled builders — for all three builders, on euclidean and on
-lazy-graph metrics, under any shard count.  A second contract pins the
-packed label path: ``estimate_many`` over packed labels equals the
-per-pair ``estimate`` decoder exactly.
+lazy-graph metrics.  A second contract pins the packed label path:
+``estimate_many`` over packed labels equals the per-pair ``estimate``
+decoder exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.construction import ChunkedExecutor, SerialExecutor
 from repro.core.packed import PackedRings, exact_capped_rings
 from repro.core.rings import (
     RingsOfNeighbors,
@@ -27,8 +26,6 @@ from repro.metrics.graphmetric import ShortestPathMetric
 from repro.metrics.measure import doubling_measure
 from repro.metrics.nets import NestedNets
 from repro.metrics.synthetic import random_hypercube_metric
-
-SHARD_COUNTS = (1, 3)
 
 
 def _metrics():
@@ -64,16 +61,9 @@ def assert_identical(packed, legacy):
 
 class TestBuilderRoundTrip:
     @pytest.mark.parametrize("metric_name", ["euclidean", "graph-lazy"])
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_net_rings(self, metric_name, shards):
+    def test_net_rings(self, metric_name):
         metric = _metrics()[metric_name]
-        executor = (
-            SerialExecutor() if shards == 1 else ChunkedExecutor(shards=shards)
-        )
-        nets = NestedNets(
-            metric, levels=4, base_radius=metric.min_distance(),
-            executor=executor,
-        )
+        nets = NestedNets(metric, levels=4, base_radius=metric.min_distance())
         packed = net_rings(metric, nets, lambda j: 1.5 * nets.radius_of(j))
         legacy = net_rings(
             metric, nets, lambda j: 1.5 * nets.radius_of(j), backend="dict"

@@ -158,6 +158,25 @@ class TestProtocolErrors:
         assert answers.shape == (1,)
         assert counters["errors"] == 2
 
+    @pytest.mark.parametrize("op", ["estimate", "route"])
+    def test_float_and_bool_ids_rejected_not_truncated(self, fitted, routed, op):
+        # [[1.9, 2.7]] must not be answered as pair (1, 2), nor JSON true
+        # as node 1; the connection stays open for the next request.
+        structure = fitted if op == "estimate" else routed
+
+        async def body(server, host, port):
+            client = await ServeClient.connect(host, port)
+            for pairs in ([[1.9, 2.7]], [[True, 2]], [[0, 1], [False, 2]]):
+                with pytest.raises(ServeError, match="integers"):
+                    await client.request(op, pairs=pairs)
+            response = await client.request(op, pairs=[[1, 2]])
+            await client.close()
+            return response, dict(server.counters)
+
+        response, counters = _run(_with_server(structure, body))
+        assert response["ok"] is True
+        assert counters["errors"] == 3
+
     def test_unknown_op(self, fitted):
         async def body(server, host, port):
             client = await ServeClient.connect(host, port)
