@@ -202,13 +202,15 @@ def _center_blocks(metric, us: np.ndarray, candidates: np.ndarray) -> Iterator[n
 class NestedNets:
     """The nested hierarchy ``G_j`` of 2^j-nets used throughout the paper.
 
-    ``G_j`` is a ``scale(j)``-net and ``G_{j+1} ⊂ G_j``.  Two conventions
-    appear in the paper and both are supported via ``radius_of``:
+    ``G_j`` is a ``radius_of(j)``-net and every net contains each coarser
+    one.  Two conventions appear in the paper and both are supported via
+    ``radius_of``:
 
-    * Theorem 2.1 uses ``G_j`` = (Δ/2^j)-nets (finer as j grows) — pass
-      ``descending=True`` with ``base_radius=Δ``.
-    * Theorems 3.2/3.4 use ``G_j`` = 2^j-nets (coarser as j grows) — the
-      default, with ``base_radius=1``.
+    * Theorem 2.1 uses ``G_j`` = (Δ/2^j)-nets (finer as j grows, so
+      ``G_j ⊆ G_{j+1}``) — pass ``descending=True`` with
+      ``base_radius=Δ``.
+    * Theorems 3.2/3.4 use ``G_j`` = 2^j-nets (coarser as j grows, so
+      ``G_{j+1} ⊆ G_j``) — the default, with ``base_radius=1``.
 
     Internally the hierarchy is always built coarsest-first so nesting
     holds by construction, carrying the distance-to-net array between

@@ -59,7 +59,9 @@ class RoutingScheme(abc.ABC):
     @abc.abstractmethod
     def route(self, source: NodeId, target: NodeId, max_hops: Optional[int] = None) -> RouteResult:
         """Simulate one packet; never raises on delivery failure (the
-        result's ``reached`` flag reports it)."""
+        result's ``reached`` flag reports it).  A ``source`` or
+        ``target`` that is not an integer id in ``[0, n)`` raises
+        :class:`ValueError` (:func:`repro._types.as_node_pair`)."""
 
     @abc.abstractmethod
     def table_bits(self, u: NodeId) -> SizeAccount:

@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro._types import NodeId
+from repro._types import NodeId, as_node_pair
 from repro.bits import SizeAccount, bits_for_count
 from repro.core.packed import pack_csr
 from repro.core.rings import net_rings
@@ -159,6 +159,7 @@ class LabelRouting(RoutingScheme):
     def route(
         self, source: NodeId, target: NodeId, max_hops: Optional[int] = None
     ) -> RouteResult:
+        source, target = as_node_pair(source, target, self.graph.n)
         limit = max_hops if max_hops is not None else 4 * self.graph.n + 16
         header = self._header_bits()
         path = [source]

@@ -42,7 +42,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro._types import NodeId
+from repro._types import NodeId, as_node_pair
 from repro.bits import SizeAccount, bits_for_count
 from repro.core.packed import PackedRings, csr_gather
 from repro.core.patch import CSRPatch, PatchStats, patch_stats, require_active
@@ -52,6 +52,33 @@ from repro.graphs.shortest_paths import FirstHopTable
 from repro.metrics.graphmetric import ShortestPathMetric
 from repro.metrics.nets import NestedNets
 from repro.routing.base import RouteResult, RoutingScheme
+
+
+def _sorted_find(haystack: np.ndarray, needles) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions of ``needles`` in the ascending array ``haystack`` and
+    whether each one is there: a binary search plus an equality gather.
+
+    A needle counts as found only where the gathered entry equals it, so
+    an unsorted ``haystack`` can make a present needle look missing but
+    never a missing one look present."""
+    pos = haystack.searchsorted(needles)
+    if haystack.size == 0:
+        return pos, np.zeros(np.shape(needles), dtype=bool)
+    return pos, haystack[np.minimum(pos, haystack.size - 1)] == needles
+
+
+def _sorted_subset(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether every entry of ``a`` occurs in the ascending array ``b``
+    (``np.isin(a, b).all()`` by binary search; see :func:`_sorted_find`)."""
+    return a.size == 0 or bool(_sorted_find(b, a)[1].all())
+
+
+def _position(members: np.ndarray, node: NodeId) -> Optional[int]:
+    """Index of ``node`` in the ascending enumeration ``members``, or None."""
+    idx = int(members.searchsorted(node))
+    if idx < members.size and members[idx] == node:
+        return idx
+    return None
 
 
 @dataclass
@@ -158,11 +185,7 @@ class RingRouting(RoutingScheme):
 
     def _ring_index(self, u: NodeId, j: int, node: NodeId) -> Optional[int]:
         """``φ_uj(node)`` or None."""
-        members = self._ring_arr(u, j)
-        idx = int(np.searchsorted(members, node))
-        if idx < members.size and members[idx] == node:
-            return idx
-        return None
+        return _position(self._ring_arr(u, j), node)
 
     def _build_label(self, t: NodeId, strict: bool = True) -> RingRoutingLabel:
         """Encode t's zooming sequence.  ``strict=False`` (the churn
@@ -224,18 +247,18 @@ class RingRouting(RoutingScheme):
         """Set-containment invariant on a dirty ring enumeration read:
         everything served must be active and pristine, and every
         still-active member of the last-merged enumeration must be served
-        (the IVL hull for an enumeration read)."""
+        (the IVL hull for an enumeration read).  Both containments are
+        sorted-subset searches: ring rows are ascending host enumerations,
+        and an unsorted row can only add a violation, never hide one."""
         patch = self._patch
         act = patch.membership.active
         lo, hi = patch.pristine_indptr[row], patch.pristine_indptr[row + 1]
-        pristine = patch.pristine_keys[lo:hi]
         pre = patch.merged_row(row)[0]
         ok = (
-            bool(np.all(act[served])) if served.size else True
-        ) and bool(np.all(np.isin(served, pristine)))
-        if ok and pre.size:
-            still = pre[act[pre]]
-            ok = bool(np.all(np.isin(still, served)))
+            bool(act[served].all())
+            and _sorted_subset(served, patch.pristine_keys[lo:hi])
+            and _sorted_subset(pre[act[pre]], served)
+        )
         self.ivl_checks += 1
         if not ok:
             self.ivl_violations += 1
@@ -247,40 +270,56 @@ class RingRouting(RoutingScheme):
         counts = cum[patch.pristine_indptr[1:]] - cum[patch.pristine_indptr[:-1]]
         self._sizes = counts.reshape(self.graph.n, self.levels)
 
-    def _recompute_zoom_level(self, j: int) -> None:
-        """Canonical zooming entries for level j: nearest *active* member
-        of G_j, lowest id on ties (candidates are id-sorted and argmin
-        takes the first minimum) — order-independent by construction."""
+    def _recompute_zoom(self, levels: List[int]) -> None:
+        """Canonical zooming entries for ``levels``: per level j, the
+        nearest *active* member of G_j, lowest id on ties (candidates are
+        id-sorted and argmin takes the first minimum) — order-independent
+        by construction.
+
+        One row-oriented ``distances_between(union, all nodes)`` block over
+        the union of the levels' candidates serves every level, each
+        taking its argmin over its own rows.  The nets nest (G_j ⊆
+        G_{j+1}), so the union is the finest level's candidate set and the
+        block is never larger than that level's own."""
         act = self._patch.membership.active
-        lm = self._level_members0[j]
-        cands = lm[act[lm]]
-        if cands.size == 0:
-            self._zoom[:, j] = -1
-            return
-        d = np.asarray(
-            self.metric.distances_between(cands, np.arange(self.graph.n))
-        )
-        self._zoom[:, j] = cands[d.argmin(axis=0)]
+        members = [self._level_members0[j] for j in levels]
+        cands = [lm[act[lm]] for lm in members]
+        union = np.unique(np.concatenate(cands))
+        if union.size:
+            block = np.asarray(
+                self.metric.distances_between(union, np.arange(self.graph.n))
+            )
+        for j, c in zip(levels, cands):
+            if c.size == 0:
+                self._zoom[:, j] = -1
+                continue
+            rows = block[union.searchsorted(c)]
+            self._zoom[:, j] = c[rows.argmin(axis=0)]
 
     def apply_update(self, joins=(), leaves=()) -> bool:
         """Apply one join/leave batch to the routing structure.
 
-        Ring enumerations are served filtered; zooming entries of every
-        level whose net G_j intersects the change are recomputed in full
-        (canonically), and all labels are re-encoded against the live
-        enumerations — truncated, not failed, where Claim 2.3's
-        containment no longer holds under churn.  Returns whether the
-        update triggered an automatic patch merge.
+        Ring enumerations are served filtered, each dirty read checked
+        against its containment hull (:meth:`_ivl_ring_check`).  The
+        zooming entries of every level whose net G_j holds a changed node
+        are recomputed canonically from one distance block over those
+        levels' active net points (:meth:`_recompute_zoom`), and all
+        labels are re-encoded against the live enumerations — truncated,
+        not failed, where Claim 2.3's containment no longer holds under
+        churn.  Returns whether the update triggered an automatic patch
+        merge.
         """
         patch = self._ensure_mutable()
         join_ids, leave_ids = patch.apply(joins, leaves)
         self.revision += 1
         changed = np.concatenate([join_ids, leave_ids])
         self._refresh_sizes()
-        for j in range(self.levels):
-            lm = self._level_members0[j]
-            if lm.size and np.isin(changed, lm).any():
-                self._recompute_zoom_level(j)
+        affected = [
+            j for j in range(self.levels)
+            if _sorted_find(self._level_members0[j], changed)[1].any()
+        ]
+        if affected:
+            self._recompute_zoom(affected)
         self.labels = [
             self._build_label(t, strict=False) for t in range(self.graph.n)
         ]
@@ -397,14 +436,22 @@ class RingRouting(RoutingScheme):
         """``ζ_uj(fi, wi) = φ_{u,j+1}(w)`` for ``f = φ_uj^{-1}(fi)`` and
         ``w = φ_{f,j+1}^{-1}(wi)``; None outside the triangle (exactly the
         nulls the stored sparse table would have)."""
-        ring_u = self._ring_arr(u, j)
+        return self._zeta(u, j, self._ring_arr(u, j), fi, wi)[0]
+
+    def _zeta(
+        self, u: NodeId, j: int, ring_u: np.ndarray, fi: int, wi: int
+    ) -> Tuple[Optional[int], Optional[np.ndarray]]:
+        """:meth:`zeta_lookup` given ``ring_u``, u's level-j enumeration
+        already read; also returns u's level-(j+1) enumeration when it was
+        read (else None), so a caller walking the levels reads each of
+        u's rings once."""
         if fi >= ring_u.size:
-            return None
-        f = int(ring_u[fi])
-        ring_f_next = self._ring_arr(f, j + 1)
+            return None, None
+        ring_f_next = self._ring_arr(int(ring_u[fi]), j + 1)
         if wi >= ring_f_next.size:
-            return None
-        return self._ring_index(u, j + 1, int(ring_f_next[wi]))
+            return None, None
+        ring_u_next = self._ring_arr(u, j + 1)
+        return _position(ring_u_next, int(ring_f_next[wi])), ring_u_next
 
     def zeta_items(
         self, u: NodeId, j: int
@@ -412,13 +459,8 @@ class RingRouting(RoutingScheme):
         """The sparse ζ_uj triples ``((fi, wi), k)``, lazily enumerated."""
         ring_u_next = self._ring_arr(u, j + 1)
         for fi, f in enumerate(self._ring_arr(u, j)):
-            ring_f_next = self._ring_arr(int(f), j + 1)
-            pos = np.searchsorted(ring_u_next, ring_f_next)
-            pos_c = np.clip(pos, 0, max(0, ring_u_next.size - 1))
-            valid = (pos < ring_u_next.size) & (
-                ring_u_next[pos_c] == ring_f_next
-            ) if ring_u_next.size else np.zeros(ring_f_next.size, bool)
-            for wi in np.flatnonzero(valid):
+            pos, found = _sorted_find(ring_u_next, self._ring_arr(int(f), j + 1))
+            for wi in np.flatnonzero(found):
                 yield (int(fi), int(wi)), int(pos[wi])
 
     def _gathered_next_rings(self, fs: np.ndarray, j_next: int) -> np.ndarray:
@@ -444,12 +486,8 @@ class RingRouting(RoutingScheme):
                     gathered = self._gathered_next_rings(
                         self._ring_arr(u, j), j + 1
                     )
-                    if gathered.size == 0:
-                        continue
-                    pos = np.searchsorted(ring_u_next, gathered)
-                    pos_c = np.clip(pos, 0, ring_u_next.size - 1)
-                    counts[u, j] = int(
-                        np.count_nonzero(ring_u_next[pos_c] == gathered)
+                    counts[u, j] = np.count_nonzero(
+                        _sorted_find(ring_u_next, gathered)[1]
                     )
             self._zeta_triples = counts
         return self._zeta_triples
@@ -462,20 +500,22 @@ class RingRouting(RoutingScheme):
         """Ring indices ``m_j = φ_uj(f_tj)`` for ``j <= j_ut``.
 
         Uses only u's table (ζ and ring sizes) and the label, exactly as in
-        the proof of Claim 2.2.
+        the proof of Claim 2.2.  Each of u's rings is read once: the
+        level-(j+1) enumeration ζ_uj looks up is carried into level j+1.
         """
         indices: List[int] = []
         if not label.indices:
             return indices
         m = label.indices[0]
-        if m >= self._ring_arr(u, 0).size:
+        ring_u = self._ring_arr(u, 0)
+        if m >= ring_u.size:
             return indices
         indices.append(m)
         for j in range(1, len(label.indices)):
-            m_next = self.zeta_lookup(u, j - 1, indices[-1], label.indices[j])
-            if m_next is None:
+            m, ring_u = self._zeta(u, j - 1, ring_u, m, label.indices[j])
+            if m is None:
                 break
-            indices.append(m_next)
+            indices.append(m)
         return indices
 
     # ------------------------------------------------------------------
@@ -498,6 +538,7 @@ class RingRouting(RoutingScheme):
     def route(
         self, source: NodeId, target: NodeId, max_hops: Optional[int] = None
     ) -> RouteResult:
+        source, target = as_node_pair(source, target, self.graph.n)
         if self._patch is not None:
             require_active(self._patch.membership, source, target)
         label = self.labels[target]

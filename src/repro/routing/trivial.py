@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro._types import NodeId
+from repro._types import NodeId, as_node_pair
 from repro.bits import SizeAccount, bits_for_count
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import FirstHopTable
@@ -41,6 +41,7 @@ class TrivialRouting(RoutingScheme):
     def route(
         self, source: NodeId, target: NodeId, max_hops: Optional[int] = None
     ) -> RouteResult:
+        source, target = as_node_pair(source, target, self.graph.n)
         limit = max_hops if max_hops is not None else self.graph.n + 1
         path = [source]
         current = source

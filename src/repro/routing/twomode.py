@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 
-from repro._types import NodeId
+from repro._types import NodeId, as_node_pair
 from repro.bits import SizeAccount, bits_for_count
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import FirstHopTable
@@ -275,6 +275,7 @@ class TwoModeRouting(RoutingScheme):
     def route(
         self, source: NodeId, target: NodeId, max_hops: Optional[int] = None
     ) -> RouteResult:
+        source, target = as_node_pair(source, target, self.graph.n)
         limit = max_hops if max_hops is not None else 6 * self.graph.n + 32
         label = self.labels[target]
         header = self._header_bits_m1(label)

@@ -29,6 +29,7 @@ _EXPORTS = {
     "UnsupportedSchemeError": "repro.serve.persist",
     "load_structure": "repro.serve.persist",
     "save_structure": "repro.serve.persist",
+    "LINE_LIMIT": "repro.serve.server",
     "StructureServer": "repro.serve.server",
     "serve_structure": "repro.serve.server",
     "ServeClient": "repro.serve.client",

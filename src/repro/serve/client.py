@@ -14,6 +14,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.serve.server import LINE_LIMIT
+
 __all__ = ["ServeClient", "ServeError"]
 
 
@@ -37,14 +39,23 @@ class ServeClient:
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServeClient":
         client = cls()
-        client._reader, client._writer = await asyncio.open_connection(host, port)
+        client._reader, client._writer = await asyncio.open_connection(
+            host, port, limit=LINE_LIMIT
+        )
         client._reader_task = asyncio.create_task(client._read_loop())
         return client
 
     async def _read_loop(self) -> None:
+        error = ServeError("connection closed")
         try:
             while True:
-                line = await self._reader.readline()
+                try:
+                    line = await self._reader.readline()
+                except ValueError:
+                    error = ServeError(
+                        f"response line exceeds the {LINE_LIMIT}-byte limit"
+                    )
+                    break
                 if not line:
                     break
                 response = json.loads(line)
@@ -56,7 +67,7 @@ class ServeClient:
         finally:
             for future in self._pending.values():
                 if not future.done():
-                    future.set_exception(ServeError("connection closed"))
+                    future.set_exception(error)
             self._pending.clear()
 
     async def request(self, op: str, **fields: Any) -> Dict[str, Any]:

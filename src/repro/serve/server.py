@@ -17,6 +17,11 @@ results back to the waiting futures.  ``route`` and ``stats`` are
 handled inline.  Shutdown drains: the listener closes first, in-flight
 requests finish, then the batcher exits.
 
+A line, request or response, may hold up to :data:`LINE_LIMIT` bytes
+before its newline; both ends read with that limit.  The server answers
+a longer request line with ``ok: false`` and an error naming the limit,
+then closes the connection (the rest of that line cannot be parsed).
+
 Protocol examples::
 
     {"id": 1, "op": "estimate", "pairs": [[0, 5], [3, 9]]}
@@ -37,7 +42,12 @@ import numpy as np
 
 from repro._types import as_node_pairs, integer_ids
 
-__all__ = ["StructureServer", "serve_structure"]
+__all__ = ["LINE_LIMIT", "StructureServer", "serve_structure"]
+
+#: Longest NDJSON line (bytes before the newline) either end reads.  A
+#: response of ``batch_pairs`` estimates must fit in it; 16 MiB holds
+#: about 800k estimates, asyncio's 64 KiB default about 3,000.
+LINE_LIMIT = 1 << 24
 
 
 def _estimate_many(inner, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -107,7 +117,7 @@ class StructureServer:
             raise RuntimeError("server already started")
         self._batcher_task = asyncio.create_task(self._batcher())
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=LINE_LIMIT
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -192,7 +202,16 @@ class StructureServer:
         pending: set = set()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # longer than LINE_LIMIT
+                    self.counters["requests"] += 1
+                    self.counters["errors"] += 1
+                    error = f"request line exceeds the {LINE_LIMIT}-byte limit"
+                    await self._respond(writer, write_lock, {
+                        "id": None, "ok": False, "error": error,
+                    })
+                    break
                 if not line:
                     break
                 task = asyncio.create_task(
@@ -242,6 +261,11 @@ class StructureServer:
         except Exception as err:
             self.counters["errors"] += 1
             response = {"id": request_id, "ok": False, "error": str(err)}
+        await self._respond(writer, write_lock, response)
+
+    async def _respond(
+        self, writer: asyncio.StreamWriter, write_lock: asyncio.Lock, response: Dict
+    ) -> None:
         payload = (json.dumps(response) + "\n").encode("utf-8")
         async with write_lock:
             writer.write(payload)
@@ -298,6 +322,7 @@ class StructureServer:
             "connections": self._connections,
             "counters": dict(self.counters),
             "batch_pairs_limit": self.batch_pairs,
+            "line_limit_bytes": LINE_LIMIT,
             "batch_window_us": self.batch_window_s * 1e6,
         }
         container = getattr(fitted, "container", None)

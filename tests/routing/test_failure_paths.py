@@ -1,6 +1,9 @@
-"""Routing failure handling: hop budgets and graceful non-delivery."""
+"""Routing failure handling: hop budgets, graceful non-delivery and
+malformed node ids."""
 
+import pytest
 
+from repro import api
 from repro.graphs import WeightedGraph
 from repro.routing import RingRouting, TrivialRouting, evaluate_scheme
 from repro.routing.base import RouteResult
@@ -33,3 +36,25 @@ class TestHopBudgets:
         stats = evaluate_scheme(scheme, scheme.first_hops.dist, pairs=[(0, 2)])
         assert stats.delivery_rate == 0.0
         assert stats.max_stretch == float("inf")
+
+
+ROUTING_SCHEMES = [name for name, problem, _ in api.list_schemes() if problem == "routing"]
+
+
+@pytest.fixture(scope="module", params=ROUTING_SCHEMES)
+def routing64(request):
+    return api.build(request.param, "knn-graph", n=64).inner
+
+
+class TestMalformedIds:
+    """A route between ids outside ``[0, n)`` or not integers is refused
+    with a ValueError, never wrapped, truncated or walked."""
+
+    @pytest.mark.parametrize(
+        "source, target",
+        [(0, -1), (-1, 5), (0, 64), (64, 0), (0, 1.9), (1.5, 0), (True, 1), (0, None)],
+    )
+    def test_route_rejects_malformed_ids(self, routing64, source, target):
+        with pytest.raises(ValueError):
+            routing64.route(source, target)
+        assert routing64.route(0, 5).reached

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import patch as patch_policy
 from repro.routing import RingRouting, evaluate_scheme
 
 
@@ -98,3 +99,56 @@ class TestAccounting:
     def test_rejects_bad_delta(self, knn_graph64):
         with pytest.raises(ValueError):
             RingRouting(knn_graph64, delta=0.0)
+
+
+class TestIVLRingCheck:
+    """The containment check on a dirty ring read counts exactly one
+    violation for each way a served enumeration can leave its hull."""
+
+    @pytest.fixture()
+    def pending(self, knn_graph64, monkeypatch):
+        """(scheme, row, served): a pending departure of node 10 and one
+        ring row of 10's that holds it, an active non-member and at least
+        two more members."""
+        monkeypatch.setattr(patch_policy, "MERGE_DIRTY_FRACTION", 1.1)
+        monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 10**9)
+        scheme = RingRouting(knn_graph64, delta=0.25)
+        scheme.apply_update(leaves=[10])
+        patch = scheme._patch
+
+        def pristine(row):
+            lo, hi = patch.pristine_indptr[row], patch.pristine_indptr[row + 1]
+            return patch.pristine_keys[lo:hi]
+
+        row = next(
+            row for row in 10 * scheme.levels + np.arange(scheme.levels)
+            if 10 in pristine(row) and 3 <= pristine(row).size < knn_graph64.n - 1
+        )
+        assert patch.row_dirty(row)
+        keys = pristine(row)
+        return scheme, row, keys[keys != 10], keys
+
+    def _violations(self, scheme, row, served):
+        checks, violations = scheme.ivl_checks, scheme.ivl_violations
+        scheme._ivl_ring_check(row, np.asarray(served, dtype=np.int32))
+        assert scheme.ivl_checks == checks + 1
+        return scheme.ivl_violations - violations
+
+    def test_filtered_row_passes(self, pending):
+        scheme, row, served, _ = pending
+        u, j = divmod(int(row), scheme.levels)
+        assert np.array_equal(scheme._ring_arr(u, j), served)
+        assert self._violations(scheme, row, served) == 0
+
+    def test_inactive_id_counts(self, pending):
+        scheme, row, served, _ = pending
+        assert self._violations(scheme, row, np.sort(np.append(served, 10))) == 1
+
+    def test_id_outside_pristine_row_counts(self, pending):
+        scheme, row, served, pristine = pending
+        outsider = next(v for v in range(scheme.graph.n) if v != 10 and v not in pristine)
+        assert self._violations(scheme, row, np.sort(np.append(served, outsider))) == 1
+
+    def test_dropped_active_member_counts(self, pending):
+        scheme, row, served, _ = pending
+        assert self._violations(scheme, row, served[1:]) == 1

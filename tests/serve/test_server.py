@@ -1,12 +1,15 @@
 """The asyncio query service: batching, concurrency, stats, shutdown."""
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
 
 from repro import api
-from repro.serve import ServeClient, ServeError, StructureServer
+from repro.serve import LINE_LIMIT, ServeClient, ServeError, StructureServer
+from repro.serve import client as client_module
+from repro.serve import server as server_module
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +185,58 @@ class TestProtocolErrors:
             client = await ServeClient.connect(host, port)
             with pytest.raises(ServeError, match="unknown op"):
                 await client.request("frobnicate")
+            await client.close()
+
+        _run(_with_server(fitted, body))
+
+
+class TestLineLimit:
+    def test_lines_over_asyncio_default_round_trip(self, fitted):
+        # a ~50 KB request and a ~100 KB response: both over asyncio's
+        # 64 KiB default stream limit
+        async def body(server, host, port):
+            client = await ServeClient.connect(host, port)
+            pairs = np.random.default_rng(4).integers(0, 40, size=(5000, 2))
+            answers = await client.estimate(pairs)
+            stats = await client.stats()
+            await client.close()
+            return pairs, answers, stats
+
+        pairs, answers, stats = _run(_with_server(fitted, body))
+        expected = fitted.inner.estimate_many(pairs[:, 0], pairs[:, 1])
+        assert np.array_equal(answers, expected)
+        assert stats["line_limit_bytes"] == LINE_LIMIT
+
+    def test_over_limit_request_gets_typed_error(self, fitted, monkeypatch):
+        monkeypatch.setattr(server_module, "LINE_LIMIT", 4096)
+
+        async def body(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            line = json.dumps({"id": 1, "op": "estimate", "pairs": [[0, 1]] * 1000})
+            assert len(line) > 4096
+            writer.write(line.encode() + b"\n")
+            await writer.drain()
+            response = json.loads(await asyncio.wait_for(reader.readline(), 10))
+            try:
+                rest = await asyncio.wait_for(reader.read(), 10)
+            except ConnectionResetError:  # closed before the line was all read
+                rest = b""
+            writer.close()
+            return response, rest, dict(server.counters)
+
+        response, rest, counters = _run(_with_server(fitted, body))
+        assert response["ok"] is False
+        assert "4096-byte limit" in response["error"]
+        assert rest == b""  # the server closed the connection
+        assert counters["requests"] == counters["errors"] == 1
+
+    def test_over_limit_response_fails_request_not_close(self, fitted, monkeypatch):
+        monkeypatch.setattr(client_module, "LINE_LIMIT", 4096)
+
+        async def body(server, host, port):
+            client = await ServeClient.connect(host, port)
+            with pytest.raises(ServeError, match="4096-byte limit"):
+                await client.estimate([(0, 1)] * 1000)
             await client.close()
 
         _run(_with_server(fitted, body))
