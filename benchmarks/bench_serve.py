@@ -118,7 +118,7 @@ async def run_load(
     from repro.serve import ServeClient, StructureServer
 
     n = int(loaded.workload.metric.n)
-    server = StructureServer(loaded, batch_pairs=8192, batch_window_us=200.0)
+    server = StructureServer(loaded, batch_pairs=8192)
     host, port = await server.start()
     runner = asyncio.create_task(server.serve_until_stopped())
 

@@ -24,8 +24,8 @@ Commands mirror the paper's four problems plus workload inspection:
   plus the row-cache byte accounting of cached lazy metrics;
 * ``save``        — build a scheme and persist it as a container file;
 * ``load``        — reopen a saved structure (zero-copy) and summarize;
-* ``serve``       — serve a saved structure over NDJSON/TCP with
-  micro-batched estimate calls.
+* ``serve``       — serve a saved structure over NDJSON/TCP; estimate
+  requests already queued share one vectorized call.
 
 Everything is registry-driven: workloads come from
 ``repro.api.WORKLOADS`` (``--workload``), schemes from
@@ -546,7 +546,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port,
             batch_pairs=args.batch_pairs,
-            batch_window_us=args.batch_window_us,
         )
         host, port = await server.start()
         scheme = fitted.container.meta.get("scheme")
@@ -715,9 +714,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=0,
                          help="0 = pick a free port (printed on startup)")
     p_serve.add_argument("--batch-pairs", type=int, default=4096,
-                         help="max pairs coalesced into one estimate call")
-    p_serve.add_argument("--batch-window-us", type=float, default=200.0,
-                         help="micro-batch collection window")
+                         help="max pairs coalesced into one estimate call: "
+                              "a batch takes every request already queued "
+                              "up to this many pairs, with no timer")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_sw = sub.add_parser("smallworld", help="searchable small worlds")

@@ -63,10 +63,11 @@ class BeaconTriangulation:
         # one batched distance block, quantized in one pass.  Computed in
         # the (k, n) orientation and transposed: distances are symmetric,
         # and row-on-demand backends (the lazy graph metric) then pay k
-        # row computations instead of n.
-        self._labels = self.codec.roundtrip_many(
+        # row computations instead of n.  Stored C-contiguous, as the
+        # container stores it, so a batched read gathers whole rows.
+        self._labels = np.ascontiguousarray(self.codec.roundtrip_many(
             metric.distances_between(self.beacons, np.arange(metric.n)).T
-        )
+        ))
         self._init_mutation_state()
 
     def _init_mutation_state(self) -> None:
@@ -100,14 +101,18 @@ class BeaconTriangulation:
     def _beacon_dirty(self) -> bool:
         return self._pending_beacon_changes() > 0
 
-    def _live_view(self):
-        """(live beacon ids, live (n, k') label view) under pending churn,
-        cached per membership update."""
+    def _served_labels(self) -> Tuple[np.ndarray, bool]:
+        """(label block, dirty): the (n, k') block reads serve.  While a
+        beacon change is pending it is the live view — the pristine
+        labels without inactive beacons' columns, cached per membership
+        update — and ``dirty`` says its reads must be IVL-checked;
+        otherwise it is the last-merged labels."""
+        if not self._beacon_dirty():
+            return self._labels, False
         m = self._membership
         if self._view is None or self._view[0] != m.updates:
-            mask = m.active[self._beacons0]
-            self._view = (m.updates, self._beacons0[mask], self._labels0[:, mask])
-        return self._view[1], self._view[2]
+            self._view = (m.updates, self._labels0[:, m.active[self._beacons0]])
+        return self._view[1], True
 
     def apply_update(self, joins=(), leaves=()) -> bool:
         """Apply one join/leave batch.  Label distances stay pristine;
@@ -195,20 +200,14 @@ class BeaconTriangulation:
         """(D-, D+) for the pair, from labels only."""
         u, v = as_node_pair(u, v, self.metric.n)
         require_active(self._membership, u, v)
-        if self._beacon_dirty():
-            _, view = self._live_view()
-            lu, lv = view[u], view[v]
-            if lu.size == 0:
-                return 0.0, float("inf")
-            upper = float(np.min(lu + lv))
-            lower = float(np.max(np.abs(lu - lv)))
-            self._ivl_check([u], [v], upper)
-            return lower, upper
-        lu, lv = self._labels[u], self._labels[v]
+        labels, dirty = self._served_labels()
+        lu, lv = labels[u], labels[v]
         if lu.size == 0:
             return 0.0, float("inf")
         upper = float(np.min(lu + lv))
         lower = float(np.max(np.abs(lu - lv)))
+        if dirty:
+            self._ivl_check([u], [v], upper)
         return lower, upper
 
     def _ivl_check(self, us, vs, served) -> None:
@@ -241,35 +240,37 @@ class BeaconTriangulation:
             return 0.0
         return self.bounds(u, v)[1]
 
-    def bounds_many(self, us, vs) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched (D-, D+) for aligned source/target index arrays."""
+    def _read_many(
+        self, us, vs, with_lower: bool
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+        """One validated batched read: ``(us, vs, D-, D+)`` over the
+        served labels (:meth:`_served_labels`), D- only ``with_lower``
+        (else None).  D+ is a gather, an in-place add and a row min; a
+        read of the live view is IVL-checked on its D+ values."""
         us, vs = as_node_pairs(us, vs, self.metric.n)
         require_active(self._membership, us, vs)
-        if self._beacon_dirty():
-            _, view = self._live_view()
-            if view.shape[1] == 0:
-                upper = np.full(us.shape, np.inf)
-                lower = np.zeros(us.shape)
-            else:
-                lu = view[us]
-                lv = view[vs]
-                upper = (lu + lv).min(axis=1)
-                lower = np.abs(lu - lv).max(axis=1)
+        labels, dirty = self._served_labels()
+        if labels.shape[1] == 0:
+            lower, upper = np.zeros(us.shape), np.full(us.shape, np.inf)
+        else:
+            lu, lv = labels[us], labels[vs]
+            lower = np.abs(lu - lv).max(axis=1) if with_lower else None
+            lu += lv
+            upper = lu.min(axis=1)
+        if dirty:
             self._ivl_check(us, vs, upper)
-            return lower, upper
-        lu = self._labels[us]
-        lv = self._labels[vs]
-        if lu.shape[1] == 0:
-            return np.zeros(us.shape), np.full(us.shape, np.inf)
-        upper = (lu + lv).min(axis=1)
-        lower = np.abs(lu - lv).max(axis=1)
+        return us, vs, lower, upper
+
+    def bounds_many(self, us, vs) -> Tuple[np.ndarray, np.ndarray]:
+        """Batched (D-, D+) for aligned source/target index arrays."""
+        _, _, lower, upper = self._read_many(us, vs, with_lower=True)
         return lower, upper
 
     def estimate_many(self, us, vs) -> np.ndarray:
-        """Batched D+ estimates (0 on the diagonal), one matrix pass."""
-        us, vs = as_node_pairs(us, vs, self.metric.n)
-        _, upper = self.bounds_many(us, vs)
-        return np.where(us == vs, 0.0, upper)
+        """Batched D+ estimates (0 on the diagonal); D- is not computed."""
+        us, vs, _, upper = self._read_many(us, vs, with_lower=False)
+        upper[us == vs] = 0.0
+        return upper
 
     def _iter_pair_bounds(self):
         """Yield (D-, D+) blocks covering every unordered pair u < v.

@@ -464,9 +464,18 @@ class RingRouting(RoutingScheme):
                 yield (int(fi), int(wi)), int(pos[wi])
 
     def _gathered_next_rings(self, fs: np.ndarray, j_next: int) -> np.ndarray:
-        """Concatenated ``ring(f, j_next)`` members over ``fs`` (CSR gather)."""
-        idx, _ = csr_gather(self._indptr, fs.astype(np.int64) * self.levels + j_next)
-        return self._members[idx]
+        """Concatenated live ``ring(f, j_next)`` members over ``fs`` (CSR
+        gather).  Once churn has arrived the gather reads the pristine
+        rows masked by the active set, as :meth:`_ring_arr` serves a dirty
+        row; for a clean row that equals the last-merged row."""
+        rows = fs.astype(np.int64) * self.levels + j_next
+        patch = self._patch
+        if patch is None:
+            idx, _ = csr_gather(self._indptr, rows)
+            return self._members[idx]
+        idx, _ = csr_gather(patch.pristine_indptr, rows)
+        members = patch.pristine_keys[idx]
+        return members[patch.membership.active[members]]
 
     def _zeta_triple_counts(self) -> np.ndarray:
         """Number of sparse ζ_uj entries per (u, j), all levels at once.

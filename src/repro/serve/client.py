@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro._types import integer_ids
 from repro.serve.server import LINE_LIMIT
 
 __all__ = ["ServeClient", "ServeError"]
@@ -21,6 +22,13 @@ __all__ = ["ServeClient", "ServeError"]
 
 class ServeError(RuntimeError):
     """The server answered ``ok: false`` (the message is its error)."""
+
+
+def _pair_lists(pairs) -> List[List[int]]:
+    """``pairs`` as JSON-ready ``[u, v]`` lists.  A float or bool id
+    raises :class:`ValueError` before anything is sent, as the server
+    would refuse it: truncating it here would ask about another node."""
+    return integer_ids(pairs).reshape(-1, 2).tolist()
 
 
 class ServeClient:
@@ -94,16 +102,14 @@ class ServeClient:
         self, pairs: Sequence[Tuple[int, int]]
     ) -> np.ndarray:
         """Batched distance estimates for ``pairs`` (aligned array)."""
-        pairs_list = [[int(u), int(v)] for u, v in np.asarray(pairs).reshape(-1, 2)]
-        response = await self.request("estimate", pairs=pairs_list)
+        response = await self.request("estimate", pairs=_pair_lists(pairs))
         return np.asarray(response["estimates"], dtype=float)
 
     async def route(
         self, pairs: Sequence[Tuple[int, int]]
     ) -> List[Dict[str, Any]]:
         """Route every pair; returns the per-pair route dicts."""
-        pairs_list = [[int(u), int(v)] for u, v in np.asarray(pairs).reshape(-1, 2)]
-        response = await self.request("route", pairs=pairs_list)
+        response = await self.request("route", pairs=_pair_lists(pairs))
         return response["routes"]
 
     async def stats(self) -> Dict[str, Any]:

@@ -11,11 +11,21 @@ band.
 ``estimate`` requests do not run one NumPy call each: they enqueue
 their pairs on a bounded queue (backpressure — a slow estimator stalls
 readers instead of buffering unboundedly) and a single batcher task
-coalesces up to ``batch_pairs`` pairs or ``batch_window_us`` µs of
-arrivals into one vectorized ``estimate_many`` call, then scatters the
-results back to the waiting futures.  ``route`` and ``stats`` are
+takes the first queued request, adds whatever else is already queued up
+to ``batch_pairs`` pairs, and makes one vectorized ``estimate_many``
+call at once, then scatters the results back to the waiting futures.
+It never waits on a timer: requests that arrive while a batch computes
+form the next batch, so batches grow with load by themselves, and a
+sub-millisecond window would cost a full millisecond anyway (the epoll
+selector rounds every timeout up to 1 ms).  ``route`` and ``stats`` are
 handled inline.  Shutdown drains: the listener closes first, in-flight
 requests finish, then the batcher exits.
+
+``stats`` reports, besides request counters, the cumulative seconds of
+three stages: ``serve.queue_wait_s`` (each estimate request, from
+enqueue to the start of its batch), ``labeling.estimate_many_s`` (each
+batch's ``estimate_many`` call) and ``serve.encode_s`` (each response's
+JSON encoding).
 
 A line, request or response, may hold up to :data:`LINE_LIMIT` bytes
 before its newline; both ends read with that limit.  The server answers
@@ -36,6 +46,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,7 +90,6 @@ class StructureServer:
         host: str = "127.0.0.1",
         port: int = 0,
         batch_pairs: int = 4096,
-        batch_window_us: float = 200.0,
         queue_requests: int = 1024,
     ) -> None:
         if batch_pairs < 1:
@@ -88,12 +98,12 @@ class StructureServer:
         self.host = host
         self.port = port
         self.batch_pairs = int(batch_pairs)
-        self.batch_window_s = float(batch_window_us) / 1e6
         self.guarantee = fitted.guarantee()
         self.structure_hash = getattr(fitted, "structure_hash", None)
         self._n = int(fitted.workload.metric.n)
         self._can_route = hasattr(fitted.inner, "route")
-        self._queue: "asyncio.Queue[Tuple[np.ndarray, np.ndarray, asyncio.Future]]" = (
+        # (us, vs, future, perf_counter() at enqueue) per estimate request
+        self._queue: "asyncio.Queue[Tuple[np.ndarray, np.ndarray, asyncio.Future, float]]" = (
             asyncio.Queue(maxsize=queue_requests)
         )
         self._server: Optional[asyncio.AbstractServer] = None
@@ -107,6 +117,12 @@ class StructureServer:
             "estimate_pairs": 0,
             "estimate_batches": 0,
             "route_pairs": 0,
+        }
+        # Cumulative seconds per serving stage, reported by stats.
+        self.timings = {
+            "serve.queue_wait_s": 0.0,
+            "labeling.estimate_many_s": 0.0,
+            "serve.encode_s": 0.0,
         }
 
     # -- lifecycle -----------------------------------------------------
@@ -152,45 +168,44 @@ class StructureServer:
     # -- micro-batching ------------------------------------------------
 
     async def _batcher(self) -> None:
-        """Coalesce queued estimate requests into single NumPy calls."""
-        loop = asyncio.get_running_loop()
+        """Coalesce queued estimate requests into single NumPy calls: the
+        first queued request plus whatever else is already queued, up to
+        ``batch_pairs`` pairs (the last request may overshoot)."""
+        queue = self._queue
+        timings = self.timings
         while True:
-            batch = [await self._queue.get()]
+            batch = [await queue.get()]
             pairs = batch[0][0].size
-            deadline = loop.time() + self.batch_window_s
-            while pairs < self.batch_pairs:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    break
+            while pairs < self.batch_pairs and not queue.empty():
+                item = queue.get_nowait()
                 batch.append(item)
                 pairs += item[0].size
             us = np.concatenate([item[0] for item in batch])
             vs = np.concatenate([item[1] for item in batch])
+            start = time.perf_counter()
+            timings["serve.queue_wait_s"] += sum(start - item[3] for item in batch)
             try:
                 estimates = _estimate_many(self.fitted.inner, us, vs)
             except Exception as err:  # propagate to every waiter
-                for _, _, future in batch:
+                for _, _, future, _ in batch:
                     if not future.cancelled():
                         future.set_exception(
                             RuntimeError(f"estimate batch failed: {err}")
                         )
-                    self._queue.task_done()
+                    queue.task_done()
                 continue
+            timings["labeling.estimate_many_s"] += time.perf_counter() - start
             self.counters["estimate_batches"] += 1
             self.counters["estimate_pairs"] += int(us.size)
             offset = 0
-            for item_us, _, future in batch:
+            for item_us, _, future, _ in batch:
                 size = item_us.size
                 if not future.cancelled():
                     future.set_result(
                         (estimates[offset : offset + size], int(us.size))
                     )
                 offset += size
-                self._queue.task_done()
+                queue.task_done()
 
     # -- request handling ----------------------------------------------
 
@@ -266,7 +281,9 @@ class StructureServer:
     async def _respond(
         self, writer: asyncio.StreamWriter, write_lock: asyncio.Lock, response: Dict
     ) -> None:
+        tick = time.perf_counter()
         payload = (json.dumps(response) + "\n").encode("utf-8")
+        self.timings["serve.encode_s"] += time.perf_counter() - tick
         async with write_lock:
             writer.write(payload)
             try:
@@ -284,12 +301,13 @@ class StructureServer:
     async def _op_estimate(self, request: Dict) -> Dict:
         us, vs = self._parse_pairs(request)
         future = asyncio.get_running_loop().create_future()
-        await self._queue.put((us, vs, future))  # bounded: backpressure
+        # bounded: backpressure, which counts as queue wait
+        await self._queue.put((us, vs, future, time.perf_counter()))
         estimates, batch_pairs = await future
         return {
             "ok": True,
             "op": "estimate",
-            "estimates": [float(x) for x in estimates],
+            "estimates": estimates.tolist(),
             "batch_pairs": batch_pairs,
         }
 
@@ -323,7 +341,7 @@ class StructureServer:
             "counters": dict(self.counters),
             "batch_pairs_limit": self.batch_pairs,
             "line_limit_bytes": LINE_LIMIT,
-            "batch_window_us": self.batch_window_s * 1e6,
+            "timings": dict(self.timings),
         }
         container = getattr(fitted, "container", None)
         if container is not None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core import patch as patch_policy
 from repro.routing import RingRouting, evaluate_scheme
 
@@ -99,6 +100,30 @@ class TestAccounting:
     def test_rejects_bad_delta(self, knn_graph64):
         with pytest.raises(ValueError):
             RingRouting(knn_graph64, delta=0.0)
+
+    def test_zeta_triples_count_live_rings_while_rejoin_pending(self, monkeypatch):
+        # Leave, compact, rejoin: every node is active again, but the
+        # merged rings still lack the three nodes until the next merge.
+        # The sparse ζ count must read the live rings, as zeta_items does.
+        monkeypatch.setattr(patch_policy, "MERGE_DIRTY_FRACTION", 1.1)
+        monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 10**9)
+
+        def build():
+            return api.build("route-thm2.1", workload="knn-graph", n=40,
+                             seed=1, delta=0.3, cache=api.BuildCache()).inner
+
+        scheme, fresh = build(), build()
+        scheme.apply_update(leaves=[5, 9, 14])
+        scheme.compact()
+        scheme.apply_update(joins=[5, 9, 14])
+        assert scheme._patch.dirty_row_count > 0
+        counts = scheme._zeta_triple_counts()
+        for u in range(scheme.graph.n):
+            for j in range(scheme.levels - 1):
+                assert counts[u, j] == sum(1 for _ in scheme.zeta_items(u, j))
+        assert np.array_equal(counts, fresh._zeta_triple_counts())
+        for u in range(scheme.graph.n):
+            assert scheme.table_bits(u).total_bits == fresh.table_bits(u).total_bits
 
 
 class TestIVLRingCheck:

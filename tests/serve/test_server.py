@@ -55,27 +55,86 @@ class TestEstimate:
         assert np.array_equal(answers, expected)
 
     def test_two_clients_interleaved_batches(self, fitted):
+        # Both clients share the server's event loop: a gather writes all
+        # six requests before the server reads any, so the batcher finds
+        # them queued together and answers them in one call.
         async def body(server, host, port):
             one = await ServeClient.connect(host, port)
             two = await ServeClient.connect(host, port)
+            await one.stats()  # both connections accepted and reading
+            await two.stats()
             rng = np.random.default_rng(1)
             chunks = [rng.integers(0, 40, size=(25, 2)) for _ in range(6)]
-            results = await asyncio.gather(*[
-                (one if i % 2 == 0 else two).estimate(chunk)
+            responses = await asyncio.gather(*[
+                (one if i % 2 == 0 else two).request("estimate", pairs=chunk.tolist())
                 for i, chunk in enumerate(chunks)
             ])
             await one.close()
             await two.close()
-            return chunks, results, dict(server.counters)
+            return chunks, responses, dict(server.counters)
 
-        chunks, results, counters = _run(_with_server(fitted, body))
-        for chunk, answers in zip(chunks, results):
+        chunks, responses, counters = _run(_with_server(fitted, body))
+        for chunk, response in zip(chunks, responses):
             expected = fitted.inner.estimate_many(chunk[:, 0], chunk[:, 1])
-            assert np.array_equal(answers, expected)
+            assert np.array_equal(response["estimates"], expected)
         assert counters["estimate_pairs"] == 150
-        # Micro-batching coalesced concurrent requests: strictly fewer
-        # vectorized calls than requests.
-        assert counters["estimate_batches"] <= 6
+        assert counters["estimate_batches"] == 1
+        assert [r["batch_pairs"] for r in responses] == [150] * 6
+
+    def test_queued_requests_fill_batches_up_to_the_cap(self, fitted):
+        # A batch adds queued requests until it holds batch_pairs pairs;
+        # the request that crosses the cap still joins (75 >= 60).
+        async def body(server, host, port):
+            client = await ServeClient.connect(host, port)
+            chunks = [[[i, (i + 1) % 40]] * 25 for i in range(6)]
+            responses = await asyncio.gather(*[
+                client.request("estimate", pairs=chunk) for chunk in chunks
+            ])
+            await client.close()
+            return responses, dict(server.counters)
+
+        responses, counters = _run(_with_server(fitted, body, batch_pairs=60))
+        assert counters["estimate_batches"] == 2
+        assert [r["batch_pairs"] for r in responses] == [75] * 6
+
+    def test_requests_sent_one_at_a_time_get_their_own_call(self, fitted):
+        async def body(server, host, port):
+            client = await ServeClient.connect(host, port)
+            responses = [
+                await client.request("estimate", pairs=[[i, i + 1]] * 25)
+                for i in range(6)
+            ]
+            await client.close()
+            return responses, dict(server.counters)
+
+        responses, counters = _run(_with_server(fitted, body))
+        assert counters["estimate_batches"] == 6
+        assert [r["batch_pairs"] for r in responses] == [25] * 6
+
+    def test_batcher_sets_no_timer(self, fitted):
+        # A lone request is computed as soon as the batcher sees it: no
+        # collection window, so nothing on the request path schedules a
+        # timer on the event loop.
+        async def body(server, host, port):
+            client = await ServeClient.connect(host, port)
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_at = loop.call_at
+
+            def recording_call_at(when, callback, *args, **kwargs):
+                timers.append(callback)
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = recording_call_at
+            try:
+                for i in range(3):
+                    await client.estimate([(i, i + 1)])
+            finally:
+                del loop.call_at
+            await client.close()
+            return timers
+
+        assert _run(_with_server(fitted, body)) == []
 
     def test_batch_size_cap_respected(self, fitted):
         async def body(server, host, port):
@@ -125,6 +184,21 @@ class TestRouteAndStats:
             await client.close()
 
         _run(_with_server(fitted, body))
+
+    def test_stats_report_stage_seconds(self, fitted):
+        async def body(server, host, port):
+            client = await ServeClient.connect(host, port)
+            for i in range(3):
+                await client.estimate([(i, i + 1), (i + 2, i + 5)])
+            stats = await client.stats()
+            await client.close()
+            return stats
+
+        timings = _run(_with_server(fitted, body))["timings"]
+        assert set(timings) == {
+            "serve.queue_wait_s", "labeling.estimate_many_s", "serve.encode_s",
+        }
+        assert all(seconds > 0 for seconds in timings.values())
 
     def test_stats_report_counters_and_caches(self, routed):
         async def body(server, host, port):
@@ -179,6 +253,34 @@ class TestProtocolErrors:
         response, counters = _run(_with_server(structure, body))
         assert response["ok"] is True
         assert counters["errors"] == 3
+
+    @pytest.mark.parametrize("method", ["estimate", "route"])
+    def test_client_refuses_float_and_bool_ids_before_sending(
+        self, fitted, routed, method
+    ):
+        # The client must not truncate 1.9 or True to node 1 either: it
+        # raises before writing, so the server never sees the request.
+        structure = fitted if method == "estimate" else routed
+
+        async def body(server, host, port):
+            client = await ServeClient.connect(host, port)
+            call = getattr(client, method)
+            bad = ([(1.9, 2)], [(True, 2)], [(0, 1), (False, 2)],
+                   np.array([[1.0, 2.0]]), np.array([[True, False]]))
+            for pairs in bad:
+                with pytest.raises(ValueError, match="integers"):
+                    await call(pairs)
+            sent = server.counters["requests"]
+            answer = await call(np.array([[1, 2]], dtype=np.int32))
+            await client.close()
+            return sent, answer
+
+        sent, answer = _run(_with_server(structure, body))
+        assert sent == 0
+        if method == "estimate":
+            assert np.array_equal(answer, fitted.inner.estimate_many([1], [2]))
+        else:
+            assert answer[0]["path"][0] == 1 and answer[0]["path"][-1] == 2
 
     def test_unknown_op(self, fitted):
         async def body(server, host, port):
