@@ -363,8 +363,9 @@ class CSRPatch:
 
     # -- merging --------------------------------------------------------
 
-    def merge(self) -> None:
-        """Fold pending churn into a fresh packed CSR block.
+    def live_arrays(self) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+        """``(indptr, keys, payloads)`` of the block a merge would install
+        now, computed without committing anything.
 
         Filters the *pristine* arrays by the live active set — never the
         previously-merged ones — so repeated leave/rejoin cycles always
@@ -372,9 +373,18 @@ class CSRPatch:
         """
         mask = self.membership.active[self.pristine_keys]
         cum = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
-        self.merged_indptr = cum[self.pristine_indptr]
-        self.merged_keys = self.pristine_keys[mask]
-        self.merged_payloads = tuple(p[mask] for p in self.pristine_payloads)
+        return (
+            cum[self.pristine_indptr],
+            self.pristine_keys[mask],
+            tuple(p[mask] for p in self.pristine_payloads),
+        )
+
+    def merge(self) -> None:
+        """Fold pending churn into a fresh packed CSR block
+        (:meth:`live_arrays`)."""
+        self.merged_indptr, self.merged_keys, self.merged_payloads = (
+            self.live_arrays()
+        )
         self._dirty[:] = False
         self.membership.commit()
 

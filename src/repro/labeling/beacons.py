@@ -130,12 +130,16 @@ class BeaconTriangulation:
             return True
         return False
 
+    def _live_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(beacons, labels)`` without the inactive beacons: what a
+        merge installs, computed without committing anything."""
+        mask = self._membership.active[self._beacons0]
+        return self._beacons0[mask], self._labels0[:, mask]
+
     def compact(self) -> PatchStats:
         """Fold pending churn into served ``beacons``/``labels`` arrays."""
         m = self._ensure_membership()
-        mask = m.active[self._beacons0]
-        self.beacons = self._beacons0[mask]
-        self._labels = self._labels0[:, mask]
+        self.beacons, self._labels = self._live_arrays()
         m.commit()
         self._view = None
         return self.pending_patch_stats()
@@ -152,7 +156,9 @@ class BeaconTriangulation:
         return len(self.beacons)
 
     def to_arrays(self) -> Tuple[dict, dict]:
-        """(meta, arrays) inventory for the on-disk container."""
+        """(meta, arrays) inventory for the on-disk container.  A pending
+        beacon change is written as the next merge would fold it, so a
+        loaded copy answers like the live structure."""
         meta = {
             "n": int(self.metric.n),
             "codec": {
@@ -161,10 +167,10 @@ class BeaconTriangulation:
                 "mantissa_bits": self.codec.mantissa_bits,
             },
         }
-        arrays = {
-            "beacons": self.beacons,
-            "labels": self._labels,
-        }
+        beacons, labels = self.beacons, self._labels
+        if self._beacon_dirty():
+            beacons, labels = self._live_arrays()
+        arrays = {"beacons": beacons, "labels": labels}
         return meta, arrays
 
     @classmethod

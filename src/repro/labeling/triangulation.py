@@ -40,6 +40,55 @@ from repro.labeling._dplus import PackedLabels
 from repro.labeling._scales import ScaleStructure
 from repro.labeling.encoding import DistanceCodec
 from repro.metrics.base import MetricSpace
+from repro.serve.container import ContainerError
+
+
+def _check_labels(n: int, arrays: Dict[str, np.ndarray]) -> None:
+    """Reject persisted CSR labels that would read wrong, with
+    :class:`~repro.serve.container.ContainerError` naming the check.
+
+    ``label_indptr`` has ``n + 1`` entries, starts at 0, never decreases
+    and ends at ``len(label_ids)``; the ids are integers in ``[0, n)``,
+    strictly increasing within each row; every distance block
+    (``label_dist`` and, for the DLS, ``label_dist_quantized``) has one
+    finite, non-negative entry per id.  O(n + L) for L label entries.
+    """
+
+    def fail(check: str) -> None:
+        raise ContainerError(f"malformed triangulation labels: {check}")
+
+    indptr = np.asarray(arrays["label_indptr"])
+    ids = np.asarray(arrays["label_ids"])
+    if indptr.dtype.kind not in "iu" or ids.dtype.kind not in "iu":
+        fail("label_indptr and label_ids must hold integers")
+    if indptr.shape != (n + 1,):
+        fail(f"label_indptr must have n + 1 = {n + 1} entries "
+             f"(has shape {indptr.shape})")
+    if ids.ndim != 1:
+        fail("label_ids must be one-dimensional")
+    indptr = indptr.astype(np.int64, copy=False)
+    if indptr[0] != 0:
+        fail("label_indptr must start at 0")
+    if np.any(np.diff(indptr) < 0):
+        fail("label_indptr must never decrease")
+    if indptr[-1] != ids.size:
+        fail(f"label_indptr must end at len(label_ids) = {ids.size}")
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        fail(f"label_ids must lie in [0, {n})")
+    rising = np.diff(ids.astype(np.int64, copy=False)) > 0
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < ids.size)] - 1] = True
+    if not rising.all():
+        fail("label_ids must be strictly increasing within each row")
+    for key in ("label_dist", "label_dist_quantized"):
+        if key not in arrays:
+            continue
+        dist = np.asarray(arrays[key])
+        if dist.shape != ids.shape:
+            fail(f"{key} must have one entry per label id "
+                 f"({dist.shape} != {ids.shape})")
+        if dist.dtype.kind not in "fiu" or not np.all(np.isfinite(dist) & (dist >= 0)):
+            fail(f"{key} must be finite and >= 0")
 
 
 class RingTriangulation:
@@ -111,7 +160,6 @@ class RingTriangulation:
         self._indptr = patch.merged_indptr
         self._ids = patch.merged_keys
         self._dist = patch.merged_payloads[0]
-        self._packed = None
 
     def apply_update(self, joins=(), leaves=()) -> bool:
         """Apply one join/leave batch to the label structure.
@@ -145,12 +193,12 @@ class RingTriangulation:
 
         ``pre`` is D+ over the last-merged arrays, ``post`` D+ over the
         pristine arrays intersected *before* masking by the active set —
-        a deliberately different code path from the serving one (which
-        masks before intersecting).  The served value must land in the
-        hull of ``pre`` and ``post``
-        (:func:`~repro.core.patch.ivl_violations`); for pairs the pending
-        churn does not actually affect, pre == post and the check becomes
-        a bit-level cross-validation of the two paths.
+        a deliberately different code path from the serving ones (the
+        masked dense block for batched reads, mask-then-intersect for
+        scalar ones).  The served value must land in the hull of ``pre``
+        and ``post`` (:func:`~repro.core.patch.ivl_violations`); for
+        pairs the pending churn does not actually affect, pre == post and
+        the check becomes a bit-level cross-validation of the paths.
         """
         patch = self._patch
         ids_u, (dist_u,) = patch.merged_row(u)
@@ -235,38 +283,44 @@ class RingTriangulation:
         return served
 
     def _packed_labels(self) -> PackedLabels:
-        """The merged CSR label arrays as :class:`PackedLabels` (built on
-        first use, dropped when a merge replaces the arrays)."""
+        """The pristine CSR label arrays as :class:`PackedLabels` (built
+        on first use).  Merges never touch the pristine arrays, so it
+        never goes stale; reads mask it by the live active set."""
         if self._packed is None:
-            self._packed = PackedLabels(
-                self.metric.n, self._indptr, self._ids, self._dist
-            )
+            patch = self._patch
+            if patch is None:  # never updated: the arrays are pristine
+                arrays = (self._indptr, self._ids, self._dist)
+            else:
+                arrays = (
+                    patch.pristine_indptr,
+                    patch.pristine_keys,
+                    patch.pristine_payloads[0],
+                )
+            self._packed = PackedLabels(self.metric.n, *arrays)
         return self._packed
 
     def estimate_many(self, us, vs) -> np.ndarray:
         """Batched D+ over the packed labels (0 on the diagonal).
 
-        The CSR label arrays are handed to :class:`PackedLabels` without
-        any per-dict conversion, so a whole pair batch runs as one
-        scatter/gather pass per chunk instead of per-pair intersections.
-        With a pending patch, clean-row pairs still take the packed fast
-        path (their merged rows are unaffected by the pending churn);
-        pairs touching a dirty row fall back to per-pair filtered
-        estimates with the IVL bound checked on each.
+        Every pair is served from the pristine label block masked by the
+        live active set — exactly what the next merge would serve, dirty
+        rows included.  A pair touching a row that pending churn made
+        dirty is still checked against its IVL hull
+        (:meth:`_ivl_check`).
         """
         us, vs = as_node_pairs(us, vs, self.metric.n)
         patch = self._patch
-        if patch is not None:
-            require_active(patch.membership, us, vs)
-        if patch is None or patch.is_clean():
+        if patch is None:
             return self._packed_labels().dplus_many(us, vs)
-        dirty = patch.rows_dirty(us) | patch.rows_dirty(vs)
-        out = np.empty(us.shape, dtype=float)
-        clean = ~dirty
-        if np.any(clean):
-            out[clean] = self._packed_labels().dplus_many(us[clean], vs[clean])
-        for i in np.flatnonzero(dirty):
-            out[i] = self.estimate(int(us[i]), int(vs[i]))
+        membership = patch.membership
+        require_active(membership, us, vs)
+        out = self._packed_labels().dplus_many(
+            us, vs, np.flatnonzero(~membership.active)
+        )
+        if not patch.is_clean():
+            dirty = (patch.rows_dirty(us) | patch.rows_dirty(vs)) & (us != vs)
+            for i in np.flatnonzero(dirty):
+                self._ivl_check(int(us[i]), int(vs[i]), float(out[i]))
         return out
 
     def to_arrays(self) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
@@ -274,14 +328,16 @@ class RingTriangulation:
 
         The CSR label arrays *are* the queryable structure; the
         construction-time :class:`ScaleStructure` is scaffolding and is
-        not persisted.
+        not persisted.  Pending churn is written as the next merge would
+        fold it (:meth:`CSRPatch.live_arrays`), so a loaded copy answers
+        like the live structure.
         """
         meta: Dict[str, object] = {"delta": self.delta, "n": int(self.metric.n)}
-        arrays = {
-            "label_indptr": self._indptr,
-            "label_ids": self._ids,
-            "label_dist": self._dist,
-        }
+        indptr, ids, dist = self._indptr, self._ids, self._dist
+        patch = self._patch
+        if patch is not None and not patch.is_clean():
+            indptr, ids, (dist,) = patch.live_arrays()
+        arrays = {"label_indptr": indptr, "label_ids": ids, "label_dist": dist}
         return meta, arrays
 
     @classmethod
@@ -295,8 +351,10 @@ class RingTriangulation:
 
         The result is *detached*: estimation works bit-for-bit off the
         CSR arrays, but ``scales`` is ``None`` (construction internals
-        were scaffolding, not part of the queryable structure).
+        were scaffolding, not part of the queryable structure).  The
+        arrays are checked first (:func:`_check_labels`).
         """
+        _check_labels(metric.n, arrays)
         tri = cls.__new__(cls)
         tri.metric = metric
         tri.delta = float(meta["delta"])

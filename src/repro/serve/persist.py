@@ -150,6 +150,15 @@ def _inner_from_container(
     metric: Optional[DetachedMetric],
     row_cache_bytes=None,
 ):
+    """The fitted scheme's inner structure; a :class:`ContainerError`
+    raised while checking its arrays is re-raised naming the file."""
+    try:
+        return _rehydrate(name, container, metric, row_cache_bytes)
+    except ContainerError as err:
+        raise ContainerError(f"{container.path}: {err}") from err
+
+
+def _rehydrate(name, container, metric, row_cache_bytes):
     meta = container.meta["inner"]
     arrays = container.arrays
     if name == "triangulation":

@@ -134,6 +134,11 @@ def test_packed_labels_edge_cases():
     assert got[3] == 0.0  # diagonal
     assert got[4] == 0.0  # diagonal, even with a shared beacon
     assert packed.dplus_many([], []).shape == (0,)
+    # Masking beacon 1 leaves pair (0, 3) none in common; every beacon of
+    # row 3 inactive reads inf off the diagonal and 0 on it.
+    masked = packed.dplus_many([0, 1, 3, 3], [3, 3, 3, 0], inactive=[1])
+    assert masked.tolist() == [np.inf, 2.25, 0.0, np.inf]
+    assert packed.dplus_many([3, 3], [1, 3], inactive=[1, 2]).tolist() == [np.inf, 0.0]
 
 
 def test_packed_labels_chunking_is_transparent(monkeypatch):

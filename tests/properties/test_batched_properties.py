@@ -134,15 +134,17 @@ def _pack(rows):
     return PackedLabels(len(rows), indptr, ids, dist)
 
 
-def _dplus_loop(rows, us, vs):
+def _dplus_loop(rows, us, vs, inactive=()):
     """D+ pair by pair in plain Python: 0 on the diagonal, else the min
-    of d_ub + d_vb over the common beacons b (inf when there is none)."""
+    of d_ub + d_vb over the common beacons b not in ``inactive`` (inf
+    when there is none)."""
+    gone = set(inactive)
     out = []
     for u, v in zip(us, vs):
         if u == v:
             out.append(0.0)
             continue
-        d_u = dict(rows[u])
+        d_u = {b: d for b, d in rows[u] if b not in gone}
         sums = [d_u[b] + d for b, d in rows[v] if b in d_u]
         out.append(min(sums, default=float("inf")))
     return np.array(out, dtype=float)
@@ -150,8 +152,9 @@ def _dplus_loop(rows, us, vs):
 
 @st.composite
 def label_batches(draw):
-    """Random CSR labels (n in [1, 60], rows of 0..n sorted distinct ids)
-    and a pair batch with diagonal and repeated pairs."""
+    """Random CSR labels (n in [1, 60], rows of 0..n sorted distinct ids),
+    a pair batch with diagonal and repeated pairs, and a sorted set of
+    inactive ids that often holds every beacon of some row."""
     n = draw(st.integers(min_value=1, max_value=60))
     rows = []
     for _ in range(n):
@@ -164,19 +167,25 @@ def label_batches(draw):
     pairs += pairs[: draw(st.integers(0, 5))]
     us = [u for u, _ in pairs]
     vs = [v for _, v in pairs]
-    return rows, us, vs
+    inactive = set(draw(st.sets(node, max_size=n)))
+    for u in draw(st.lists(node, max_size=2)):  # rows left with no beacon
+        inactive |= {b for b, _ in rows[u]}
+    return rows, us, vs, sorted(inactive)
 
 
 @settings(max_examples=150, deadline=None)
 @given(label_batches())
 def test_dplus_many_matches_per_pair_loop(batch):
-    rows, us, vs = batch
+    rows, us, vs, inactive = batch
     packed = _pack(rows)
     expected = _dplus_loop(rows, us, vs)
+    masked = _dplus_loop(rows, us, vs, inactive)
     assert np.array_equal(packed.dplus_many(us, vs), expected)
+    assert np.array_equal(packed.dplus_many(us, vs, inactive), masked)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_dplus, "SCRATCH", 1)  # one pair per chunk
         assert np.array_equal(packed.dplus_many(us, vs), expected)
+        assert np.array_equal(packed.dplus_many(us, vs, inactive), masked)
 
 
 def test_dplus_many_full_rows_match_per_pair_loop():
