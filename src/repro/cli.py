@@ -15,7 +15,8 @@ Commands mirror the paper's four problems plus workload inspection:
   structures) and run queries;
 * ``update``      — build a mutable scheme and stream join/leave churn
   into it (one explicit batch, or a seeded ChurnTrace), reporting
-  receipts, amortized update cost and patch-buffer state;
+  receipts, amortized update cost, patch-buffer state and the IVL
+  counters (exit 1 on any IVL violation);
 * ``run``         — execute a declarative experiment grid (a named
   suite or a spec JSON file) through :mod:`repro.experiments`;
 * ``results``     — list or diff persisted experiment result sets;
@@ -251,10 +252,19 @@ def _stream_updates(args: argparse.Namespace) -> int:
     print("patch state:")
     for key, value in stats.to_dict().items():
         print(f"  {key:<18s} {value}")
+    # The IVL counters print even at 0 checks, which shows a gate that
+    # checked nothing; any violation fails the command.
     inner = fitted.inner
-    if getattr(inner, "ivl_checks", 0):
+    if hasattr(inner, "ivl_checks"):
         print(f"ivl_checks          {inner.ivl_checks}")
         print(f"ivl_violations      {inner.ivl_violations}")
+        if inner.ivl_violations:
+            print(
+                f"error: {inner.ivl_violations} IVL violation(s) in "
+                f"{inner.ivl_checks} checks",
+                file=sys.stderr,
+            )
+            return 1
     return 0
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -157,6 +157,8 @@ class RingRouting(RoutingScheme):
     def _init_mutation_state(self) -> None:
         self._patch: Optional[CSRPatch] = None
         self._level_members0: Optional[List[np.ndarray]] = None
+        #: dirty row -> its checked, read-only enumeration, this revision
+        self._checked: Dict[int, np.ndarray] = {}
         self.revision = 0
         self.ivl_checks = 0
         self.ivl_violations = 0
@@ -166,7 +168,15 @@ class RingRouting(RoutingScheme):
     # ------------------------------------------------------------------
 
     def _ring_arr(self, u: NodeId, j: int) -> np.ndarray:
-        """``Y_uj`` as a sorted int array (the host enumeration φ_uj)."""
+        """``Y_uj`` as a sorted int array (the host enumeration φ_uj).
+
+        A clean row is a slice of the stored CSR block.  A dirty row is
+        filtered and containment-checked (:meth:`_ivl_ring_check`) on its
+        first read in a revision, then frozen and kept in ``_checked``;
+        later reads in the same revision get that array.  The check's
+        verdict depends only on the row, the active set, the last-merged
+        and the pristine arrays, and none of them changes within a
+        revision, so every enumeration served is one that was checked."""
         if not 0 <= j < self.levels:
             # The flat CSR index would silently alias into another node's
             # rings; fail fast like the legacy list-of-lists did.
@@ -174,8 +184,12 @@ class RingRouting(RoutingScheme):
         i = u * self.levels + j
         patch = self._patch
         if patch is not None and patch.row_dirty(i):
-            served, _ = patch.filtered_row(i)
-            self._ivl_ring_check(i, served)
+            served = self._checked.get(i)
+            if served is None:
+                served, _ = patch.filtered_row(i)
+                self._ivl_ring_check(i, served)
+                served.flags.writeable = False
+                self._checked[i] = served
             return served
         return self._members[self._indptr[i] : self._indptr[i + 1]]
 
@@ -244,12 +258,14 @@ class RingRouting(RoutingScheme):
         return self._patch
 
     def _ivl_ring_check(self, row: int, served: np.ndarray) -> None:
-        """Set-containment invariant on a dirty ring enumeration read:
-        everything served must be active and pristine, and every
-        still-active member of the last-merged enumeration must be served
-        (the IVL hull for an enumeration read).  Both containments are
-        sorted-subset searches: ring rows are ascending host enumerations,
-        and an unsorted row can only add a violation, never hide one."""
+        """Set-containment invariant on a dirty ring enumeration, run once
+        per row and revision by :meth:`_ring_arr`: everything served must
+        be active and pristine, and every still-active member of the
+        last-merged enumeration must be served (the IVL hull for an
+        enumeration read).  ``ivl_checks`` counts checked enumerations,
+        not reads.  Both containments are sorted-subset searches: ring
+        rows are ascending host enumerations, and an unsorted row can
+        only add a violation, never hide one."""
         patch = self._patch
         act = patch.membership.active
         lo, hi = patch.pristine_indptr[row], patch.pristine_indptr[row + 1]
@@ -299,18 +315,20 @@ class RingRouting(RoutingScheme):
     def apply_update(self, joins=(), leaves=()) -> bool:
         """Apply one join/leave batch to the routing structure.
 
-        Ring enumerations are served filtered, each dirty read checked
-        against its containment hull (:meth:`_ivl_ring_check`).  The
-        zooming entries of every level whose net G_j holds a changed node
-        are recomputed canonically from one distance block over those
-        levels' active net points (:meth:`_recompute_zoom`), and all
-        labels are re-encoded against the live enumerations — truncated,
-        not failed, where Claim 2.3's containment no longer holds under
-        churn.  Returns whether the update triggered an automatic patch
-        merge.
+        The batch starts a new revision: the checked enumerations of the
+        last one are dropped, and each dirty ring is filtered and checked
+        against its containment hull again on its first read
+        (:meth:`_ring_arr`).  The zooming entries of every level whose net
+        G_j holds a changed node are recomputed canonically from one
+        distance block over those levels' active net points
+        (:meth:`_recompute_zoom`), and all labels are re-encoded against
+        the live enumerations — truncated, not failed, where Claim 2.3's
+        containment no longer holds under churn.  Returns whether the
+        update triggered an automatic patch merge.
         """
         patch = self._ensure_mutable()
         join_ids, leave_ids = patch.apply(joins, leaves)
+        self._checked = {}
         self.revision += 1
         changed = np.concatenate([join_ids, leave_ids])
         self._refresh_sizes()
@@ -333,6 +351,7 @@ class RingRouting(RoutingScheme):
         patch = self._patch
         self._indptr = patch.merged_indptr
         self._members = patch.merged_keys
+        self._checked = {}
         self._zeta_triples = None
 
     def compact(self) -> PatchStats:
@@ -357,17 +376,27 @@ class RingRouting(RoutingScheme):
         zooming matrix and encoded labels — everything :meth:`route` and
         the accounting read.  The nets are construction scaffolding (the
         rings and zooming sequences already encode their output) and are
-        not persisted."""
+        not persisted.
+
+        During churn the rings written are the live ones (the block the
+        next merge would install), and a label cut short by churn is
+        padded with -1 after its last level, so a loaded copy routes like
+        the structure that was saved."""
         fh_meta, fh_arrays = self.first_hops.to_arrays()
         arrays = dict(self.graph.to_adjacency_arrays())
         arrays.update(fh_arrays)
-        arrays["ring_indptr"] = self._indptr
-        arrays["ring_members"] = self._members
+        patch = self._patch
+        if patch is not None and not patch.is_clean():
+            arrays["ring_indptr"], arrays["ring_members"], _ = patch.live_arrays()
+        else:
+            arrays["ring_indptr"] = self._indptr
+            arrays["ring_members"] = self._members
         arrays["ring_radii"] = self.rings_packed.radii
         arrays["zoom"] = self._zoom
-        arrays["label_indices"] = np.asarray(
-            [label.indices for label in self.labels], dtype=np.int32
-        ).reshape(self.graph.n, self.levels)
+        label_indices = np.full((self.graph.n, self.levels), -1, dtype=np.int32)
+        for t, label in enumerate(self.labels):
+            label_indices[t, : len(label.indices)] = label.indices
+        arrays["label_indices"] = label_indices
         meta = {
             "delta": self.delta,
             "levels": int(self.levels),
@@ -419,9 +448,12 @@ class RingRouting(RoutingScheme):
         scheme._sizes = scheme.rings_packed.ring_sizes()
         scheme._max_ring_card = scheme.rings_packed.max_ring_cardinality()
         scheme._zoom = np.asarray(arrays["zoom"])
+        # A label ends at its first -1 (padding written for churn-cut labels).
         label_indices = np.asarray(arrays["label_indices"])
+        cut = label_indices < 0
+        ends = np.where(cut.any(axis=1), cut.argmax(axis=1), scheme.levels)
         scheme.labels = [
-            RingRoutingLabel(node=t, indices=tuple(int(x) for x in label_indices[t]))
+            RingRoutingLabel(node=t, indices=tuple(label_indices[t, : ends[t]].tolist()))
             for t in range(graph.n)
         ]
         scheme._zeta_triples = None

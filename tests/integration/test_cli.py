@@ -143,3 +143,35 @@ class TestUpdateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "graph workload" in err
+
+    def test_ivl_counters_print_at_zero_checks(self, capsys):
+        # every triangulation update merges, so nothing is ever checked:
+        # the count shows that rather than hiding it
+        code = main(["update", "--scheme", "triangulation", "--workload",
+                     "hypercube", "--n", "64", "--events", "4"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "ivl_checks          0" in out
+        assert "ivl_violations      0" in out
+
+    def test_an_ivl_violation_fails_the_command(self, capsys, monkeypatch):
+        import numpy as np
+
+        from repro.core.patch import CSRPatch
+
+        original = CSRPatch.filtered_row
+
+        def filtered_row(self, r):
+            # serve every dirty ring with an inactive node appended
+            keys, payloads = original(self, r)
+            gone = np.flatnonzero(~self.membership.active)[:1]
+            return np.append(keys, gone).astype(keys.dtype), payloads
+
+        monkeypatch.setattr(CSRPatch, "filtered_row", filtered_row)
+        code = main(["update", "--scheme", "route-thm2.1", "--workload",
+                     "knn-graph", "--n", "48", "--events", "6"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "ivl_violations      0" not in captured.out
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "IVL violation" in captured.err

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.core import patch as patch_policy
+from repro.distributed.trace import ChurnTrace
 from repro.serve import (
     DetachedStructureError,
     PERSISTABLE_SCHEMES,
@@ -75,6 +77,75 @@ class TestRoutingRoundtrip:
         loaded = load_structure(path)
         assert (loaded.inner.table_bits(0).total_bits
                 == fitted.inner.table_bits(0).total_bits)
+
+
+class TestRoutingSaveDuringChurn:
+    """A route-thm2.1 save during churn writes the live rings and the
+    labels padded with -1 after their last level, so the loaded copy
+    routes like the structure that was saved."""
+
+    N = 120
+    #: content hash of a never-updated build, recorded before labels
+    #: were padded: a structure churn never touched saves as it did.
+    FRESH_HASH = (
+        "sha256:36990d289312fefb239dc7ea2d277d1b1b10fa80109eda1ebc0a1cfff657b98f"
+    )
+
+    def _build(self):
+        return api.build("route-thm2.1", workload="knn-graph", n=self.N, seed=0,
+                         delta=0.3, cache=api.BuildCache())
+
+    def _roundtrip(self, fitted, tmp_path):
+        path = tmp_path / "structure.repro"
+        api.save(fitted, path)
+        return api.load(path)
+
+    def _assert_same_routes(self, fitted, loaded, pairs=400):
+        ids = np.flatnonzero(fitted.inner._patch.membership.active)
+        rng = np.random.default_rng(17)
+        delivered = 0
+        for u, v in rng.choice(ids, size=(pairs, 2)).tolist():
+            original = fitted.inner.route(u, v)
+            again = loaded.inner.route(u, v)
+            assert list(again.path) == list(original.path), (u, v)
+            assert again.reached == original.reached
+            assert again.header_bits == original.header_bits
+            delivered += original.reached
+        return delivered
+
+    def test_never_updated_structure_keeps_its_hash(self, tmp_path):
+        assert save_structure(self._build(), tmp_path / "s.repro") == self.FRESH_HASH
+
+    def test_empty_labels_round_trip(self, tmp_path):
+        fitted = self._build()
+        api.update(fitted, leaves=[0])  # G_0's only net point
+        assert all(not label.indices for label in fitted.inner.labels)
+        loaded = self._roundtrip(fitted, tmp_path)
+        assert loaded.inner.labels == fitted.inner.labels
+
+    def test_ragged_labels_round_trip(self, tmp_path):
+        fitted = self._build()
+        trace = ChurnTrace.generate(n=self.N, events=30, rate=0.05, seed=2)
+        for event in trace.events:
+            api.update(fitted, joins=event.joins, leaves=event.leaves)
+            if {len(label.indices) for label in fitted.inner.labels} == {10, 12}:
+                break
+        else:
+            pytest.fail("the trace never cut labels to lengths {10, 12}")
+        loaded = self._roundtrip(fitted, tmp_path)
+        assert loaded.inner.labels == fitted.inner.labels
+        assert self._assert_same_routes(fitted, loaded) > 0
+
+    def test_pending_patch_saves_live_rings(self, tmp_path, monkeypatch):
+        # the merge policy reads these at call time: the patch stays pending
+        monkeypatch.setattr(patch_policy, "MERGE_DIRTY_FRACTION", 1.1)
+        monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 10**9)
+        fitted = self._build()
+        api.update(fitted, leaves=[3, 17, 40])
+        assert not fitted.inner._patch.is_clean()
+        loaded = self._roundtrip(fitted, tmp_path)
+        assert loaded.inner.labels == fitted.inner.labels
+        assert self._assert_same_routes(fitted, loaded) == 400
 
 
 class TestDetachedBehavior:
