@@ -20,9 +20,22 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro._types import integer_ids
 from repro.rng import SeedLike, ensure_rng
 
 __all__ = ["ChurnEvent", "ChurnTrace"]
+
+
+def _event_ids(ids, what: str, n: Optional[int]) -> Tuple[int, ...]:
+    """One side of an event under the shared id rule, each id in
+    ``[0, n)`` (``n=None``: at least 0)."""
+    arr = integer_ids(list(ids), what)
+    bad = arr[(arr < 0) | (arr >= n)] if n is not None else arr[arr < 0]
+    if bad.size:
+        raise ValueError(
+            f"{what} ids out of range [0, {'∞' if n is None else n}): {bad.tolist()}"
+        )
+    return tuple(arr.tolist())
 
 
 @dataclass(frozen=True)
@@ -41,12 +54,24 @@ class ChurnEvent:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "ChurnEvent":
-        return cls(
-            at=float(data["at"]),
-            leaves=tuple(int(x) for x in data.get("leaves", ())),
-            joins=tuple(int(x) for x in data.get("joins", ())),
-        )
+    def from_dict(
+        cls, data: Mapping[str, object], n: Optional[int] = None
+    ) -> "ChurnEvent":
+        """The event :meth:`to_dict` wrote, validated: every id passes
+        the shared id rule (:func:`~repro._types.integer_ids`, so a float
+        or a bool is refused, never truncated to another node) and lies
+        in ``[0, n)``, and no node both leaves and joins.  A violation
+        raises :class:`ValueError` naming the event's time."""
+        at = float(data["at"])
+        try:
+            leaves = _event_ids(data.get("leaves", ()), "leave", n)
+            joins = _event_ids(data.get("joins", ()), "join", n)
+            both = sorted(set(leaves) & set(joins))
+            if both:
+                raise ValueError(f"nodes both leave and join: {both}")
+        except ValueError as err:
+            raise ValueError(f"churn event at={at}: {err}") from None
+        return cls(at=at, leaves=leaves, joins=joins)
 
 
 @dataclass(frozen=True)
@@ -158,11 +183,19 @@ class ChurnTrace:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ChurnTrace":
+        """The trace :meth:`to_dict` wrote, each event validated against
+        the universe ``[0, n)`` (:meth:`ChurnEvent.from_dict`); a bad
+        event raises :class:`ValueError` naming its index."""
+        n = int(data["n"])
+        events = []
+        for i, event in enumerate(data.get("events", ())):
+            try:
+                events.append(ChurnEvent.from_dict(event, n=n))
+            except ValueError as err:
+                raise ValueError(f"trace event {i}: {err}") from None
         return cls(
-            n=int(data["n"]),
-            events=tuple(
-                ChurnEvent.from_dict(e) for e in data.get("events", ())
-            ),
+            n=n,
+            events=tuple(events),
             seed=None if data.get("seed") is None else int(data["seed"]),
             rate=float(data.get("rate", 0.0)),
         )

@@ -73,12 +73,55 @@ def _sorted_subset(a: np.ndarray, b: np.ndarray) -> bool:
     return a.size == 0 or bool(_sorted_find(b, a)[1].all())
 
 
+#: Relative slack of the short-list that finds a new zooming entry for a
+#: target whose entry departed (:meth:`RingRouting._zoom_step`).  A
+#: shortest-path length is computed as a floating-point sum of the
+#: positive weights of at most k = n - 1 edges, so it lies within a factor
+#: (1 ± γ) of the exact length, γ = k·u / (1 - k·u) with u = 2⁻⁵³.  The
+#: winner has the least distance read from the candidates' rows, so its
+#: entry in the target's row is at most (1 + γ)² / (1 - γ)² ≈ 1 + 4γ
+#: times that row's minimum.  1e-9 bounds 4γ on every graph of fewer
+#: than 2·10⁶ nodes.
+ZOOM_SHORTLIST_SLACK = 1e-9
+
+
 def _position(members: np.ndarray, node: NodeId) -> Optional[int]:
     """Index of ``node`` in the ascending enumeration ``members``, or None."""
     idx = int(members.searchsorted(node))
     if idx < members.size and members[idx] == node:
         return idx
     return None
+
+
+class _UpdateRows:
+    """The full distance rows ``d(x, ·)`` one update reads, each asked of
+    the metric at most once: :meth:`ask` fetches the ids not yet held in
+    one ``distances_between`` call, and indexing returns held rows."""
+
+    def __init__(self, metric, n: int) -> None:
+        self._metric = metric
+        self._all = np.arange(n)
+        self._held: List[Tuple[np.ndarray, np.ndarray]] = []  # (ids, rows)
+
+    def ask(self, ids: np.ndarray) -> None:
+        ids = np.unique(ids)
+        for held, _ in self._held:
+            ids = ids[~_sorted_find(held, ids)[1]]
+        if ids.size:
+            block = self._metric.distances_between(ids, self._all)
+            self._held.append((ids, np.asarray(block)))
+
+    def __getitem__(self, ids: np.ndarray) -> np.ndarray:
+        """The rows of ``ids``, one per id (asked first where missing)."""
+        self.ask(ids)
+        if len(self._held) == 1:
+            held, block = self._held[0]
+            return block[held.searchsorted(ids)]
+        out = np.empty((ids.size, self._all.size))
+        for held, block in self._held:
+            pos, found = _sorted_find(held, ids)
+            out[found] = block[pos[found]]
+        return out
 
 
 @dataclass
@@ -146,9 +189,7 @@ class RingRouting(RoutingScheme):
         self._zoom = np.empty((n, self.levels), dtype=np.int32)
         for j in range(self.levels):
             self._zoom[:, j] = self.nets.nearest_members(j, all_nodes)
-        self.labels: List[RingRoutingLabel] = [
-            self._build_label(t) for t in range(n)
-        ]
+        self.labels: List[RingRoutingLabel] = self._encode_labels(strict=True)
 
         # Sparse ζ triple counts per (node, level) — computed lazily (and
         # vectorized) the first time the accounting asks for them.
@@ -157,6 +198,10 @@ class RingRouting(RoutingScheme):
     def _init_mutation_state(self) -> None:
         self._patch: Optional[CSRPatch] = None
         self._level_members0: Optional[List[np.ndarray]] = None
+        #: d(f_tj, t) read from f_tj's row, per zooming entry (n, levels);
+        #: a level's column is valid once an update has touched it
+        self._zoom_dist: Optional[np.ndarray] = None
+        self._zoom_touched: Optional[np.ndarray] = None
         #: dirty row -> its checked, read-only enumeration, this revision
         self._checked: Dict[int, np.ndarray] = {}
         self.revision = 0
@@ -197,37 +242,58 @@ class RingRouting(RoutingScheme):
         """``Y_uj`` in host-enumeration order."""
         return tuple(int(x) for x in self._ring_arr(u, j))
 
-    def _ring_index(self, u: NodeId, j: int, node: NodeId) -> Optional[int]:
-        """``φ_uj(node)`` or None."""
-        return _position(self._ring_arr(u, j), node)
+    def _encode_labels(self, strict: bool) -> List[RingRoutingLabel]:
+        """Every target's label: its zooming sequence as ring indices.
 
-    def _build_label(self, t: NodeId, strict: bool = True) -> RingRoutingLabel:
-        """Encode t's zooming sequence.  ``strict=False`` (the churn
-        re-encode path) truncates at the first level where Claim 2.3's
-        containment no longer holds, instead of failing the build."""
-        zoom = self._zoom[t]
-        indices: List[int] = []
-        # n_t0: index in the level-0 ring, which coincides across all nodes
-        # (r_0 >= 4Δ/δ covers the whole metric).
-        idx0 = self._ring_index(t, 0, zoom[0]) if zoom[0] >= 0 else None
-        if idx0 is None:
-            if strict:
-                raise RuntimeError("level-0 ring must contain f_t0")
-            return RingRoutingLabel(node=t, indices=())
-        indices.append(idx0)
-        for j in range(1, self.levels):
-            if zoom[j] < 0:
+        Level j places each target whose label reached level j - 1 (every
+        target at level 0) in its owner's ring: the target's own ring at
+        level 0 (n_t0; the level-0 rings coincide, since r_0 >= 4Δ/δ
+        covers the metric), else the ring of f_t,j-1.  Each distinct
+        owner's ring is read once through :meth:`_ring_arr`, so dirty
+        rows are filtered, checked and tabled as a walk target by target
+        would; the rings are concatenated under the keys ``slot·n +
+        member``, ascending because the owners are sorted and each ring
+        ascends, and one binary search places every target.
+
+        A label ends before its first level whose entry is -1 or missing
+        from the owner's ring.  With ``strict`` (the build) a missing
+        entry raises instead: at build time Claim 2.3 guarantees
+        containment, and level 0 must have an entry."""
+        n, zoom = self.graph.n, self._zoom
+        indices = np.full((n, self.levels), -1, dtype=np.int64)
+        reached = zoom[:, 0] >= 0
+        if strict and not reached.all():
+            raise RuntimeError("level-0 ring must contain f_t0")
+        for j in range(self.levels):
+            targets = np.flatnonzero(reached)
+            if targets.size == 0:
                 break
-            f_prev = int(zoom[j - 1])
-            idx = self._ring_index(f_prev, j, zoom[j])
-            if idx is None:
-                if strict:
-                    raise RuntimeError(
-                        f"Claim 2.3 violated: f_({t},{j}) not in ring of f_({t},{j-1})"
-                    )
-                break
-            indices.append(idx)
-        return RingRoutingLabel(node=t, indices=tuple(indices))
+            owners = targets if j == 0 else zoom[targets, j - 1]
+            slots, slot_of = np.unique(owners, return_inverse=True)
+            rings = [self._ring_arr(int(u), j) for u in slots.tolist()]
+            sizes = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
+            starts = np.cumsum(sizes) - sizes
+            keys = np.repeat(np.arange(slots.size, dtype=np.int64) * n, sizes)
+            keys += np.concatenate(rings)
+            pos, found = _sorted_find(keys, slot_of * n + zoom[targets, j])
+            if strict and not found.all():
+                t = int(targets[~found][0])
+                if j == 0:
+                    raise RuntimeError("level-0 ring must contain f_t0")
+                raise RuntimeError(
+                    f"Claim 2.3 violated: f_({t},{j}) not in ring of f_({t},{j-1})"
+                )
+            placed = targets[found]
+            indices[placed, j] = pos[found] - starts[slot_of[found]]
+            reached[:] = False
+            if j + 1 < self.levels:
+                reached[placed] = zoom[placed, j + 1] >= 0
+        # a label's levels are a prefix: none is placed after a miss
+        rows, ends = indices.tolist(), np.count_nonzero(indices >= 0, axis=1).tolist()
+        return [
+            RingRoutingLabel(node=t, indices=tuple(rows[t][: ends[t]]))
+            for t in range(n)
+        ]
 
     # ------------------------------------------------------------------
     # Incremental updates
@@ -237,8 +303,9 @@ class RingRouting(RoutingScheme):
     # edges keep carrying traffic) is fixed; joins/leaves toggle an active
     # mask.  Every derived quantity — ring enumerations, per-level nets
     # G_j (a departed net point is *not* replaced), zooming sequences and
-    # labels — is recomputed as a pure function of (pristine build,
-    # active set), so interleaved updates and one bulk update converge to
+    # labels — is a pure function of (pristine build, active set),
+    # recomputed or, for zooming entries, updated incrementally to the
+    # same values, so interleaved updates and one bulk update converge to
     # bit-identical state.
 
     def _ensure_mutable(self) -> CSRPatch:
@@ -246,16 +313,23 @@ class RingRouting(RoutingScheme):
             self._patch = CSRPatch(
                 self._indptr, self._members, universe=self.graph.n
             )
-            # G_j from the pristine rings: v ∈ G_j  ⟺  v ∈ ring(v, j)
-            # (a net point is always within r_j of itself).
-            self._level_members0 = []
-            for j in range(self.levels):
-                members = [
-                    v for v in range(self.graph.n)
-                    if self._ring_index(v, j, v) is not None
-                ]
-                self._level_members0.append(np.asarray(members, dtype=np.int64))
+            self._level_members0 = self._pristine_nets()
+            self._zoom_dist = np.full((self.graph.n, self.levels), np.nan)
+            self._zoom_touched = np.zeros(self.levels, dtype=bool)
         return self._patch
+
+    def _pristine_nets(self) -> List[np.ndarray]:
+        """Each G_j, ascending, from the pristine rings: v ∈ G_j ⟺ v ∈
+        ring(v, j) (a net point is always within r_j of itself).  One
+        search over the whole CSR block: member m of row r is the key
+        r·n + m, ascending because rows are in order and each row's
+        members ascend."""
+        n, levels = self.graph.n, self.levels
+        rows = np.repeat(np.arange(n * levels, dtype=np.int64), np.diff(self._indptr))
+        keys = rows * n + self._members
+        v = np.arange(n, dtype=np.int64)[:, None]
+        found = _sorted_find(keys, (v * levels + np.arange(levels)) * n + v)[1]
+        return [np.flatnonzero(found[:, j]) for j in range(levels)]
 
     def _ivl_ring_check(self, row: int, served: np.ndarray) -> None:
         """Set-containment invariant on a dirty ring enumeration, run once
@@ -286,7 +360,9 @@ class RingRouting(RoutingScheme):
         counts = cum[patch.pristine_indptr[1:]] - cum[patch.pristine_indptr[:-1]]
         self._sizes = counts.reshape(self.graph.n, self.levels)
 
-    def _recompute_zoom(self, levels: List[int]) -> None:
+    def _recompute_zoom(
+        self, levels: List[int], rows: Optional[_UpdateRows] = None
+    ) -> None:
         """Canonical zooming entries for ``levels``: per level j, the
         nearest *active* member of G_j, lowest id on ties (candidates are
         id-sorted and argmin takes the first minimum) — order-independent
@@ -296,21 +372,108 @@ class RingRouting(RoutingScheme):
         the union of the levels' candidates serves every level, each
         taking its argmin over its own rows.  The nets nest (G_j ⊆
         G_{j+1}), so the union is the finest level's candidate set and the
-        block is never larger than that level's own."""
+        block is never larger than that level's own.  ``rows`` shares an
+        update's rows, so none is asked twice.
+
+        This whole recompute is what :meth:`apply_update` runs on a
+        level's first touch, and the reference its increments equal
+        later: it stores each entry's distance d(f_tj, t), read from
+        f_tj's row (inf where the level has no active net point), and
+        marks the levels touched.  Later touches take
+        :meth:`_zoom_step`, whose short-list from a target's own row is
+        cut at a relative 1e-9 above its minimum: that bounds the float
+        error between a distance's two orientations on any graph of
+        fewer than 2·10⁶ nodes (:data:`ZOOM_SHORTLIST_SLACK`)."""
         act = self._patch.membership.active
         members = [self._level_members0[j] for j in levels]
         cands = [lm[act[lm]] for lm in members]
-        union = np.unique(np.concatenate(cands))
-        if union.size:
-            block = np.asarray(
-                self.metric.distances_between(union, np.arange(self.graph.n))
-            )
+        if rows is None:
+            rows = _UpdateRows(self.metric, self.graph.n)
+        rows.ask(np.concatenate(cands))
         for j, c in zip(levels, cands):
+            self._zoom_touched[j] = True
             if c.size == 0:
                 self._zoom[:, j] = -1
+                self._zoom_dist[:, j] = np.inf
                 continue
-            rows = block[union.searchsorted(c)]
-            self._zoom[:, j] = c[rows.argmin(axis=0)]
+            block = rows[c]
+            best = block.argmin(axis=0)
+            self._zoom[:, j] = c[best]
+            self._zoom_dist[:, j] = block[best, np.arange(self.graph.n)]
+
+    def _update_zoom(self, join_ids: np.ndarray, leave_ids: np.ndarray) -> None:
+        """The zooming entries after one batch, in proportion to churn.
+
+        A level whose net G_j holds no changed node keeps its entries.
+        A level touched for the first time is recomputed whole
+        (:meth:`_recompute_zoom`), and so is one where more targets lost
+        their entry than G_j has active points.  Any other level takes
+        the step of :meth:`_zoom_step`.  The rows of the whole levels'
+        candidates, the joined net points and the targets whose entry
+        departed are asked in one call, the short-listed candidates' in
+        one more per level; no row is asked twice."""
+        act = self._patch.membership.active
+        whole, steps, wanted = [], [], []
+        for j in range(self.levels):
+            net = self._level_members0[j]
+            joined = join_ids[_sorted_find(net, join_ids)[1]]
+            left = leave_ids[_sorted_find(net, leave_ids)[1]]
+            if joined.size == 0 and left.size == 0:
+                continue
+            lost = np.flatnonzero(_sorted_find(left, self._zoom[:, j])[1])
+            if not self._zoom_touched[j] or lost.size > np.count_nonzero(act[net]):
+                whole.append(j)
+            else:
+                steps.append((j, joined, lost))
+                wanted += [joined, lost]
+        if whole:
+            finest = self._level_members0[max(whole)]
+            wanted.append(finest[act[finest]])
+        if not wanted:
+            return
+        rows = _UpdateRows(self.metric, self.graph.n)
+        rows.ask(np.concatenate(wanted))
+        if whole:
+            self._recompute_zoom(whole, rows)
+        for j, joined, lost in steps:
+            self._zoom_step(j, joined, lost, rows)
+
+    def _zoom_step(
+        self, j: int, joined: np.ndarray, lost: np.ndarray, rows: _UpdateRows
+    ) -> None:
+        """Level j's entries after a batch, from its entries before.
+
+        A target whose entry stayed active keeps it unless a joined net
+        point p is nearer, d(p, t) from p's row: the lower distance wins,
+        then the lower id.  A target in ``lost`` (its entry departed)
+        takes the nearest active net point in two steps.  Its own row
+        short-lists every candidate c with d(t, c) within a relative
+        :data:`ZOOM_SHORTLIST_SLACK` of the row's minimum, which holds
+        the winner despite float error; then the short-listed
+        candidates' own rows decide exactly.  The lazy metric's two
+        orientations of a distance differ in the last ulp, so a value
+        read from the target's row is never stored and never decides a
+        winner."""
+        n = self.graph.n
+        zoom, dist = self._zoom[:, j], self._zoom_dist[:, j]
+        if joined.size:
+            block = rows[joined]
+            best = block.argmin(axis=0)
+            d, p = block[best, np.arange(n)], joined[best]
+            win = (d < dist) | ((d == dist) & (p < zoom))
+            zoom[win], dist[win] = p[win], d[win]
+        if lost.size:
+            net = self._level_members0[j]
+            cands = net[self._patch.membership.active[net]]
+            own = rows[lost][:, cands]
+            near = own <= own.min(axis=1, keepdims=True) * (1.0 + ZOOM_SHORTLIST_SLACK)
+            short = cands[near.any(axis=0)]
+            ti, ci = np.nonzero(near)
+            exact = np.full(own.shape, np.inf)
+            exact[ti, ci] = rows[short][short.searchsorted(cands[ci]), lost[ti]]
+            best = exact.argmin(axis=1)
+            zoom[lost] = cands[best]
+            dist[lost] = exact[np.arange(lost.size), best]
 
     def apply_update(self, joins=(), leaves=()) -> bool:
         """Apply one join/leave batch to the routing structure.
@@ -318,29 +481,35 @@ class RingRouting(RoutingScheme):
         The batch starts a new revision: the checked enumerations of the
         last one are dropped, and each dirty ring is filtered and checked
         against its containment hull again on its first read
-        (:meth:`_ring_arr`).  The zooming entries of every level whose net
-        G_j holds a changed node are recomputed canonically from one
-        distance block over those levels' active net points
-        (:meth:`_recompute_zoom`), and all labels are re-encoded against
-        the live enumerations — truncated, not failed, where Claim 2.3's
-        containment no longer holds under churn.  Returns whether the
-        update triggered an automatic patch merge.
+        (:meth:`_ring_arr`).
+
+        Zooming entries change only where churn changed something
+        (:meth:`_update_zoom`).  A level keeps its build-time entries
+        until an update first touches it (its net G_j holds a changed
+        node); that first touch recomputes the level whole
+        (:meth:`_recompute_zoom`) and stores each entry's distance.
+        After it, a joined net point's row is compared with the stored
+        entries, and a target whose entry departed is settled over a
+        short-list read from its own row within a relative 1e-9 of the
+        minimum, decided by the candidates' rows (:meth:`_zoom_step`).
+        The slack bounds the float error between a distance read from
+        the target's row and from the candidate's on any graph of fewer
+        than 2·10⁶ nodes (:data:`ZOOM_SHORTLIST_SLACK`), so the entries
+        stay bit-identical to a whole recompute of every touched level.
+        Each metric row is asked at most once per update.
+
+        All labels are then re-encoded against the live enumerations
+        (:meth:`_encode_labels`) — truncated, not failed, where Claim
+        2.3's containment no longer holds under churn.  Returns whether
+        the update triggered an automatic patch merge.
         """
         patch = self._ensure_mutable()
         join_ids, leave_ids = patch.apply(joins, leaves)
         self._checked = {}
         self.revision += 1
-        changed = np.concatenate([join_ids, leave_ids])
         self._refresh_sizes()
-        affected = [
-            j for j in range(self.levels)
-            if _sorted_find(self._level_members0[j], changed)[1].any()
-        ]
-        if affected:
-            self._recompute_zoom(affected)
-        self.labels = [
-            self._build_label(t, strict=False) for t in range(self.graph.n)
-        ]
+        self._update_zoom(join_ids, leave_ids)
+        self.labels = self._encode_labels(strict=False)
         self._zeta_triples = None
         merged = patch.maybe_merge()
         if merged:
@@ -381,7 +550,9 @@ class RingRouting(RoutingScheme):
         During churn the rings written are the live ones (the block the
         next merge would install), and a label cut short by churn is
         padded with -1 after its last level, so a loaded copy routes like
-        the structure that was saved."""
+        the structure that was saved.  Once updated, the meta also holds
+        the paper's K fixed at build, which the loaded copy's table
+        accounting uses instead of the written rings' largest."""
         fh_meta, fh_arrays = self.first_hops.to_arrays()
         arrays = dict(self.graph.to_adjacency_arrays())
         arrays.update(fh_arrays)
@@ -403,6 +574,13 @@ class RingRouting(RoutingScheme):
             "ring_radius": [float(r) for r in self._ring_radius],
             "first_hops": fh_meta,
         }
+        # Churn only shrinks rings, so once updated the rings written may
+        # no longer hold the build-time K (nor those a loaded copy of an
+        # updated structure holds); a never-updated build writes none
+        # and keeps its content hash.
+        k = self._max_ring_card
+        if patch is not None or k != self.rings_packed.max_ring_cardinality():
+            meta["max_ring_cardinality"] = int(k)
         return meta, arrays
 
     @classmethod
@@ -446,7 +624,9 @@ class RingRouting(RoutingScheme):
         scheme._indptr = scheme.rings_packed.indptr
         scheme._members = scheme.rings_packed.members
         scheme._sizes = scheme.rings_packed.ring_sizes()
-        scheme._max_ring_card = scheme.rings_packed.max_ring_cardinality()
+        scheme._max_ring_card = int(
+            meta.get("max_ring_cardinality", scheme.rings_packed.max_ring_cardinality())
+        )
         scheme._zoom = np.asarray(arrays["zoom"])
         # A label ends at its first -1 (padding written for churn-cut labels).
         label_indices = np.asarray(arrays["label_indices"])

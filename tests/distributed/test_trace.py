@@ -85,6 +85,32 @@ class TestSerialization:
         event = ChurnEvent(at=3.0, leaves=(1, 5), joins=(2,))
         assert ChurnEvent.from_dict(event.to_dict()) == event
 
+    @pytest.mark.parametrize(
+        "events, match",
+        [
+            ([{"at": 0, "leaves": [1.9, True], "joins": [5]}],
+             r"trace event 0: churn event at=0.0: leave ids must be integers"),
+            ([{"at": 0, "leaves": [2]}, {"at": 1, "joins": [True]}],
+             r"trace event 1: .*join ids must be integers"),
+            ([{"at": 0, "leaves": [1], "joins": [57]}],
+             r"trace event 0: .*join ids out of range \[0, 10\): \[57\]"),
+            ([{"at": 0, "leaves": [-1]}],
+             r"trace event 0: .*leave ids out of range \[0, 10\): \[-1\]"),
+            ([{"at": 0, "leaves": [2]}, {"at": 1, "leaves": [3, 4], "joins": [2, 4]}],
+             r"trace event 1: churn event at=1.0: nodes both leave and join: \[4\]"),
+        ],
+    )
+    def test_bad_ids_are_refused_naming_the_event(self, events, match):
+        with pytest.raises(ValueError, match=match):
+            ChurnTrace.from_dict({"n": 10, "events": events})
+
+    def test_event_ids_are_python_ints_and_digests_hold(self):
+        for seed in range(4):
+            trace = ChurnTrace.generate(n=40, events=12, rate=0.1, seed=seed)
+            again = ChurnTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
+            assert again == trace and again.digest() == trace.digest()
+            assert all(type(x) is int for e in again.events for x in e.leaves + e.joins)
+
     def test_describe_carries_digest(self):
         trace = ChurnTrace.generate(n=16, events=6, rate=0.2, seed=4)
         desc = trace.describe()

@@ -136,6 +136,25 @@ class TestRoutingSaveDuringChurn:
         assert loaded.inner.labels == fitted.inner.labels
         assert self._assert_same_routes(fitted, loaded) > 0
 
+    def test_build_time_k_survives_a_save_during_churn(self, tmp_path):
+        fitted = self._build()
+        live = fitted.inner
+        k = live.max_ring_cardinality()
+        row = int(np.diff(live._indptr).argmax())
+        largest = live._members[live._indptr[row] : live._indptr[row + 1]]
+        api.update(fitted, leaves=largest[-3:].tolist())
+        loaded = self._roundtrip(fitted, tmp_path)
+        assert loaded.inner.max_ring_cardinality() == k
+        for u in range(self.N):
+            assert (
+                loaded.inner.table_bits(u, dense_translation=True).total_bits
+                == live.table_bits(u, dense_translation=True).total_bits
+            )
+        # a copy saved again from the loaded one keeps it too
+        again = tmp_path / "again.repro"
+        api.save(loaded, again)
+        assert api.load(again).inner.max_ring_cardinality() == k
+
     def test_pending_patch_saves_live_rings(self, tmp_path, monkeypatch):
         # the merge policy reads these at call time: the patch stays pending
         monkeypatch.setattr(patch_policy, "MERGE_DIRTY_FRACTION", 1.1)
