@@ -1,4 +1,4 @@
-"""Experiment ``ablations`` — the design choices DESIGN.md calls out.
+"""Experiment ``ablations`` — five design choices, each against its alternative.
 
 1. **X+Y vs X-only vs Y-only rings** (Thm 5.2a): property (*) needs both
    families — X alone loses the long-range jumps, Y alone loses the

@@ -1,7 +1,7 @@
 """Benchmark harness support.
 
 Every bench module regenerates one artifact of the paper's evaluation
-(see DESIGN.md's experiment index).  Reproduction tables are printed and
+(EXPERIMENTS.md indexes them).  Reproduction tables are printed and
 also written under ``benchmarks/results/`` so they survive pytest's
 output capture; EXPERIMENTS.md summarizes them.
 """

@@ -4,7 +4,8 @@
 The motivating application of §3 ([29, 26, 35, 20, 33]): estimate
 pairwise latencies of a large node set from small per-node labels.  We
 simulate an internet-like latency matrix (hierarchical clusters +
-jitter — see DESIGN.md for the substitution note), then compare:
+jitter, a stand-in for measured latency traces, which we do not have;
+see :mod:`repro.metrics.synthetic`), then compare:
 
 * the [33, 50] baseline — every node measures the same k random beacons:
   an (ε,δ)-triangulation where an ε-fraction of pairs has a bad

@@ -47,6 +47,24 @@ def integer_ids(ids, what: str = "node") -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def integer_field(value, field: str, ndim: int = 0):
+    """A count or seed field (``ndim=0``) or a list of them (``ndim=1``)
+    as a Python int or list of ints.
+
+    The value is read by :func:`integer_ids`, so a bool, a float or a
+    string raises :class:`ValueError` (naming ``field``) instead of being
+    truncated: ``"n": 10.7`` would otherwise load as 10 and ``true`` as 1.
+    """
+    try:
+        arr = integer_ids(value, field)
+    except ValueError:
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        kind = "an integer" if ndim == 0 else "a list of integers"
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
+    return arr.tolist()
+
+
 def _holds_bools(ids, arr: np.ndarray) -> bool:
     """Whether the sequence ``ids``, read by NumPy as the int array
     ``arr``, holds a bool.  Read as an int a bool is 0 or 1, so only an

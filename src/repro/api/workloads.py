@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from repro._types import integer_field
 from repro.graphs.generators import grid_graph, knn_geometric_graph
 from repro.graphs.graph import WeightedGraph
 from repro.labeling._scales import ScaleStructure
@@ -61,7 +62,9 @@ class Workload:
     ) -> "Workload":
         entry = WORKLOADS.get(name)  # validates the name early
         defaulted = n is None
-        n = DEFAULT_N if defaulted else int(n)
+        n = DEFAULT_N if defaulted else integer_field(n, f"workload {name!r} n")
+        if seed is not None:
+            seed = integer_field(seed, f"workload {name!r} seed")
         if n < 2:
             origin = (
                 f"defaulted from repro.api.DEFAULT_N = {DEFAULT_N}"
@@ -84,7 +87,7 @@ class Workload:
         # default value yields the same (hashable) spec — and cache key —
         # as omitting it.
         full = {**defaults, **params}
-        return cls(name=name, n=int(n), seed=seed,
+        return cls(name=name, n=n, seed=seed,
                    params=tuple(sorted(full.items())))
 
     @property

@@ -372,9 +372,17 @@ class CSRPatch:
         reconverge to the same canonical block.
         """
         mask = self.membership.active[self.pristine_keys]
-        cum = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
+        indptr = self.pristine_indptr
+        # Live entries per row, summed segment by segment (reduceat needs
+        # the empty rows left out): no temporary the size of the block.
+        counts = np.zeros(indptr.size - 1, dtype=np.int64)
+        filled = np.flatnonzero(np.diff(indptr))
+        if filled.size:
+            counts[filled] = np.add.reduceat(mask, indptr[filled], dtype=np.int64)
+        live_indptr = np.zeros(indptr.size, dtype=np.int64)
+        np.cumsum(counts, out=live_indptr[1:])
         return (
-            cum[self.pristine_indptr],
+            live_indptr,
             self.pristine_keys[mask],
             tuple(p[mask] for p in self.pristine_payloads),
         )

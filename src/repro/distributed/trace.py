@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro._types import integer_ids
+from repro._types import integer_field, integer_ids
 from repro.rng import SeedLike, ensure_rng
 
 __all__ = ["ChurnEvent", "ChurnTrace"]
@@ -186,7 +186,7 @@ class ChurnTrace:
         """The trace :meth:`to_dict` wrote, each event validated against
         the universe ``[0, n)`` (:meth:`ChurnEvent.from_dict`); a bad
         event raises :class:`ValueError` naming its index."""
-        n = int(data["n"])
+        n = integer_field(data["n"], "trace n")
         events = []
         for i, event in enumerate(data.get("events", ())):
             try:
@@ -196,7 +196,7 @@ class ChurnTrace:
         return cls(
             n=n,
             events=tuple(events),
-            seed=None if data.get("seed") is None else int(data["seed"]),
+            seed=None if data.get("seed") is None else integer_field(data["seed"], "trace seed"),
             rate=float(data.get("rate", 0.0)),
         )
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
+from repro._types import integer_field
 from repro.api.configs import PlanConfig
 from repro.api.registry import SCHEMES
 from repro.api.workloads import Workload
@@ -215,7 +216,7 @@ class Cell:
             label=data.get("label", ""),
             config=_sorted_items(dict(data.get("config", {}))),
             plan=PlanConfig.from_dict(data["plan"]),
-            seed=int(data.get("seed", 0)),
+            seed=integer_field(data.get("seed", 0), "cell seed"),
             probes=tuple(data.get("probes", ())),
         )
 
@@ -278,7 +279,7 @@ class ExperimentSpec:
                 p if isinstance(p, PlanConfig) else PlanConfig.from_dict(p)
                 for p in plans
             ),
-            seeds=tuple(int(s) for s in seeds),
+            seeds=tuple(integer_field(seeds, "seeds", ndim=1)),
             probes=tuple(probes),
             overrides=tuple(
                 o if isinstance(o, CellOverride) else CellOverride.from_dict(o)

@@ -159,7 +159,8 @@ def internet_like_graph(
     """kNN graph over hierarchically clustered points (AS-topology stand-in).
 
     See :func:`repro.metrics.synthetic.internet_like_metric` for the
-    placement model and the substitution rationale in DESIGN.md.
+    placement model, and :mod:`repro.metrics.synthetic` for why a
+    synthetic stand-in replaces measured latencies.
     """
     if n < 2:
         raise ValueError("n must be at least 2")

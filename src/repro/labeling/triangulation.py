@@ -123,10 +123,9 @@ class RingTriangulation:
         chunks_ids: list[np.ndarray] = []
         chunks_dist: list[np.ndarray] = []
         for u in range(metric.n):
-            row = np.asarray(metric.distances_from(u), dtype=float)
-            ids = np.asarray(self.scales.all_neighbors(u), dtype=np.int64)
+            ids = self.scales.all_neighbors(u)
             chunks_ids.append(ids)
-            chunks_dist.append(row[ids])
+            chunks_dist.append(np.asarray(metric.distances_from(u), dtype=float)[ids])
         self._indptr, self._ids = pack_csr(chunks_ids, dtype=np.int64)
         _, self._dist = pack_csr(chunks_dist, dtype=float)
         self._packed: Optional[PackedLabels] = None

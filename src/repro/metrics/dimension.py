@@ -18,7 +18,7 @@ lemma in the paper actually uses.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -35,14 +35,24 @@ def greedy_ball_cover(
     Repeatedly selects an uncovered node, adds it as a center, and removes
     every node within ``radius`` of it.  Returns the list of centers.
     """
+    return greedy_cover_rows(metric, nodes, radius)[0]
+
+
+def greedy_cover_rows(
+    metric: MetricSpace, nodes: np.ndarray, radius: float
+) -> Tuple[list[NodeId], list[np.ndarray]]:
+    """:func:`greedy_ball_cover`'s centers, each with the distance row the
+    scan read for it (callers weigh the cover balls from those rows)."""
     remaining = np.asarray(nodes, dtype=int)
     centers: list[NodeId] = []
+    rows: list[np.ndarray] = []
     while remaining.size:
         center = int(remaining[0])
-        centers.append(center)
         row = metric.distances_from(center)
+        centers.append(center)
+        rows.append(row)
         remaining = remaining[row[remaining] > radius]
-    return centers
+    return centers, rows
 
 
 def doubling_dimension(

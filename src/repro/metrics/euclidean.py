@@ -14,6 +14,16 @@ import numpy as np
 from repro._types import NodeId
 from repro.metrics.base import DEFAULT_ROW_CACHE_BYTES, MetricSpace, RowCache
 
+#: Max (rows x columns) elements per block of the extremes scan (~2 MB
+#: of float64 per transient array).
+_EXTREMES_BLOCK_ELEMS = 1 << 18
+
+#: Relative slack within which a pair's blocked surrogate counts as a
+#: candidate extreme.  The surrogate and the row formula add the same
+#: non-negative terms in different orders, so they differ by a few ulps
+#: per dimension; 1e-9 leaves room for millions of dimensions.
+_EXTREMES_SLACK = 1e-9
+
 
 class EuclideanMetric(MetricSpace):
     """Metric induced by points in ``R^k`` under an l_p norm.
@@ -64,6 +74,71 @@ class EuclideanMetric(MetricSpace):
         if np.isinf(self._p):
             return np.abs(diff).max(axis=-1)
         return np.power(np.power(np.abs(diff), self._p).sum(axis=-1), 1.0 / self._p)
+
+    def _surrogate_block(self, rows: slice, cols: slice) -> np.ndarray:
+        """A monotone surrogate of the distance for a rows-by-cols block:
+        the sum of |gap|^p over dimensions (the max of |gap| for p = inf),
+        accumulated one dimension at a time."""
+        p = self._p
+        out = None
+        for a, b in zip(self._points[rows].T, self._points[cols].T):
+            gap = np.subtract(a[:, None], b[None, :])
+            if p == 2.0:
+                np.multiply(gap, gap, out=gap)
+            else:
+                np.abs(gap, out=gap)
+                if np.isinf(p):
+                    out = gap if out is None else np.maximum(out, gap, out=out)
+                    continue
+                if p != 1.0:
+                    np.power(gap, p, out=gap)
+            out = gap if out is None else np.add(out, gap, out=out)
+        return out
+
+    def _compute_extremes(self) -> Tuple[float, float]:
+        """The row scan's exact minimum and maximum over all pairs, without
+        computing or caching a row.
+
+        A blocked pass over the upper triangle evaluates
+        :meth:`_surrogate_block`.  Its order of summation differs from the
+        row formula's, so it only locates candidates: in each block that
+        can still hold an extreme, the pairs within
+        :data:`_EXTREMES_SLACK` of the block's minimum or maximum.  The
+        row formula decides among them, so the floats are those a scan of
+        :meth:`distances_from` rows returns.
+        """
+        if self._extremes is not None:
+            return self._extremes
+        n = self.n
+        if n <= 1:
+            self._extremes = (1.0, 1.0)
+            return self._extremes
+        up, down = 1.0 + _EXTREMES_SLACK, 1.0 - _EXTREMES_SLACK
+        low, high = np.inf, -np.inf  # surrogate extremes so far
+        min_d, max_d = np.inf, 0.0
+        start = 0
+
+        def exact(near: np.ndarray) -> np.ndarray:
+            """Row-formula distances of the block pairs ``near`` marks."""
+            us, vs = np.nonzero(near)
+            return self._norm(self._points[vs + start] - self._points[us + start])
+
+        while start < n - 1:
+            stop = min(n - 1, start + max(1, _EXTREMES_BLOCK_ELEMS // (n - start)))
+            block = self._surrogate_block(slice(start, stop), slice(start, n))
+            peak = float(block.max())  # the zero pairs (u, u) cannot raise it
+            if peak >= high * down:
+                max_d = max(max_d, float(exact(block >= peak * down).max()))
+                high = max(high, peak)
+            diagonal = np.arange(stop - start)
+            block[diagonal, diagonal] = np.inf
+            floor = float(block.min())
+            if floor <= low * up:
+                min_d = min(min_d, float(exact(block <= floor * up).min()))
+                low = min(low, floor)
+            start = stop
+        self._extremes = (min_d, max_d)
+        return self._extremes
 
     def distances_from(self, u: NodeId) -> np.ndarray:
         row = self._rows.get(u)

@@ -27,6 +27,7 @@ than uniformly.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Optional
 
 import numpy as np
@@ -35,6 +36,9 @@ from repro._types import NodeId
 from repro.metrics.base import MetricSpace
 from repro.metrics.nets import NestedNets
 from repro.rng import SeedLike, ensure_rng
+
+#: Max elements per stacked block of distance rows (~8 MB of float64).
+_BLOCK_ELEMS = 1 << 20
 
 
 class DoublingMeasure:
@@ -64,10 +68,49 @@ class DoublingMeasure:
         closed ball has measure at least ``eps``."""
         row = self.metric.distances_from(u)
         order = np.argsort(row, kind="stable")
-        cum = np.cumsum(self.weights[order])
-        idx = int(np.searchsorted(cum, eps - 1e-15, side="left"))
-        idx = min(idx, self.metric.n - 1)
-        return float(row[order[idx]])
+        return float(row[order[_mass_rank(self.weights[order], eps)]])
+
+    def radii_for_mass(self, eps: float) -> np.ndarray:
+        """:meth:`radius_for_mass` of every node, in id order.
+
+        Under equal weights the cumulative mass in nearest-first order is
+        the same from every node, so ``r_u(eps)`` is one order statistic
+        of every row: one partition per block of rows replaces a sort of
+        each row.
+        """
+        n = self.metric.n
+        if self.count_masses is None:
+            return np.array([self.radius_for_mass(u, eps) for u in range(n)])
+        rank = _mass_rank(self.weights, eps)
+        out = np.empty(n)
+        chunk = max(1, _BLOCK_ELEMS // n)
+        for start in range(0, n, chunk):
+            rows = [self.metric.distances_from(u) for u in range(start, min(n, start + chunk))]
+            out[start : start + len(rows)] = np.partition(rows, rank, axis=1)[:, rank]
+        return out
+
+    @cached_property
+    def count_masses(self) -> Optional[np.ndarray]:
+        """``table[k]``: µ of any k nodes, when every node weighs the same.
+
+        Each entry is the sum ``weights[members].sum()`` gives for k
+        members (equal summands, so it depends on k alone), so a ball's
+        mass follows exactly from its count.  None when the weights
+        differ, as for :func:`doubling_measure`.
+        """
+        weights = self.weights
+        if not np.all(weights == weights[0]):
+            return None
+        return np.array([weights[:k].sum() for k in range(weights.size + 1)])
+
+    def masses(self, inside: np.ndarray) -> np.ndarray:
+        """µ of the node set each row of a boolean ``(m, n)`` block marks,
+        equal to :meth:`mass` of each set: from counts under equal
+        weights, one sum per row otherwise."""
+        table = self.count_masses
+        if table is not None:
+            return table[np.count_nonzero(inside, axis=1)]
+        return np.array([self.weights[row].sum() for row in inside])
 
     def sample_from_ball(
         self, u: NodeId, r: float, count: int, rng: np.random.Generator
@@ -101,6 +144,15 @@ class DoublingMeasure:
                 den = self.ball_mass(u, r / 2.0)
                 worst = max(worst, num / den)
         return worst
+
+
+def _mass_rank(ordered_weights: np.ndarray, eps: float) -> int:
+    """Position, in nearest-first order, of the node at which the
+    cumulative mass first reaches ``eps`` (the last node if it never
+    does)."""
+    cum = np.cumsum(ordered_weights)
+    idx = int(np.searchsorted(cum, eps - 1e-15, side="left"))
+    return min(idx, cum.size - 1)
 
 
 def counting_measure(metric: MetricSpace) -> DoublingMeasure:

@@ -17,6 +17,16 @@ The construction follows Appendix A exactly:
 
 Balls are treated as node sets, and disjointness means set disjointness,
 as in the paper's proof.
+
+The descent works on the distance rows it already holds.  All radii
+``r_u(ε)`` come from :meth:`DoublingMeasure.radii_for_mass` (one
+partition per block of rows under the counting measure).  Each step
+weighs its cover balls with one compare over the rows the greedy cover
+read; under equal weights a ball's mass is then a table lookup by its
+count (:attr:`DoublingMeasure.count_masses`, the exact sum of that many
+equal weights), and under a non-uniform measure one sum per ball.
+Neither makes a ``metric.ball`` or ``mu.ball_mass`` call per cover
+centre, and both give the floats the per-ball sums give.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import numpy as np
 
 from repro._types import NodeId
 from repro.metrics.base import MetricSpace
-from repro.metrics.dimension import greedy_ball_cover
+from repro.metrics.dimension import greedy_cover_rows
 from repro.metrics.measure import DoublingMeasure, counting_measure
 
 
@@ -93,17 +103,31 @@ class EpsMuPacking:
         return True
 
 
+def _heaviest_node(mu: DoublingMeasure, inside: np.ndarray) -> PackedBall:
+    """The radius-0 ball on the heaviest node (the first on ties) of the
+    node set ``inside`` marks."""
+    members = np.flatnonzero(inside)
+    heavy = int(members[np.argmax(mu.weights[members])])
+    return PackedBall(
+        center=heavy, radius=0.0, members=(heavy,), measure=float(mu.weights[heavy])
+    )
+
+
 def _candidate_ball(
-    metric: MetricSpace, mu: DoublingMeasure, u: NodeId, eps: float
+    metric: MetricSpace, mu: DoublingMeasure, u: NodeId, r_u: float, eps: float
 ) -> PackedBall:
-    """Appendix A's per-node candidate: a u-zooming ball or a heavy node."""
-    r_u = mu.radius_for_mass(u, eps)
+    """Appendix A's per-node candidate: a u-zooming ball or a heavy node.
+
+    Each step weighs its cover balls from the rows the greedy cover
+    already read: one compare over the stacked rows, and
+    :meth:`DoublingMeasure.masses` turns the marked sets into masses.
+    """
     min_d = metric.min_distance()
 
     # Start from B_u(r_u) itself; r_u may be 0 (a single node can already
     # carry measure eps), in which case the first check below returns the
     # singleton {u} immediately.
-    center, radius = u, r_u
+    row, radius = metric.distances_from(u), r_u
     while True:
         # "radius < 4 min_d" is the paper's radius/8 < min_d/2 written so
         # it cannot underflow to a never-true comparison when min_d is
@@ -114,43 +138,27 @@ def _candidate_ball(
             # current ball has measure >= eps/16^alpha at every step, and
             # the paper's argument shows a heavy *node* (measure >= eps /
             # cover-size) exists here.
-            members = metric.ball(center, radius)
-            heavy = int(members[np.argmax(mu.weights[members])])
+            return _heaviest_node(mu, row <= radius)
+        eighth = radius / 8.0
+        cover, rows = greedy_cover_rows(metric, np.flatnonzero(row <= radius), eighth)
+        inside = np.asarray(rows) <= eighth
+        # The heaviest cover ball B_v(radius/8) (the first on ties); its
+        # measure is at least mu(current ball) / |cover| >= eps / 16^alpha.
+        masses = mu.masses(inside)
+        best = int(np.argmax(masses))
+        if mu.masses(rows[best][None, :] <= radius / 2.0)[0] <= eps:
             return PackedBall(
-                center=heavy,
-                radius=0.0,
-                members=(heavy,),
-                measure=float(mu.weights[heavy]),
-            )
-        members = metric.ball(center, radius)
-        cover = greedy_ball_cover(metric, members, radius / 8.0)
-        # The heaviest cover ball B_v(radius/8); its measure is at least
-        # mu(current ball) / |cover| >= eps / 16^alpha.
-        best_v, best_mass = None, -1.0
-        for v in cover:
-            m = mu.ball_mass(v, radius / 8.0)
-            if m > best_mass:
-                best_v, best_mass = v, m
-        assert best_v is not None
-        if mu.ball_mass(best_v, radius / 2.0) <= eps:
-            inner = metric.ball(best_v, radius / 8.0)
-            return PackedBall(
-                center=int(best_v),
-                radius=radius / 8.0,
-                members=tuple(int(x) for x in inner),
-                measure=float(best_mass),
+                center=cover[best],
+                radius=eighth,
+                members=tuple(np.flatnonzero(inside[best]).tolist()),
+                measure=float(masses[best]),
             )
         next_radius = radius / 2.0
         if next_radius >= radius:
             # Float halving stalled (denormal range); fall back to the
             # heaviest single node of the current ball.
-            members = metric.ball(center, radius)
-            heavy = int(members[np.argmax(mu.weights[members])])
-            return PackedBall(
-                center=heavy, radius=0.0, members=(heavy,),
-                measure=float(mu.weights[heavy]),
-            )
-        center, radius = best_v, next_radius
+            return _heaviest_node(mu, row <= radius)
+        row, radius = rows[best], next_radius
 
 
 def eps_mu_packing(
@@ -168,20 +176,16 @@ def eps_mu_packing(
         mu = counting_measure(metric)
 
     # Per-node candidates, deduplicated by (center, radius): many nodes
-    # yield the same ball and the maximal-disjoint scan only needs each once.
+    # yield the same ball and the maximal-disjoint scan only needs each
+    # once.  The dict keeps the first-seen (node) order.
     candidates: Dict[Tuple[NodeId, float], PackedBall] = {}
-    order: List[Tuple[NodeId, float]] = []
-    for u in range(metric.n):
-        ball = _candidate_ball(metric, mu, u, eps)
-        key = (ball.center, ball.radius)
-        if key not in candidates:
-            candidates[key] = ball
-            order.append(key)
+    for u, r_u in enumerate(mu.radii_for_mass(eps).tolist()):
+        ball = _candidate_ball(metric, mu, u, r_u, eps)
+        candidates.setdefault((ball.center, ball.radius), ball)
 
     chosen: List[PackedBall] = []
     used: set[NodeId] = set()
-    for key in order:
-        ball = candidates[key]
+    for ball in candidates.values():
         if used.isdisjoint(ball.members):
             chosen.append(ball)
             used.update(ball.members)

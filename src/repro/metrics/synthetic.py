@@ -14,9 +14,9 @@ These generators supply the instance families the paper reasons about:
 * :func:`clustered_metric` / :func:`internet_like_metric` — hierarchically
   clustered point sets with small perturbations, the standard synthetic
   stand-in for Internet latency matrices used by the triangulation line of
-  work [33, 50, 57].  (Substitution documented in DESIGN.md: we have no
-  production latency traces; these metrics have measured doubling dimension
-  in the 2–6 range the papers assume and exercise identical code paths.)
+  work [33, 50, 57].  (A substitution: we have no production latency
+  traces; these metrics have measured doubling dimension in the 2–6 range
+  the papers assume and exercise identical code paths.)
 * :func:`ring_metric` — points on a circle; low-dimensional, used for
   variety in property tests.
 """

@@ -25,7 +25,7 @@ ball members (the paper's subtree-range trick), the owner ``v_t`` of
 ID(t) stores a low-hop path to t, and the packet is source-routed on the
 final leg.
 
-Documented pragmatic deviations (DESIGN.md §5): the intra-ball tree is
+Two pragmatic deviations from the paper: the intra-ball tree is
 realized as full-graph shortest paths from the anchor (same distances,
 different relay set); the switch level i is chosen from the label-based
 distance estimate with a fallback scan to coarser levels (the paper's

@@ -142,6 +142,24 @@ class TestCSRPatch:
         assert patch.dirty_row_count == 0
         assert patch.is_clean()
 
+    @pytest.mark.parametrize(
+        "indptr, keys",
+        [([0, 0, 2, 2, 3, 3], [1, 3, 0]),  # empty rows first, inside, last
+         ([0, 0, 0], []),  # no entries at all
+         ([0, 2], [0, 4])],
+    )
+    def test_live_indptr_counts_live_entries_per_row(self, indptr, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        patch = CSRPatch(np.asarray(indptr), keys, payloads=(keys * 0.5,), universe=5)
+        patch.apply(leaves=[0, 3])
+        live_indptr, live_keys, (live_dist,) = patch.live_arrays()
+        rows = [keys[a:b] for a, b in zip(indptr, indptr[1:])]
+        expected = np.cumsum([0] + [int(np.isin(r, [1, 2, 4]).sum()) for r in rows])
+        assert live_indptr.dtype == np.int64
+        assert live_indptr.tolist() == expected.tolist()
+        assert live_keys.tolist() == [k for k in keys.tolist() if k in (1, 2, 4)]
+        assert np.array_equal(live_dist, live_keys * 0.5)
+
     def test_leave_rejoin_reconverges_to_pristine(self):
         patch = _toy_patch()
         patch.apply(leaves=[1, 2])

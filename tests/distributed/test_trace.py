@@ -104,12 +104,29 @@ class TestSerialization:
         with pytest.raises(ValueError, match=match):
             ChurnTrace.from_dict({"n": 10, "events": events})
 
+    @pytest.mark.parametrize(
+        "scalars, match",
+        [
+            ({"n": 10.7, "seed": 2}, r"trace n must be an integer, got 10.7"),
+            ({"n": True}, r"trace n must be an integer, got True"),
+            ({"n": "10"}, r"trace n must be an integer"),
+            ({"n": 10, "seed": 2.9}, r"trace seed must be an integer, got 2.9"),
+            ({"n": 10, "seed": False}, r"trace seed must be an integer, got False"),
+        ],
+    )
+    def test_scalars_must_be_integers(self, scalars, match):
+        """A float or bool count or seed would otherwise be truncated
+        (``10.7`` to 10, ``true`` to 1)."""
+        with pytest.raises(ValueError, match=match):
+            ChurnTrace.from_dict({**scalars, "events": [{"at": 0, "leaves": [1]}]})
+
     def test_event_ids_are_python_ints_and_digests_hold(self):
         for seed in range(4):
             trace = ChurnTrace.generate(n=40, events=12, rate=0.1, seed=seed)
             again = ChurnTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
             assert again == trace and again.digest() == trace.digest()
             assert all(type(x) is int for e in again.events for x in e.leaves + e.joins)
+            assert type(again.n) is int and type(again.seed) is int
 
     def test_describe_carries_digest(self):
         trace = ChurnTrace.generate(n=16, events=6, rate=0.2, seed=4)

@@ -93,6 +93,50 @@ class TestValidation:
         with pytest.raises(ValueError, match="no schemes"):
             ExperimentSpec.make("x", workloads=spec.workloads, schemes=[])
 
+    @pytest.mark.parametrize(
+        "seeds, match",
+        [([1.9, True], r"seeds must be a list of integers"),
+         ([1, True], r"seeds must be a list of integers"),
+         (3, r"seeds must be a list of integers, got 3")],
+    )
+    def test_seeds_must_be_integers(self, spec, seeds, match):
+        """``[1.9, true]`` would otherwise load as seeds (1, 1)."""
+        data = spec.to_dict()
+        data["seeds"] = seeds
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("n", 32.7, r"workload 'hypercube' n must be an integer, got 32.7"),
+         ("n", True, r"workload 'hypercube' n must be an integer, got True"),
+         ("seed", 1.5, r"workload 'hypercube' seed must be an integer, got 1.5")],
+    )
+    def test_workload_scalars_must_be_integers(self, spec, field, value, match):
+        data = spec.to_dict()
+        data["workloads"][0][field] = value
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_cell_seed_must_be_an_integer(self, spec, seed):
+        from repro.experiments import Cell
+
+        data = spec.cells()[0].to_dict()
+        data["seed"] = seed
+        with pytest.raises(ValueError, match=r"cell seed must be an integer"):
+            Cell.from_dict(data)
+
+    def test_integer_scalars_load_as_python_ints(self, spec):
+        from repro.experiments import Cell
+
+        again = ExperimentSpec.from_dict(json.loads(spec.to_json()))
+        assert all(type(s) is int for s in again.seeds)
+        assert all(type(w.n) is int and type(w.seed) is int for w in again.workloads)
+        cell = Cell.from_dict(json.loads(json.dumps(spec.cells()[0].to_dict())))
+        assert type(cell.seed) is int
+        assert again.spec_hash() == spec.spec_hash()
+
     def test_unknown_plan_key_rejected(self, spec):
         data = spec.to_dict()
         data["plans"][0]["pares"] = 3

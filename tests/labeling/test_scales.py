@@ -1,6 +1,7 @@
 """ScaleStructure — the shared X/Y/zooming skeleton of §3."""
 
 
+import numpy as np
 import pytest
 
 from repro.labeling._scales import ScaleStructure
@@ -127,3 +128,44 @@ class TestZooming:
         for u in (0, 16, 31):
             seq = s.zooming_sequence(u)
             assert len(seq) == s.levels_n
+
+
+class TestAllNeighbors:
+    @pytest.mark.parametrize("name", ["scales_hypercube32", "scales_expline32"])
+    def test_sorted_int64_union_of_the_scale_sets(self, request, name):
+        s = request.getfixturevalue(name)
+        for u in range(s.metric.n):
+            union = set()
+            for i in range(s.levels_n):
+                union.update(s.x_neighbors(u, i), s.y_neighbors(u, i))
+            got = s.all_neighbors(u)
+            assert got.dtype == np.int64
+            assert got.tolist() == sorted(union)
+
+    def test_scale_sets_are_the_closed_ball_definitions(self):
+        """On an evenly spaced line many net points and packing balls sit
+        exactly on the X and Y radii, so the boundary ties are decided."""
+        from repro.metrics import uniform_line
+
+        metric = uniform_line(96)
+        s = ScaleStructure(metric, delta=0.3)
+        for u in range(metric.n):
+            row = metric.distances_from(u)
+            for i in range(s.levels_n):
+                bound = s.r_prev(u, i)
+                reach = {b.center for b in s.packings[i] if row[b.center] + b.radius <= bound}
+                assert s.x_neighbors(u, i) == tuple(sorted(reach))
+                level = s.y_level(u, i)
+                if i == 0:
+                    ball = s.nets.net(level)
+                else:
+                    radius = s.y_ball_factor * s.rui(u, i) / s.delta
+                    ball = s.nets.members_in_ball(level, u, radius).tolist()
+                assert s.y_neighbors(u, i) == tuple(sorted(ball))
+
+    def test_accessors_return_tuples_of_ints(self, scales_expline32):
+        s = scales_expline32
+        for i in range(s.levels_n):
+            for ids in (s.x_neighbors(5, i), s.y_neighbors(5, i)):
+                assert type(ids) is tuple
+                assert all(type(v) is int for v in ids)

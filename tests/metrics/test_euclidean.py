@@ -63,3 +63,64 @@ class TestShape:
         m = EuclideanMetric(square)
         for u, v in m.pairs():
             assert m.distance(u, v) == pytest.approx(m.distance(v, u))
+
+
+def _row_scan(points: np.ndarray, p: float):
+    """min / max the base class reads from one distances_from row per node."""
+    from repro.metrics.base import MetricSpace
+
+    return MetricSpace._compute_extremes(EuclideanMetric(points, p=p))
+
+
+class TestExtremesScan:
+    """The blocked extremes scan returns the row scan's exact floats."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_equals_row_scan(self, dim, p):
+        rng = np.random.default_rng(dim)
+        for n in (2, 3, 57, 300):
+            # offset and scale so the coordinate gaps round differently
+            points = rng.random((n, dim)) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-1e3, 1e3)
+            m = EuclideanMetric(points, p=p)
+            assert m._compute_extremes() == _row_scan(points, p)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, np.inf])
+    def test_duplicate_points(self, p):
+        rng = np.random.default_rng(5)
+        points = rng.random((120, 3))
+        points[rng.integers(0, 120, 30)] = points[7]
+        m = EuclideanMetric(points, p=p)
+        assert m.min_distance() == 0.0
+        assert m._compute_extremes() == _row_scan(points, p)
+
+    def test_clustered_diameter(self):
+        """A plain dimension-by-dimension sum of squares reads this
+        diameter one ulp high, and the doubling measure built on it then
+        finds a node outside its net hierarchy."""
+        from repro.metrics.synthetic import clustered_metric
+
+        points = clustered_metric(96, seed=0).points
+        assert EuclideanMetric(points)._compute_extremes() == _row_scan(points, 2.0)
+
+    def test_surrogate_error_within_the_slack_is_absorbed(self):
+        """Distances tied to ~1e-13 and a surrogate that errs by ~1e-11
+        (another order of summation can err that way): the candidate
+        slack keeps every near-tie, and the row formula picks the floats."""
+
+        class Skewed(EuclideanMetric):
+            def _surrogate_block(self, rows, cols):
+                block = super()._surrogate_block(rows, cols)
+                noise = np.random.default_rng(block.size).uniform(-1e-11, 1e-11, block.shape)
+                return block * (1.0 + noise)
+
+        for seed in range(4):
+            base = np.random.default_rng(seed).random((20, 2))
+            points = np.concatenate([base + k * np.array([1e-13, -3e-13]) for k in range(5)])
+            assert Skewed(points)._compute_extremes() == _row_scan(points, 2.0)
+
+    def test_leaves_the_row_cache_alone(self):
+        m = EuclideanMetric(np.random.default_rng(1).random((400, 2)))
+        m.diameter()
+        stats = m._rows.stats()
+        assert (stats["rows"], stats["hits"], stats["misses"]) == (0, 0, 0)

@@ -84,3 +84,38 @@ class TestMeasureQueries:
         w[3] = 0.0
         with pytest.raises(ValueError, match="positive"):
             DoublingMeasure(hypercube32, w)
+
+
+class TestBatchedMasses:
+    """The batched forms the packing descent uses equal the per-node and
+    per-set queries bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 1000])
+    def test_count_table_is_the_exact_sum(self, n):
+        from repro.metrics import uniform_line
+
+        mu = counting_measure(uniform_line(n))
+        rng = np.random.default_rng(n)
+        for k in range(n + 1):
+            members = rng.choice(n, size=k, replace=False)
+            assert mu.count_masses[k] == mu.mass(members)
+
+    def test_non_uniform_measure_has_no_table(self, hypercube32):
+        assert doubling_measure(hypercube32).count_masses is None
+
+    @pytest.mark.parametrize("make", [counting_measure, doubling_measure])
+    def test_masses_equal_per_set_sums(self, hypercube32, make):
+        mu = make(hypercube32)
+        rows = np.array([hypercube32.distances_from(u) for u in range(hypercube32.n)])
+        for r in (0.0, 0.1, 0.35, 2.0):
+            inside = rows <= r
+            expected = [mu.mass(np.flatnonzero(m)) for m in inside]
+            assert mu.masses(inside).tolist() == expected
+
+    @pytest.mark.parametrize("make", [counting_measure, doubling_measure])
+    @pytest.mark.parametrize("eps", [1.0, 0.5, 0.3, 1 / 16, 1e-6])
+    def test_radii_equal_per_node_radii(self, hypercube32, expline32, make, eps):
+        for metric in (hypercube32, expline32):
+            mu = make(metric)
+            expected = [mu.radius_for_mass(u, eps) for u in range(metric.n)]
+            assert mu.radii_for_mass(eps).tolist() == expected
