@@ -88,5 +88,5 @@ class MutableScheme(Protocol):
         ...
 
     def compact(self):
-        """Force-merge pending churn into fresh packed arrays."""
+        """Force-merge pending churn, leaving nothing pending."""
         ...

@@ -194,6 +194,7 @@ class _MutableSchemeMixin:
                 f"updatable structure (metric-overlay routing is static); "
                 f"use a graph workload for incremental updates"
             )
+        joins, leaves = tuple(joins), tuple(leaves)  # read a generator once
         t0 = time.perf_counter()
         merged = inner.apply_update(joins=joins, leaves=leaves)
         update_s = time.perf_counter() - t0

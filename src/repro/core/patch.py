@@ -13,12 +13,13 @@ model:
   the order in which joins/leaves arrived.
 * A :class:`CSRPatch` wraps one CSR block (``indptr``, ``keys`` and any
   payload arrays aligned with ``keys``).  The pristine arrays are
-  retained forever; a *merged* copy (pristine filtered to the active set
-  at the last merge) serves reads on clean rows, while rows overlapping
-  pending churn are served from the pristine arrays masked by the live
-  active set.  Append-only join/tombstone segments record what is
-  pending; :meth:`CSRPatch.maybe_merge` folds them into a fresh packed
-  block when the merge policy (:func:`merge_due`) trips.
+  retained forever; rows overlapping pending churn are served from them
+  masked by the live active set.  Append-only join/tombstone segments
+  record what is pending; :meth:`CSRPatch.maybe_merge` folds them away
+  when the merge policy (:func:`merge_due`) trips.  A merge only commits
+  the membership snapshot: the *merged* block (pristine filtered to that
+  snapshot) is derived from it on its first read and kept until the next
+  merge, so a structure whose reads never consult it never copies it.
 * Reads of inactive nodes raise :class:`InactiveNode`
   (:func:`require_active`); reads that overlap a pending patch are the
   ones the structures bracket with an IVL-style bound (Rinberg &
@@ -52,6 +53,9 @@ __all__ = [
     "ivl_violations",
     "patch_stats",
 ]
+
+#: A CSR block: ``(indptr, keys, payloads)``.
+_Block = Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]
 
 #: Merge policy: fold pending churn once this share of rows is dirty ...
 MERGE_DIRTY_FRACTION = 0.5
@@ -177,7 +181,9 @@ class Membership:
         return join_ids, leave_ids
 
     def commit(self) -> None:
-        """Fold pending segments into the snapshot (called by a merge)."""
+        """Fold pending segments into the snapshot (called by a merge).
+        The snapshot is replaced by a fresh array, never written into, so
+        a caller may keep the committed one as the state of its merge."""
         self.snapshot = self.active.copy()
         self.join_segments = []
         self.leave_segments = []
@@ -253,12 +259,15 @@ def patch_stats(
 class CSRPatch:
     """A patch buffer over one CSR block of node-id rows.
 
-    The pristine ``(indptr, keys, payloads)`` arrays are never modified;
-    ``merged_*`` holds the pristine data filtered to the membership
-    snapshot of the last merge, and rows whose contents overlap pending
-    churn are flagged dirty and served from the pristine arrays masked by
-    the live active set (canonical order — identical to what a merge
-    would produce).
+    The pristine ``(indptr, keys, payloads)`` arrays are never modified.
+    Rows whose contents overlap pending churn are flagged dirty and
+    served from the pristine arrays masked by the live active set
+    (canonical order — identical to what a merge would produce).
+    ``merged_*`` and :meth:`merged_row` read the pristine block filtered
+    to the membership snapshot of the last merge; a merge keeps only that
+    snapshot, and the filtered block is built on the first such read
+    (never, for a structure that reads elsewhere) and cached until the
+    next merge.  Before any merge it is the pristine block itself.
     """
 
     def __init__(
@@ -286,10 +295,13 @@ class CSRPatch:
             membership = Membership(universe)
         self.membership = membership
         self.rows = int(self.pristine_indptr.size - 1)
-        # Served (merged) arrays start as aliases of the pristine block.
-        self.merged_indptr = self.pristine_indptr
-        self.merged_keys = self.pristine_keys
-        self.merged_payloads = self.pristine_payloads
+        # The membership snapshot of the last merge, and the block it
+        # filters (None until its first read); before any merge, the
+        # pristine block itself.
+        self._snapshot: Optional[np.ndarray] = None
+        self._merged: Optional[_Block] = (
+            self.pristine_indptr, self.pristine_keys, self.pristine_payloads,
+        )
         self._dirty = np.zeros(self.rows, dtype=bool)
         self.auto_merges = 0
         # Lazy inverted index over pristine keys: value -> rows holding it.
@@ -315,10 +327,10 @@ class CSRPatch:
         self._ensure_index()
         lo = np.searchsorted(self._inv_keys, ids, side="left")
         hi = np.searchsorted(self._inv_keys, ids, side="right")
-        hits = [self._inv_rows[a:b] for a, b in zip(lo, hi) if b > a]
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(hits))
+        hit = np.zeros(self.rows, dtype=bool)
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            hit[self._inv_rows[a:b]] = True
+        return np.flatnonzero(hit)
 
     # -- mutation -------------------------------------------------------
 
@@ -353,17 +365,33 @@ class CSRPatch:
         mask = self.membership.active[keys]
         return keys[mask], tuple(p[lo:hi][mask] for p in self.pristine_payloads)
 
+    def _merged_block(self) -> _Block:
+        """The block as of the last merge, filtered on first use."""
+        if self._merged is None:
+            self._merged = self._filtered(self._snapshot)
+        return self._merged
+
+    @property
+    def merged_indptr(self) -> np.ndarray:
+        return self._merged_block()[0]
+
+    @property
+    def merged_keys(self) -> np.ndarray:
+        return self._merged_block()[1]
+
+    @property
+    def merged_payloads(self) -> Tuple[np.ndarray, ...]:
+        return self._merged_block()[2]
+
     def merged_row(self, r: int) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
         """Row ``r`` as of the last merge (the pre-update IVL endpoint)."""
-        lo, hi = self.merged_indptr[r], self.merged_indptr[r + 1]
-        return (
-            self.merged_keys[lo:hi],
-            tuple(p[lo:hi] for p in self.merged_payloads),
-        )
+        indptr, keys, payloads = self._merged_block()
+        lo, hi = indptr[r], indptr[r + 1]
+        return keys[lo:hi], tuple(p[lo:hi] for p in payloads)
 
     # -- merging --------------------------------------------------------
 
-    def live_arrays(self) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+    def live_arrays(self) -> _Block:
         """``(indptr, keys, payloads)`` of the block a merge would install
         now, computed without committing anything.
 
@@ -371,9 +399,13 @@ class CSRPatch:
         previously-merged ones — so repeated leave/rejoin cycles always
         reconverge to the same canonical block.
         """
-        mask = self.membership.active[self.pristine_keys]
+        return self._filtered(self.membership.active)
+
+    def _filtered(self, active: np.ndarray) -> _Block:
+        """The pristine block without the entries ``active`` marks False."""
+        mask = active[self.pristine_keys]
         indptr = self.pristine_indptr
-        # Live entries per row, summed segment by segment (reduceat needs
+        # Kept entries per row, summed segment by segment (reduceat needs
         # the empty rows left out): no temporary the size of the block.
         counts = np.zeros(indptr.size - 1, dtype=np.int64)
         filled = np.flatnonzero(np.diff(indptr))
@@ -388,13 +420,13 @@ class CSRPatch:
         )
 
     def merge(self) -> None:
-        """Fold pending churn into a fresh packed CSR block
-        (:meth:`live_arrays`)."""
-        self.merged_indptr, self.merged_keys, self.merged_payloads = (
-            self.live_arrays()
-        )
+        """Fold pending churn: commit the membership and clear the dirty
+        flags.  The merged block (:meth:`live_arrays` as of now) is built
+        from the committed snapshot on its first read."""
         self._dirty[:] = False
         self.membership.commit()
+        self._snapshot = self.membership.snapshot
+        self._merged = None
 
     def maybe_merge(self) -> bool:
         """Merge when the merge policy (:func:`merge_due`) trips."""

@@ -242,6 +242,7 @@ class BeaconTriangulation:
     def estimate(self, u: NodeId, v: NodeId) -> float:
         """The distance estimate (the upper bound D+, as in the paper)."""
         u, v = as_node_pair(u, v, self.metric.n)
+        require_active(self._membership, u, v)
         if u == v:
             return 0.0
         return self.bounds(u, v)[1]

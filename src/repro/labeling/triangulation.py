@@ -22,6 +22,7 @@ labeling scheme matching Mendel & Har-Peled [44]: store each neighbor as a
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -126,8 +127,16 @@ class RingTriangulation:
             ids = self.scales.all_neighbors(u)
             chunks_ids.append(ids)
             chunks_dist.append(np.asarray(metric.distances_from(u), dtype=float)[ids])
-        self._indptr, self._ids = pack_csr(chunks_ids, dtype=np.int64)
-        _, self._dist = pack_csr(chunks_dist, dtype=float)
+        indptr, ids = pack_csr(chunks_ids, dtype=np.int64)
+        _, dist = pack_csr(chunks_dist, dtype=float)
+        self._init_labels(indptr, ids, dist)
+
+    def _init_labels(
+        self, indptr: np.ndarray, ids: np.ndarray, dist: np.ndarray
+    ) -> None:
+        # The pristine label block is kept as built; churn goes through a
+        # patch over it, created by the first update.
+        self._pristine = (indptr, ids, dist)
         self._packed: Optional[PackedLabels] = None
         self._patch: Optional[CSRPatch] = None
         self.revision = 0
@@ -136,50 +145,73 @@ class RingTriangulation:
 
     # -- CSR access --------------------------------------------------------
 
+    def _merged_labels(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, ids, dist)`` as of the last merge: the pristine
+        block until then, after it the patch's merged block (filtered
+        from the pristine one on its first read)."""
+        patch = self._patch
+        if patch is None:
+            return self._pristine
+        return patch.merged_indptr, patch.merged_keys, patch.merged_payloads[0]
+
+    @property
+    def _indptr(self) -> np.ndarray:
+        return self._merged_labels()[0]
+
+    @property
+    def _ids(self) -> np.ndarray:
+        return self._merged_labels()[1]
+
+    @property
+    def _dist(self) -> np.ndarray:
+        return self._merged_labels()[2]
+
     def _label_arrays(self, u: NodeId) -> Tuple[np.ndarray, np.ndarray]:
         patch = self._patch
         if patch is not None and patch.row_dirty(u):
             ids, (dist,) = patch.filtered_row(u)
             return ids, dist
-        lo, hi = self._indptr[u], self._indptr[u + 1]
-        return self._ids[lo:hi], self._dist[lo:hi]
+        indptr, ids, dist = self._merged_labels()
+        lo, hi = indptr[u], indptr[u + 1]
+        return ids[lo:hi], dist[lo:hi]
+
+    def _require_active(self, u: NodeId, v: NodeId) -> None:
+        """Refuse a read naming a departed node (:class:`InactiveNode`)."""
+        if self._patch is not None:
+            require_active(self._patch.membership, u, v)
 
     # -- incremental updates ----------------------------------------------
 
     def _ensure_patch(self) -> CSRPatch:
         if self._patch is None:
+            indptr, ids, dist = self._pristine
             self._patch = CSRPatch(
-                self._indptr, self._ids, payloads=(self._dist,),
-                universe=self.metric.n,
+                indptr, ids, payloads=(dist,), universe=self.metric.n,
             )
         return self._patch
-
-    def _adopt_merged(self) -> None:
-        patch = self._patch
-        self._indptr = patch.merged_indptr
-        self._ids = patch.merged_keys
-        self._dist = patch.merged_payloads[0]
 
     def apply_update(self, joins=(), leaves=()) -> bool:
         """Apply one join/leave batch to the label structure.
 
-        Labels stay pristine; reads filter by the live active set until
-        the merge policy (:func:`~repro.core.patch.merge_due`) trips a
-        merge.  Returns whether this update triggered an automatic merge.
+        Labels stay pristine.  Batched reads mask them by the live active
+        set, and scalar reads filter the rows that pending churn touches
+        the same way.  When the merge policy
+        (:func:`~repro.core.patch.merge_due`) trips, the merge commits the
+        membership and copies nothing: the merged block that clean scalar
+        reads, :attr:`order` and :meth:`to_arrays` consult is filtered
+        from the pristine one on its first such read.  Returns whether
+        this update triggered an automatic merge.
         """
         patch = self._ensure_patch()
         patch.apply(joins, leaves)
         self.revision += 1
-        merged = patch.maybe_merge()
-        if merged:
-            self._adopt_merged()
-        return merged
+        return patch.maybe_merge()
 
     def compact(self) -> PatchStats:
-        """Force-merge pending churn into a fresh packed CSR block."""
+        """Force-merge pending churn (the merged block follows on its
+        first read)."""
         patch = self._ensure_patch()
         patch.merge()
-        self._adopt_merged()
         return patch.stats()
 
     def pending_patch_stats(self) -> PatchStats:
@@ -237,6 +269,8 @@ class RingTriangulation:
     def beacons_of(self, u: NodeId) -> Dict[NodeId, float]:
         """u's beacon set S_u with exact distances (a materialized view;
         the packed arrays are the storage)."""
+        u, _ = as_node_pair(u, u, self.metric.n)
+        self._require_active(u, u)
         ids, dist = self._label_arrays(u)
         return {int(b): float(d) for b, d in zip(ids, dist)}
 
@@ -244,6 +278,8 @@ class RingTriangulation:
 
     def common_beacons(self, u: NodeId, v: NodeId) -> list[NodeId]:
         """``S_u ∩ S_v`` (the b's both labels know), ascending."""
+        u, v = as_node_pair(u, v, self.metric.n)
+        self._require_active(u, v)
         ids_u, _ = self._label_arrays(u)
         ids_v, _ = self._label_arrays(v)
         return [int(b) for b in np.intersect1d(ids_u, ids_v, assume_unique=True)]
@@ -262,6 +298,7 @@ class RingTriangulation:
     def bounds(self, u: NodeId, v: NodeId) -> Tuple[float, float]:
         """(D-, D+) over common beacons; (0, inf) when none exist."""
         u, v = as_node_pair(u, v, self.metric.n)
+        self._require_active(u, v)
         du, dv = self._common_distances(u, v)
         if du.size == 0:
             return 0.0, float("inf")
@@ -270,14 +307,12 @@ class RingTriangulation:
     def estimate(self, u: NodeId, v: NodeId) -> float:
         """Distance estimate D+ (exact-distance labels)."""
         u, v = as_node_pair(u, v, self.metric.n)
+        self._require_active(u, v)
         if u == v:
             return 0.0
-        patch = self._patch
-        if patch is None:
-            return self.bounds(u, v)[1]
-        require_active(patch.membership, u, v)
         served = self.bounds(u, v)[1]
-        if patch.row_dirty(u) or patch.row_dirty(v):
+        patch = self._patch
+        if patch is not None and (patch.row_dirty(u) or patch.row_dirty(v)):
             self._ivl_check(u, v, served)
         return served
 
@@ -286,16 +321,7 @@ class RingTriangulation:
         on first use).  Merges never touch the pristine arrays, so it
         never goes stale; reads mask it by the live active set."""
         if self._packed is None:
-            patch = self._patch
-            if patch is None:  # never updated: the arrays are pristine
-                arrays = (self._indptr, self._ids, self._dist)
-            else:
-                arrays = (
-                    patch.pristine_indptr,
-                    patch.pristine_keys,
-                    patch.pristine_payloads[0],
-                )
-            self._packed = PackedLabels(self.metric.n, *arrays)
+            self._packed = PackedLabels(self.metric.n, *self._pristine)
         return self._packed
 
     def estimate_many(self, us, vs) -> np.ndarray:
@@ -332,10 +358,11 @@ class RingTriangulation:
         like the live structure.
         """
         meta: Dict[str, object] = {"delta": self.delta, "n": int(self.metric.n)}
-        indptr, ids, dist = self._indptr, self._ids, self._dist
         patch = self._patch
         if patch is not None and not patch.is_clean():
             indptr, ids, (dist,) = patch.live_arrays()
+        else:
+            indptr, ids, dist = self._merged_labels()
         arrays = {"label_indptr": indptr, "label_ids": ids, "label_dist": dist}
         return meta, arrays
 
@@ -358,14 +385,11 @@ class RingTriangulation:
         tri.metric = metric
         tri.delta = float(meta["delta"])
         tri.scales = None
-        tri._indptr = np.asarray(arrays["label_indptr"])
-        tri._ids = np.asarray(arrays["label_ids"])
-        tri._dist = np.asarray(arrays["label_dist"])
-        tri._packed = None
-        tri._patch = None
-        tri.revision = 0
-        tri.ivl_checks = 0
-        tri.ivl_violations = 0
+        tri._init_labels(
+            np.asarray(arrays["label_indptr"]),
+            np.asarray(arrays["label_ids"]),
+            np.asarray(arrays["label_dist"]),
+        )
         return tri
 
     def certified_ratio_bound(self) -> float:
@@ -385,9 +409,13 @@ class RingTriangulation:
         return bool(np.minimum(row_u[common], row_v[common]).min() <= limit)
 
     def worst_ratio(self) -> float:
-        """Measured max over all pairs of D+/D-."""
+        """Measured max of D+/D- over all pairs of active nodes."""
+        patch = self._patch
+        nodes = range(self.metric.n)
+        if patch is not None:
+            nodes = patch.membership.active_ids().tolist()
         worst = 1.0
-        for u, v in self.metric.pairs():
+        for u, v in combinations(nodes, 2):
             lower, upper = self.bounds(u, v)
             if lower <= 0:
                 return float("inf")

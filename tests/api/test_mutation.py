@@ -63,6 +63,14 @@ class TestUpdateFacade:
         assert receipt.active_nodes == 38
         assert receipt.update_s >= 0.0
 
+    def test_receipt_names_ids_given_as_generators(self, tri):
+        receipt = api.update(tri, leaves=(x for x in [7, 9]))
+        assert receipt.leaves == (7, 9)
+        assert receipt.active_nodes == 38
+        receipt = api.update(tri, joins=(x for x in [9]), leaves=iter([3]))
+        assert (receipt.joins, receipt.leaves) == ((9,), (3,))
+        assert receipt.active_nodes == 38
+
     def test_receipt_json_roundtrip(self, tri):
         receipt = api.update(tri, leaves=[1])
         data = json.loads(json.dumps(receipt.to_dict()))

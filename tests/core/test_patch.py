@@ -4,8 +4,9 @@ The contracts the mutable structures rely on: validated membership
 batches over a fixed universe, an exact inverted index from changed ids
 to dirty CSR rows, live filtered reads bit-identical to what the next
 merge produces, merges that always filter the pristine block (so
-leave/rejoin cycles reconverge), threshold/staleness auto-merge, and the
-IVL hull every structure checks pending reads against.
+leave/rejoin cycles reconverge) and build it only on the first merged
+read, threshold/staleness auto-merge, and the IVL hull every structure
+checks pending reads against.
 """
 
 from __future__ import annotations
@@ -171,6 +172,57 @@ class TestCSRPatch:
         assert np.array_equal(
             patch.merged_payloads[0], patch.pristine_payloads[0]
         )
+
+    def test_merge_builds_no_block_until_a_merged_read(self, monkeypatch):
+        filters = []
+        real = CSRPatch._filtered
+
+        def counted(self, active):
+            filters.append(active)
+            return real(self, active)
+
+        monkeypatch.setattr(CSRPatch, "_filtered", counted)
+        patch = _toy_patch()
+        patch.apply(leaves=[2])
+        patch.merge()
+        assert filters == []
+        keys, _ = patch.merged_row(0)
+        assert len(filters) == 1
+        # one block serves every merged read until the next merge
+        assert patch.merged_keys[: keys.size].tolist() == keys.tolist()
+        assert patch.merged_indptr.size == patch.rows + 1
+        assert len(filters) == 1
+        patch.apply(leaves=[4])
+        patch.merge()
+        assert len(filters) == 1
+
+    def test_derived_block_equals_live_arrays_before_the_merge(self):
+        patch = _toy_patch()
+        patch.apply(leaves=[1, 3])
+        indptr, keys, (dist,) = patch.live_arrays()
+        patch.merge()
+        assert patch.merged_indptr.tobytes() == indptr.tobytes()
+        assert patch.merged_keys.tobytes() == keys.tobytes()
+        assert patch.merged_payloads[0].tobytes() == dist.tobytes()
+
+    def test_pending_update_after_merge_leaves_merged_block(self):
+        patch = _toy_patch()
+        patch.apply(leaves=[2])
+        patch.merge()
+        patch.apply(joins=[2])  # pending: the block is read only now
+        assert patch.merged_row(0)[0].tolist() == [0, 1]
+        assert patch.filtered_row(0)[0].tolist() == [0, 1, 2]
+
+    def test_two_merges_without_a_read_give_the_second_block(self):
+        patch = _toy_patch()
+        patch.apply(leaves=[2])
+        patch.merge()
+        patch.apply(joins=[2], leaves=[1])
+        indptr, keys, (dist,) = patch.live_arrays()
+        patch.merge()
+        assert patch.merged_indptr.tolist() == indptr.tolist()
+        assert patch.merged_keys.tolist() == keys.tolist() == [0, 2, 2, 3, 4]
+        assert patch.merged_payloads[0].tolist() == dist.tolist()
 
     def test_auto_merge_on_dirty_fraction(self, monkeypatch):
         monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 10**9)
