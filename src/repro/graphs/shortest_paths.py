@@ -53,9 +53,17 @@ class FirstHopTable:
       at each *queried* target, kept in a byte-bounded LRU.  The hop from
       u toward t is u's parent in t's tree, so every hop along one
       packet's route reads the same cached row; memory never exceeds the
-      cache budget.  Hops remain consistent (all pointers toward t come
-      from t's single predecessor forest), though tie-breaking between
-      equal-length shortest paths may differ from the dense backend.
+      cache budget.  A row is the tree's int32 predecessors alone, 4
+      bytes per node, from one ``dijkstra(directed=True)`` call over the
+      graph's symmetric CSR: every edge is stored in both directions, so
+      it relaxes the same edges in the same order as ``directed=False``
+      and gives the same hops, without the transposed copy of the graph
+      that ``directed=False`` builds on every call.
+      Hops remain consistent (all pointers toward t come from t's single
+      predecessor forest), though tie-breaking between equal-length
+      shortest paths may differ from the dense backend.  Lazy
+      :meth:`distance`, which routing never calls, runs its own Dijkstra
+      and caches nothing.
     """
 
     def __init__(
@@ -147,28 +155,28 @@ class FirstHopTable:
         return table
 
     def _target_row(self, t: NodeId) -> np.ndarray:
-        """Lazy backend: the (2, n) [distances; hops-toward-t] block of t.
+        """Lazy backend: the int32 hops toward t, one per node.
 
-        Row 1 holds, per node u, u's parent in the shortest-path tree
-        rooted at t — i.e. the first hop of a shortest u->t path — stored
-        as float64 (exact for any realistic n).
-        """
+        Entry u is u's parent in the shortest-path tree rooted at t, i.e.
+        the first hop of a shortest u->t path (t itself at t)."""
         cached = self._rows.get(t)
         if cached is None:
             from scipy.sparse.csgraph import dijkstra
 
-            dist, pred = dijkstra(
-                self._csr, directed=False, indices=[t], return_predecessors=True
+            _, pred = dijkstra(
+                self._csr, directed=True, indices=t, return_predecessors=True
             )
-            hops = pred[0].astype(np.float64)
+            hops = pred.astype(np.int32, copy=False)
             hops[t] = t
-            cached = self._rows.put(t, np.stack([dist[0], hops]))
+            cached = self._rows.put(t, hops)
         return cached
 
     def distance(self, u: NodeId, t: NodeId) -> float:
         if self.dense:
             return float(self.dist[u, t])
-        return float(self._target_row(t)[0, u])
+        from scipy.sparse.csgraph import dijkstra
+
+        return float(dijkstra(self._csr, directed=False, indices=t)[u])
 
     def first_hop(self, u: NodeId, t: NodeId) -> NodeId:
         """Neighbor of u on a shortest u->t path (u itself when u == t)."""
@@ -176,7 +184,7 @@ class FirstHopTable:
             return int(self._first[u, t])
         if u == t:
             return int(u)
-        return int(self._target_row(t)[1, u])
+        return int(self._target_row(t)[u])
 
     def first_hop_link(self, u: NodeId, t: NodeId) -> Optional[int]:
         """Local link index of the first hop, or None when u == t."""

@@ -280,15 +280,22 @@ class BeaconTriangulation:
         return upper
 
     def _iter_pair_bounds(self):
-        """Yield (D-, D+) blocks covering every unordered pair u < v.
+        """Yield (D-, D+) blocks covering every unordered pair u < v of
+        active nodes, read from the labels reads serve
+        (:meth:`_served_labels`), so a pending beacon departure counts.
 
-        One source node per block (vectorized over its n-u-1 partners),
+        One source node per block (vectorized over its later partners),
         so peak memory stays O(n·k) even at n = 10⁴⁺.
         """
-        n = self.metric.n
-        for u in range(n - 1):
-            lu = self._labels[u]
-            lv = self._labels[u + 1 :]
+        labels, _ = self._served_labels()
+        if self._membership is not None:
+            labels = labels[self._membership.active]
+        for u in range(labels.shape[0] - 1):
+            lu = labels[u]
+            lv = labels[u + 1 :]
+            if lu.size == 0:
+                yield np.zeros(lv.shape[0]), np.full(lv.shape[0], np.inf)
+                continue
             yield np.abs(lv - lu).max(axis=1), (lv + lu).min(axis=1)
 
     def epsilon_for_delta(self, delta: float) -> float:

@@ -41,55 +41,32 @@ from repro.labeling._dplus import PackedLabels
 from repro.labeling._scales import ScaleStructure
 from repro.labeling.encoding import DistanceCodec
 from repro.metrics.base import MetricSpace
-from repro.serve.container import ContainerError
+from repro.serve.container import ContainerError, check_csr
 
 
 def _check_labels(n: int, arrays: Dict[str, np.ndarray]) -> None:
     """Reject persisted CSR labels that would read wrong, with
     :class:`~repro.serve.container.ContainerError` naming the check.
 
-    ``label_indptr`` has ``n + 1`` entries, starts at 0, never decreases
-    and ends at ``len(label_ids)``; the ids are integers in ``[0, n)``,
-    strictly increasing within each row; every distance block
+    The CSR half is :func:`~repro.serve.container.check_csr`: ``n`` rows
+    of ``label_ids`` over ``[0, n)``.  Every distance block
     (``label_dist`` and, for the DLS, ``label_dist_quantized``) has one
     finite, non-negative entry per id.  O(n + L) for L label entries.
     """
-
-    def fail(check: str) -> None:
-        raise ContainerError(f"malformed triangulation labels: {check}")
-
-    indptr = np.asarray(arrays["label_indptr"])
+    what = "triangulation labels"
+    check_csr(what, arrays, ("label_indptr", "label_ids"), ("n", n), n)
     ids = np.asarray(arrays["label_ids"])
-    if indptr.dtype.kind not in "iu" or ids.dtype.kind not in "iu":
-        fail("label_indptr and label_ids must hold integers")
-    if indptr.shape != (n + 1,):
-        fail(f"label_indptr must have n + 1 = {n + 1} entries "
-             f"(has shape {indptr.shape})")
-    if ids.ndim != 1:
-        fail("label_ids must be one-dimensional")
-    indptr = indptr.astype(np.int64, copy=False)
-    if indptr[0] != 0:
-        fail("label_indptr must start at 0")
-    if np.any(np.diff(indptr) < 0):
-        fail("label_indptr must never decrease")
-    if indptr[-1] != ids.size:
-        fail(f"label_indptr must end at len(label_ids) = {ids.size}")
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        fail(f"label_ids must lie in [0, {n})")
-    rising = np.diff(ids.astype(np.int64, copy=False)) > 0
-    starts = indptr[1:-1]
-    rising[starts[(starts > 0) & (starts < ids.size)] - 1] = True
-    if not rising.all():
-        fail("label_ids must be strictly increasing within each row")
     for key in ("label_dist", "label_dist_quantized"):
         if key not in arrays:
             continue
         dist = np.asarray(arrays[key])
         if dist.shape != ids.shape:
-            fail(f"{key} must have one entry per label id "
-                 f"({dist.shape} != {ids.shape})")
+            raise ContainerError(
+                f"malformed {what}: {key} must have one entry per label id "
+                f"({dist.shape} != {ids.shape})"
+            )
         if dist.dtype.kind not in "fiu" or not np.all(np.isfinite(dist) & (dist >= 0)):
-            fail(f"{key} must be finite and >= 0")
+            raise ContainerError(f"malformed {what}: {key} must be finite and >= 0")
 
 
 class RingTriangulation:

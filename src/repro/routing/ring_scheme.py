@@ -18,7 +18,10 @@ the current node (Claim 2.2 / ``j_ut``), make ``f_{t,j_ut}`` the
 intermediate target, forward along first-hop pointers (Claim 2.4c: exact
 shortest subpaths); on arrival pick the next intermediate target, which is
 at least 1/δ times closer to t (Claim 2.4a) — total stretch 1 + O(δ)
-(Claim 2.5).
+(Claim 2.5).  The ζ-walk of Claim 2.2 looks each step's node up in the
+ring of the previous one, and that node is the same from every hop: a
+packet resolves its label to those nodes once (the zooming chain), and
+each hop finds the chain's leading nodes in its own rings.
 
 Representation: the rings live in one CSR
 :class:`~repro.core.packed.PackedRings` block (flat ``int32`` member
@@ -32,13 +35,21 @@ the paper's rates in :meth:`RingRouting.table_bits`, both dense
 vectorized).
 
 Headers carry the label plus the current scale ``j``.
+
+Under churn (:meth:`RingRouting.apply_update`) a ring row that pending
+membership changes touch is served filtered from the pristine block and
+containment-checked once per revision (Rinberg & Keidar's IVL hull for a
+set).  The rows a route, an update's label encoding or the ζ triple
+count first read are checked together, in one vectorized call, before
+that call returns.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +63,7 @@ from repro.graphs.shortest_paths import FirstHopTable
 from repro.metrics.graphmetric import ShortestPathMetric
 from repro.metrics.nets import NestedNets
 from repro.routing.base import RouteResult, RoutingScheme
+from repro.serve.container import ContainerError, check_csr
 
 
 def _sorted_find(haystack: np.ndarray, needles) -> Tuple[np.ndarray, np.ndarray]:
@@ -67,12 +79,6 @@ def _sorted_find(haystack: np.ndarray, needles) -> Tuple[np.ndarray, np.ndarray]
     return pos, haystack[np.minimum(pos, haystack.size - 1)] == needles
 
 
-def _sorted_subset(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether every entry of ``a`` occurs in the ascending array ``b``
-    (``np.isin(a, b).all()`` by binary search; see :func:`_sorted_find`)."""
-    return a.size == 0 or bool(_sorted_find(b, a)[1].all())
-
-
 #: Relative slack of the short-list that finds a new zooming entry for a
 #: target whose entry departed (:meth:`RingRouting._zoom_step`).  A
 #: shortest-path length is computed as a floating-point sum of the
@@ -83,6 +89,28 @@ def _sorted_subset(a: np.ndarray, b: np.ndarray) -> bool:
 #: times that row's minimum.  1e-9 bounds 4γ on every graph of fewer
 #: than 2·10⁶ nodes.
 ZOOM_SHORTLIST_SLACK = 1e-9
+
+
+def _check_arrays(n: int, levels: int, arrays: dict) -> None:
+    """Refuse persisted rings, zooming entries or labels that would route
+    wrong, with a :class:`~repro.serve.container.ContainerError` naming
+    the check: the rings are n·levels CSR rows over ``[0, n)``
+    (:func:`~repro.serve.container.check_csr`); ``zoom`` and
+    ``label_indices`` are (n, levels) integer arrays, with zooming
+    entries in ``[-1, n)`` and ring indices >= -1 (-1 ends a label)."""
+    what = "route-thm2.1 arrays"
+    check_csr(what, arrays, ("ring_indptr", "ring_members"), ("n·levels", n * levels), n)
+    for key, low, high in (("zoom", -1, n), ("label_indices", -1, None)):
+        values = np.asarray(arrays[key])
+        if values.dtype.kind not in "iu" or values.shape != (n, levels):
+            raise ContainerError(
+                f"malformed {what}: {key} must be an integer array of shape "
+                f"(n, levels) = {(n, levels)} (has {values.dtype} {values.shape})"
+            )
+        over = high is not None and values.size and values.max() >= high
+        if values.size and values.min() < low or over:
+            bound = f"be >= {low}" if high is None else f"lie in [{low}, {high})"
+            raise ContainerError(f"malformed {what}: {key} entries must {bound}")
 
 
 def _position(members: np.ndarray, node: NodeId) -> Optional[int]:
@@ -204,6 +232,10 @@ class RingRouting(RoutingScheme):
         self._zoom_touched: Optional[np.ndarray] = None
         #: dirty row -> its checked, read-only enumeration, this revision
         self._checked: Dict[int, np.ndarray] = {}
+        #: (row, enumeration) first read inside an open check scope, and
+        #: how many scopes are open (:meth:`_check_scope`)
+        self._unchecked: List[Tuple[int, np.ndarray]] = []
+        self._scopes = 0
         self.revision = 0
         self.ivl_checks = 0
         self.ivl_violations = 0
@@ -216,12 +248,16 @@ class RingRouting(RoutingScheme):
         """``Y_uj`` as a sorted int array (the host enumeration φ_uj).
 
         A clean row is a slice of the stored CSR block.  A dirty row is
-        filtered and containment-checked (:meth:`_ivl_ring_check`) on its
-        first read in a revision, then frozen and kept in ``_checked``;
-        later reads in the same revision get that array.  The check's
+        filtered (``CSRPatch.filtered_row``) on its first read in a
+        revision, frozen and kept in ``_checked``; later reads in the same
+        revision get that array.  Its containment check
+        (:meth:`_ivl_ring_checks`) runs at once for a lone read, or, for a
+        read inside :meth:`_check_scope` (a route, an update's label
+        encoding, the ζ triple count), together with the scope's other
+        first reads when the scope closes, before that call returns.  The
         verdict depends only on the row, the active set, the last-merged
         and the pristine arrays, and none of them changes within a
-        revision, so every enumeration served is one that was checked."""
+        revision, so every enumeration served is one that is checked."""
         if not 0 <= j < self.levels:
             # The flat CSR index would silently alias into another node's
             # rings; fail fast like the legacy list-of-lists did.
@@ -232,11 +268,30 @@ class RingRouting(RoutingScheme):
             served = self._checked.get(i)
             if served is None:
                 served, _ = patch.filtered_row(i)
-                self._ivl_ring_check(i, served)
                 served.flags.writeable = False
                 self._checked[i] = served
+                if self._scopes:
+                    self._unchecked.append((i, served))
+                else:
+                    self._ivl_ring_checks([i], [served])
             return served
         return self._members[self._indptr[i] : self._indptr[i + 1]]
+
+    @contextmanager
+    def _check_scope(self):
+        """Defer the containment checks of the dirty rows first read inside
+        to one :meth:`_ivl_ring_checks` call when the outermost scope
+        closes (also on an exception).  Re-entrant: an inner scope adds
+        its rows to the outer one's batch."""
+        self._scopes += 1
+        try:
+            yield
+        finally:
+            self._scopes -= 1
+            if not self._scopes and self._unchecked:
+                pending, self._unchecked = self._unchecked, []
+                rows, served = zip(*pending)
+                self._ivl_ring_checks(rows, served)
 
     def ring(self, u: NodeId, j: int) -> Tuple[NodeId, ...]:
         """``Y_uj`` in host-enumeration order."""
@@ -331,27 +386,40 @@ class RingRouting(RoutingScheme):
         found = _sorted_find(keys, (v * levels + np.arange(levels)) * n + v)[1]
         return [np.flatnonzero(found[:, j]) for j in range(levels)]
 
-    def _ivl_ring_check(self, row: int, served: np.ndarray) -> None:
-        """Set-containment invariant on a dirty ring enumeration, run once
-        per row and revision by :meth:`_ring_arr`: everything served must
-        be active and pristine, and every still-active member of the
-        last-merged enumeration must be served (the IVL hull for an
+    def _ivl_ring_checks(
+        self, rows: Sequence[int], served: Sequence[np.ndarray]
+    ) -> None:
+        """Set-containment invariant on k dirty ring enumerations at once,
+        one verdict per row: everything ``served[i]`` holds must be active
+        and in the pristine row ``rows[i]``, and every still-active member
+        of the last-merged row must be served (the IVL hull for an
         enumeration read).  ``ivl_checks`` counts checked enumerations,
-        not reads.  Both containments are sorted-subset searches: ring
-        rows are ascending host enumerations, and an unsorted row can
-        only add a violation, never hide one."""
-        patch = self._patch
+        not reads, and ``ivl_violations`` the rows failing any of the three.
+
+        The rows' pristine and last-merged members are ``csr_gather``-ed
+        and, like the served ones, tagged ``slot·n + member`` by their
+        position in the batch, so both containments are one binary search
+        each.  The tagged arrays ascend because each row does; an unsorted
+        served row can only add a violation, never hide one
+        (:func:`_sorted_find`)."""
+        patch, n, k = self._patch, self.graph.n, len(served)
         act = patch.membership.active
-        lo, hi = patch.pristine_indptr[row], patch.pristine_indptr[row + 1]
-        pre = patch.merged_row(row)[0]
-        ok = (
-            bool(act[served].all())
-            and _sorted_subset(served, patch.pristine_keys[lo:hi])
-            and _sorted_subset(pre[act[pre]], served)
-        )
-        self.ivl_checks += 1
-        if not ok:
-            self.ivl_violations += 1
+        rows = np.asarray(rows, dtype=np.int64)
+        slots = np.arange(k, dtype=np.int64)
+        members = np.concatenate(served)
+        owner = np.repeat(slots, np.fromiter(map(len, served), np.int64, k))
+        keys = owner * n + members
+        idx, sizes = csr_gather(patch.pristine_indptr, rows)
+        hull = np.repeat(slots * n, sizes) + patch.pristine_keys[idx]
+        bad = np.zeros(k, dtype=bool)
+        bad[owner[~(act[members] & _sorted_find(hull, keys)[1])]] = True
+        idx, sizes = csr_gather(patch.merged_indptr, rows)
+        pre, pre_owner = patch.merged_keys[idx], np.repeat(slots, sizes)
+        live = act[pre]
+        pre, pre_owner = pre[live], pre_owner[live]
+        bad[pre_owner[~_sorted_find(keys, pre_owner * n + pre)[1]]] = True
+        self.ivl_checks += k
+        self.ivl_violations += int(np.count_nonzero(bad))
 
     def _refresh_sizes(self) -> None:
         patch = self._patch
@@ -481,7 +549,8 @@ class RingRouting(RoutingScheme):
         The batch starts a new revision: the checked enumerations of the
         last one are dropped, and each dirty ring is filtered and checked
         against its containment hull again on its first read
-        (:meth:`_ring_arr`).
+        (:meth:`_ring_arr`).  The rings the label encoding reads are
+        checked in one batch when the encoding ends, before any merge.
 
         Zooming entries change only where churn changed something
         (:meth:`_update_zoom`).  A level keeps its build-time entries
@@ -509,7 +578,8 @@ class RingRouting(RoutingScheme):
         self.revision += 1
         self._refresh_sizes()
         self._update_zoom(join_ids, leave_ids)
-        self.labels = self._encode_labels(strict=False)
+        with self._check_scope():
+            self.labels = self._encode_labels(strict=False)
         self._zeta_triples = None
         merged = patch.maybe_merge()
         if merged:
@@ -592,11 +662,13 @@ class RingRouting(RoutingScheme):
     ) -> "RingRouting":
         """Rehydrate from :meth:`to_arrays` with zero net construction.
 
-        The attached metric is always the lazy (row-on-demand)
-        :class:`ShortestPathMetric` — routing itself never consults it,
-        and evaluation distances are identical either way; a loaded
-        structure must not pay an APSP rebuild."""
+        The rings, zooming entries and labels are checked first
+        (:func:`_check_arrays`).  The attached metric is always the lazy
+        (row-on-demand) :class:`ShortestPathMetric` — routing itself never
+        consults it, and evaluation distances are identical either way; a
+        loaded structure must not pay an APSP rebuild."""
         graph = WeightedGraph.from_adjacency_arrays(arrays)
+        _check_arrays(graph.n, int(meta["levels"]), arrays)
         scheme = cls.__new__(cls)
         scheme.graph = graph
         scheme.delta = float(meta["delta"])
@@ -648,22 +720,13 @@ class RingRouting(RoutingScheme):
         """``ζ_uj(fi, wi) = φ_{u,j+1}(w)`` for ``f = φ_uj^{-1}(fi)`` and
         ``w = φ_{f,j+1}^{-1}(wi)``; None outside the triangle (exactly the
         nulls the stored sparse table would have)."""
-        return self._zeta(u, j, self._ring_arr(u, j), fi, wi)[0]
-
-    def _zeta(
-        self, u: NodeId, j: int, ring_u: np.ndarray, fi: int, wi: int
-    ) -> Tuple[Optional[int], Optional[np.ndarray]]:
-        """:meth:`zeta_lookup` given ``ring_u``, u's level-j enumeration
-        already read; also returns u's level-(j+1) enumeration when it was
-        read (else None), so a caller walking the levels reads each of
-        u's rings once."""
+        ring_u = self._ring_arr(u, j)
         if fi >= ring_u.size:
-            return None, None
+            return None
         ring_f_next = self._ring_arr(int(ring_u[fi]), j + 1)
         if wi >= ring_f_next.size:
-            return None, None
-        ring_u_next = self._ring_arr(u, j + 1)
-        return _position(ring_u_next, int(ring_f_next[wi])), ring_u_next
+            return None
+        return _position(self._ring_arr(u, j + 1), int(ring_f_next[wi]))
 
     def zeta_items(
         self, u: NodeId, j: int
@@ -699,17 +762,18 @@ class RingRouting(RoutingScheme):
         if self._zeta_triples is None:
             n = self.graph.n
             counts = np.zeros((n, self.levels - 1), dtype=np.int64)
-            for u in range(n):
-                for j in range(self.levels - 1):
-                    ring_u_next = self._ring_arr(u, j + 1)
-                    if ring_u_next.size == 0:
-                        continue
-                    gathered = self._gathered_next_rings(
-                        self._ring_arr(u, j), j + 1
-                    )
-                    counts[u, j] = np.count_nonzero(
-                        _sorted_find(ring_u_next, gathered)[1]
-                    )
+            with self._check_scope():
+                for u in range(n):
+                    for j in range(self.levels - 1):
+                        ring_u_next = self._ring_arr(u, j + 1)
+                        if ring_u_next.size == 0:
+                            continue
+                        gathered = self._gathered_next_rings(
+                            self._ring_arr(u, j), j + 1
+                        )
+                        counts[u, j] = np.count_nonzero(
+                            _sorted_find(ring_u_next, gathered)[1]
+                        )
             self._zeta_triples = counts
         return self._zeta_triples
 
@@ -717,23 +781,37 @@ class RingRouting(RoutingScheme):
     # Claim 2.2: decode j_ut and the ring indices of the zooming prefix
     # ------------------------------------------------------------------
 
-    def _decode(self, u: NodeId, label: RingRoutingLabel) -> List[int]:
+    def _chain(self, u: NodeId, label: RingRoutingLabel) -> List[int]:
+        """The label's zooming prefix as node ids, read from u's level-0
+        enumeration: ``w_0 = φ_u0^{-1}(n_t0)``, then ``w_j =
+        φ_{w_{j-1},j}^{-1}(n_tj)``, up to the first index past its ring's
+        end.  The level-0 rings coincide (r_0 covers the metric), so every
+        node reads the same chain, and its rings are the owner rings the
+        label encoder read: a route resolves it once per packet."""
+        chain: List[int] = []
+        for j, m in enumerate(label.indices):
+            ring = self._ring_arr(chain[-1] if j else u, j)
+            if m >= ring.size:
+                break
+            chain.append(int(ring[m]))
+        return chain
+
+    def _decode(
+        self, u: NodeId, label: RingRoutingLabel, chain: Optional[List[int]] = None
+    ) -> List[int]:
         """Ring indices ``m_j = φ_uj(f_tj)`` for ``j <= j_ut``.
 
-        Uses only u's table (ζ and ring sizes) and the label, exactly as in
-        the proof of Claim 2.2.  Each of u's rings is read once: the
-        level-(j+1) enumeration ζ_uj looks up is carried into level j+1.
+        Uses only u's table (its rings) and the label, as in the proof of
+        Claim 2.2: the ζ-walk's ``ζ_uj(m_j, n_t,j+1) = φ_{u,j+1}(w_{j+1})``
+        is the position of the chain's next node (:meth:`_chain`; resolved
+        here unless given) in u's next ring, so the decode is the leading
+        run of the chain's positions in u's rings, each read once.
         """
+        if chain is None:
+            chain = self._chain(u, label)
         indices: List[int] = []
-        if not label.indices:
-            return indices
-        m = label.indices[0]
-        ring_u = self._ring_arr(u, 0)
-        if m >= ring_u.size:
-            return indices
-        indices.append(m)
-        for j in range(1, len(label.indices)):
-            m, ring_u = self._zeta(u, j - 1, ring_u, m, label.indices[j])
+        for j, w in enumerate(chain):
+            m = _position(self._ring_arr(u, j), w)
             if m is None:
                 break
             indices.append(m)
@@ -759,6 +837,14 @@ class RingRouting(RoutingScheme):
     def route(
         self, source: NodeId, target: NodeId, max_hops: Optional[int] = None
     ) -> RouteResult:
+        """Route a packet from ``source`` to ``target`` (Claims 2.2-2.5).
+
+        The label's zooming chain is resolved to node ids once
+        (:meth:`_chain`); each hop decodes its prefix against the current
+        node's rings (:meth:`_decode`) and forwards along the first-hop
+        pointer toward the deepest decoded entry.  The dirty rings first
+        read in the call are checked together before it returns
+        (:meth:`_check_scope`)."""
         source, target = as_node_pair(source, target, self.graph.n)
         if self._patch is not None:
             require_active(self._patch.membership, source, target)
@@ -769,22 +855,24 @@ class RingRouting(RoutingScheme):
         path = [source]
         current = source
         intermediate_j: Optional[int] = None
-        while current != target and len(path) <= limit:
-            decoded = self._decode(current, label)
-            if not decoded:
-                break  # delivery failure (should not happen; tests assert)
-            if intermediate_j is None or intermediate_j >= len(decoded):
-                intermediate_j = len(decoded) - 1
-            f = int(self._zoom[target, intermediate_j])
-            if f == current:
-                # Reached the intermediate target: pick the next one.
-                intermediate_j = len(decoded) - 1
+        with self._check_scope():
+            chain = self._chain(source, label) if source != target else []
+            while current != target and len(path) <= limit:
+                decoded = self._decode(current, label, chain)
+                if not decoded:
+                    break  # delivery failure (should not happen; tests assert)
+                if intermediate_j is None or intermediate_j >= len(decoded):
+                    intermediate_j = len(decoded) - 1
                 f = int(self._zoom[target, intermediate_j])
                 if f == current:
-                    break  # cannot make progress (failure)
-            nxt = self.first_hops.first_hop(current, f)
-            path.append(nxt)
-            current = nxt
+                    # Reached the intermediate target: pick the next one.
+                    intermediate_j = len(decoded) - 1
+                    f = int(self._zoom[target, intermediate_j])
+                    if f == current:
+                        break  # cannot make progress (failure)
+                nxt = self.first_hops.first_hop(current, f)
+                path.append(nxt)
+                current = nxt
         return RouteResult(
             source=source,
             target=target,

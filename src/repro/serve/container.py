@@ -33,13 +33,14 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "Container",
     "ContainerError",
+    "check_csr",
     "FORMAT_VERSION",
     "MAGIC",
     "read_container",
@@ -63,6 +64,53 @@ _FIXED = len(MAGIC) + 8  # magic + uint64 header length
 
 class ContainerError(ValueError):
     """A container file is missing, corrupt, truncated or incompatible."""
+
+
+def check_csr(
+    what: str,
+    arrays: Mapping[str, Any],
+    names: Tuple[str, str],
+    rows: Tuple[str, int],
+    n: int,
+) -> None:
+    """Refuse a persisted CSR block of node-id rows that would read wrong,
+    with a :class:`ContainerError` naming ``what`` and the failed check.
+
+    ``names`` are the (indptr, ids) arrays' keys and ``rows`` the row
+    count with the name the message gives it, e.g. ``("n", n)``.  The
+    indptr has one entry more than there are rows, starts at 0, never
+    decreases and ends at the number of ids; the ids are integers in
+    ``[0, n)``, strictly increasing within each row.  O(rows + ids).
+    """
+    indptr_name, ids_name = names
+    rows_name, count = rows
+
+    def fail(check: str) -> None:
+        raise ContainerError(f"malformed {what}: {check}")
+
+    indptr = np.asarray(arrays[indptr_name])
+    ids = np.asarray(arrays[ids_name])
+    if indptr.dtype.kind not in "iu" or ids.dtype.kind not in "iu":
+        fail(f"{indptr_name} and {ids_name} must hold integers")
+    if indptr.shape != (count + 1,):
+        fail(f"{indptr_name} must have {rows_name} + 1 = {count + 1} entries "
+             f"(has shape {indptr.shape})")
+    if ids.ndim != 1:
+        fail(f"{ids_name} must be one-dimensional")
+    indptr = indptr.astype(np.int64, copy=False)
+    if indptr[0] != 0:
+        fail(f"{indptr_name} must start at 0")
+    if np.any(np.diff(indptr) < 0):
+        fail(f"{indptr_name} must never decrease")
+    if indptr[-1] != ids.size:
+        fail(f"{indptr_name} must end at len({ids_name}) = {ids.size}")
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        fail(f"{ids_name} must lie in [0, {n})")
+    rising = np.diff(ids.astype(np.int64, copy=False)) > 0
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < ids.size)] - 1] = True
+    if not rising.all():
+        fail(f"{ids_name} must be strictly increasing within each row")
 
 
 def _align(offset: int) -> int:

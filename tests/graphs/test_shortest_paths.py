@@ -9,6 +9,12 @@ from repro.graphs import (
     all_pairs_shortest_paths,
     shortest_path_tree,
 )
+from repro.graphs.generators import (
+    grid_graph,
+    internet_like_graph,
+    knn_geometric_graph,
+    ring_with_chords_graph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +86,39 @@ class TestFirstHops:
         g.add_edge(2, 3, 1.0)
         with pytest.raises(ValueError, match="connected"):
             FirstHopTable(g)
+
+
+#: graphs with many equal-length shortest paths first (unit weights), then
+#: weighted and mixed ones
+HOP_GRAPHS = {
+    "grid-20x20": lambda: grid_graph(20),
+    "grid-8x8x8": lambda: grid_graph(8, dim=3),
+    "ring-200": lambda: ring_with_chords_graph(200),
+    "internet-300": lambda: internet_like_graph(300, seed=0),
+    "knn-300": lambda: knn_geometric_graph(300, seed=0),
+    "ring-300-chords-60": lambda: ring_with_chords_graph(300, chords=60, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOP_GRAPHS))
+def test_lazy_first_hops_equal_undirected_predecessors(name):
+    """Every lazy first hop is u's parent in t's ``directed=False``
+    shortest-path tree, ties included: a lazy row is computed as a
+    directed search over the symmetric CSR and must break ties the same
+    way.  A cached row holds one int32 hop per node."""
+    from scipy.sparse.csgraph import dijkstra
+
+    graph = HOP_GRAPHS[name]()
+    n = graph.n
+    _, pred = dijkstra(graph.to_scipy_csr(), directed=False, return_predecessors=True)
+    table = FirstHopTable(graph, dense=False, row_cache_bytes=4 * n)
+    for t in range(n):
+        hops = [table.first_hop(u, t) for u in range(n)]
+        expected = pred[t].copy()
+        expected[t] = t
+        assert hops == expected.tolist()
+    row = table._rows.get(n - 1)
+    assert row.dtype == np.int32 and row.shape == (n,)
 
 
 class TestShortestPathTree:

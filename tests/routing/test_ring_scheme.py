@@ -5,6 +5,8 @@ import pytest
 
 from repro import api
 from repro.core import patch as patch_policy
+from repro.core.patch import CSRPatch
+from repro.distributed.trace import ChurnTrace
 from repro.routing import RingRouting, evaluate_scheme
 
 
@@ -69,6 +71,44 @@ class TestStructuralClaims:
             for j, m in enumerate(decoded):
                 assert scheme.ring(u, j)[m] == zoom[j]
 
+    @pytest.mark.parametrize("events", [0, 10])
+    def test_decode_equals_the_zeta_walk(self, events, monkeypatch):
+        """Claim 2.2's walk, step by step through the translation
+        functions: ``m_0 = n_t0`` when u's level-0 ring has it, then
+        ``m_j = ζ_{u,j-1}(m_{j-1}, n_tj)`` until a null.  The decode, read
+        from the label's zooming chain, must give the same indices for
+        every pair of active nodes, fresh and under pending churn."""
+        monkeypatch.setattr(patch_policy, "MERGE_DIRTY_FRACTION", 1.1)
+        monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 10**9)
+        fitted = api.build("route-thm2.1", workload="knn-graph", n=64, seed=0,
+                           delta=0.25, cache=api.BuildCache())
+        scheme = fitted.inner
+        active = np.ones(64, dtype=bool)
+        for event in ChurnTrace.generate(n=64, events=events, rate=0.03, seed=2).events:
+            api.update(fitted, joins=event.joins, leaves=event.leaves)
+            active[list(event.joins)] = True
+            active[list(event.leaves)] = False
+        if events:
+            assert scheme._patch.dirty_row_count > 0 and not active.all()
+
+        def zeta_walk(u, indices):
+            if not indices or indices[0] >= len(scheme.ring(u, 0)):
+                return []
+            walk = [indices[0]]
+            for j in range(1, len(indices)):
+                m = scheme.zeta_lookup(u, j - 1, walk[-1], indices[j])
+                if m is None:
+                    break
+                walk.append(m)
+            return walk
+
+        nodes = np.flatnonzero(active).tolist()
+        for t in nodes:
+            label = scheme.labels[t]
+            for u in nodes:
+                assert scheme._decode(u, label) == zeta_walk(u, label.indices)
+        assert scheme.ivl_violations == 0
+
     def test_decode_depth_grows_for_close_pairs(self, scheme, knn_metric64):
         """j_ut >= log(Delta / (delta d)) - ish: closer targets decode deeper."""
         u = 0
@@ -127,14 +167,15 @@ class TestAccounting:
 
 
 class TestIVLRingCheck:
-    """The containment check on a dirty ring read counts exactly one
-    violation for each way a served enumeration can leave its hull."""
+    """The batched containment check on dirty ring reads counts exactly
+    one violation for each row whose served enumeration leaves its hull,
+    whatever else the batch holds."""
 
     @pytest.fixture()
     def pending(self, knn_graph64, monkeypatch):
-        """(scheme, row, served): a pending departure of node 10 and one
-        ring row of 10's that holds it, an active non-member and at least
-        two more members."""
+        """(scheme, row, served, pristine): a pending departure of node 10
+        and one ring row of 10's that holds it, an active non-member and
+        at least two more members."""
         monkeypatch.setattr(patch_policy, "MERGE_DIRTY_FRACTION", 1.1)
         monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 10**9)
         scheme = RingRouting(knn_graph64, delta=0.25)
@@ -153,27 +194,103 @@ class TestIVLRingCheck:
         keys = pristine(row)
         return scheme, row, keys[keys != 10], keys
 
-    def _violations(self, scheme, row, served):
+    @staticmethod
+    def _mutants(scheme, served, pristine):
+        """The three ways out of the hull: an inactive id, an id outside
+        the pristine row, a dropped active member."""
+        outsider = next(v for v in range(scheme.graph.n) if v != 10 and v not in pristine)
+        return [
+            np.sort(np.append(served, 10)),
+            np.sort(np.append(served, outsider)),
+            served[1:],
+        ]
+
+    def _violations(self, scheme, rows, served):
         checks, violations = scheme.ivl_checks, scheme.ivl_violations
-        scheme._ivl_ring_check(row, np.asarray(served, dtype=np.int32))
-        assert scheme.ivl_checks == checks + 1
+        scheme._ivl_ring_checks(
+            rows, [np.asarray(s, dtype=np.int32) for s in served]
+        )
+        assert scheme.ivl_checks == checks + len(rows)
         return scheme.ivl_violations - violations
 
     def test_filtered_row_passes(self, pending):
         scheme, row, served, _ = pending
         u, j = divmod(int(row), scheme.levels)
         assert np.array_equal(scheme._ring_arr(u, j), served)
-        assert self._violations(scheme, row, served) == 0
+        assert self._violations(scheme, [row], [served]) == 0
 
     def test_inactive_id_counts(self, pending):
-        scheme, row, served, _ = pending
-        assert self._violations(scheme, row, np.sort(np.append(served, 10))) == 1
+        scheme, row, served, pristine = pending
+        inactive = self._mutants(scheme, served, pristine)[0]
+        assert self._violations(scheme, [row], [inactive]) == 1
 
     def test_id_outside_pristine_row_counts(self, pending):
         scheme, row, served, pristine = pending
-        outsider = next(v for v in range(scheme.graph.n) if v != 10 and v not in pristine)
-        assert self._violations(scheme, row, np.sort(np.append(served, outsider))) == 1
+        outside = self._mutants(scheme, served, pristine)[1]
+        assert self._violations(scheme, [row], [outside]) == 1
 
     def test_dropped_active_member_counts(self, pending):
+        scheme, row, served, pristine = pending
+        dropped = self._mutants(scheme, served, pristine)[2]
+        assert self._violations(scheme, [row], [dropped]) == 1
+
+    def test_one_batch_counts_each_bad_row_once(self, pending):
+        scheme, row, served, pristine = pending
+        batch = [served, *self._mutants(scheme, served, pristine)]
+        assert self._violations(scheme, [row] * 4, batch) == 3
+        # the verdicts belong to the rows, not to their place in the batch
+        assert self._violations(scheme, [row] * 4, batch[::-1]) == 3
+        assert self._violations(scheme, [row], [served]) == 0
+
+    def test_a_row_failing_two_ways_counts_once(self, pending):
         scheme, row, served, _ = pending
-        assert self._violations(scheme, row, served[1:]) == 1
+        both = np.sort(np.append(served[1:], 10))  # inactive id, dropped member
+        assert self._violations(scheme, [row, row], [served, both]) == 1
+
+    def test_each_row_is_held_to_its_own_hull(self, pending):
+        """A batch of two different rows: an id only the other row's
+        pristine ring holds, or a member dropped that only the other row
+        serves, still leaves the row's own hull."""
+        scheme, row, served, pristine = pending
+        patch = scheme._patch
+        other, theirs = next(
+            (r, ring) for r in range(patch.rows)
+            if r != row and patch.row_dirty(r)
+            for ring in [patch.filtered_row(r)[0]]
+            if np.setdiff1d(ring, pristine).size and np.intersect1d(ring, served).size
+        )
+        stranger = np.setdiff1d(theirs, pristine)[0]
+        assert self._violations(
+            scheme, [row, other], [np.sort(np.append(served, stranger)), theirs]
+        ) == 1
+        kept = served[served != np.intersect1d(served, theirs)[0]]
+        assert self._violations(scheme, [row, other], [kept, theirs]) == 1
+
+    def test_violations_are_counted_before_the_call_returns(
+        self, knn_graph64, monkeypatch
+    ):
+        """Every filtered row here misses its first active member, so each
+        nonempty one checked is a violation, and it is counted by the time
+        the ``apply_update`` or ``route`` that first read it returns."""
+        monkeypatch.setattr(patch_policy, "MERGE_DIRTY_FRACTION", 1.1)
+        monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 10**9)
+        original = CSRPatch.filtered_row
+
+        def drop_first(self, r):
+            keys, payloads = original(self, r)
+            return keys[1:], payloads
+
+        monkeypatch.setattr(CSRPatch, "filtered_row", drop_first)
+        scheme = RingRouting(knn_graph64, delta=0.25)
+        scheme.apply_update(leaves=[10])
+        assert scheme.ivl_checks > 0 and scheme.ivl_violations > 0
+        rng = np.random.default_rng(0)
+        active = np.setdiff1d(np.arange(knn_graph64.n), [10])
+        for u, v in rng.choice(active, size=(200, 2)).tolist():
+            checks, violations = scheme.ivl_checks, scheme.ivl_violations
+            scheme.route(u, v)
+            if scheme.ivl_checks > checks:
+                assert scheme.ivl_violations > violations
+                break
+        else:
+            pytest.fail("no route read a dirty ring the update had not")

@@ -156,3 +156,73 @@ def test_well_formed_containers_still_load(tmp_path, scheme):
     loaded = api.load(path)
     pairs = _active_pairs(np.ones(40, dtype=bool), 200)
     assert np.array_equal(_answers(loaded, pairs), _answers(fitted, pairs))
+
+
+def _save_tampered_routing(tmp_path, name, change):
+    """Save Theorem 2.1 routing on a 40-node k-NN graph, then rewrite
+    segment ``name`` of its container as ``change(array, arrays)``."""
+    fitted = api.build("route-thm2.1", "knn-graph", n=40, seed=0, delta=0.3)
+    path = tmp_path / "route.repro"
+    api.save(fitted, path)
+    container = read_container(path, mmap=False)
+    arrays = {key: np.array(value) for key, value in container.arrays.items()}
+    arrays[name] = change(arrays[name], arrays)
+    write_container(path, kind=container.kind, meta=container.meta, arrays=arrays)
+    return fitted, path
+
+
+def _wide_ring(arrays) -> int:
+    """The first ring row with two members or more."""
+    return int(np.flatnonzero(np.diff(arrays["ring_indptr"]) >= 2)[0])
+
+
+def _shift_ring(members, arrays, by=40):
+    indptr, row = arrays["ring_indptr"], _wide_ring(arrays)
+    members[indptr[row] : indptr[row + 1]] += by
+    return members
+
+
+def _swap_in_ring(members, arrays):
+    lo = arrays["ring_indptr"][_wide_ring(arrays)]
+    members[[lo, lo + 1]] = members[[lo + 1, lo]]
+    return members
+
+
+MALFORMED_ROUTING = {
+    "indptr-short": ("ring_indptr", lambda p, arrays: p[:-1], "n·levels \\+ 1 = \\d+ entries"),
+    "indptr-not-from-0": ("ring_indptr", _set(0, 1), "ring_indptr must start at 0"),
+    "indptr-decreasing": ("ring_indptr", _set(5, 0), "ring_indptr must never decrease"),
+    "indptr-past-members": ("ring_indptr", lambda p, arrays: p * 2,
+                            "must end at len\\(ring_members\\)"),
+    "member-past-n": ("ring_members", _shift_ring, "ring_members must lie in \\[0, 40\\)"),
+    "negative-member": ("ring_members", _set(0, -1), "ring_members must lie in \\[0, 40\\)"),
+    "members-unsorted-in-ring": ("ring_members", _swap_in_ring, "strictly increasing"),
+    "members-not-integers": ("ring_members", lambda m, arrays: m.astype(float),
+                             "must hold integers"),
+    "zoom-shape": ("zoom", lambda z, arrays: z[:, :-1],
+                   "zoom must be an integer array of shape"),
+    "zoom-not-integers": ("zoom", lambda z, arrays: z.astype(float),
+                          "zoom must be an integer array"),
+    "zoom-past-n": ("zoom", _set((3, 1), 40), "zoom entries must lie in \\[-1, 40\\)"),
+    "zoom-below-minus-1": ("zoom", _set((3, 1), -2), "zoom entries must lie in \\[-1, 40\\)"),
+    "labels-shape": ("label_indices", lambda li, arrays: li[:-1],
+                     "label_indices must be an integer array of shape"),
+    "labels-below-minus-1": ("label_indices", _set((3, 0), -2),
+                             "label_indices entries must be >= -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROUTING))
+def test_malformed_routing_container_is_refused(tmp_path, case):
+    name, change, check = MALFORMED_ROUTING[case]
+    _, path = _save_tampered_routing(tmp_path, name, change)
+    with pytest.raises(ContainerError, match=check) as err:
+        api.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_well_formed_routing_container_still_loads(tmp_path):
+    fitted, path = _save_tampered_routing(tmp_path, "zoom", lambda z, arrays: z)
+    loaded = api.load(path)
+    for u, v in [(0, 39), (7, 21), (33, 2)]:
+        assert loaded.inner.route(u, v).path == fitted.inner.route(u, v).path
