@@ -186,30 +186,30 @@ def net_rings(
     radius_for_level: Callable[[int], float],
     levels: Optional[Iterable[int]] = None,
     backend: str = "packed",
-) -> AnyRings:
+    return_nearest: bool = False,
+) -> Union[AnyRings, Tuple[AnyRings, np.ndarray]]:
     """Deterministic rings ``Y_uj = B_u(radius_for_level(j)) ∩ G_j``.
 
     This is the Theorem 2.1 construction with ``radius_for_level(j) =
     4Δ/(δ 2^j)`` and the Theorem 4.1 construction with ``2^{j+2}/δ``.
     Members are in net order (the level's admission order), identical
     across backends.
+
+    Every level comes from one pass over the nodes' distance rows
+    (:meth:`~repro.metrics.nets.NestedNets.scan`), each row asked once.
+    With ``return_nearest`` the same pass also gives each target's
+    nearest member of every level (Theorem 2.1's zooming entries ``f_tj``),
+    returned as an ``(n, levels)`` array after the rings.
     """
     level_list = list(levels) if levels is not None else list(range(nets.levels))
-    n = metric.n
-    all_nodes = range(n)
-    # One batched block query per level instead of one row fetch per
-    # (node, level): the builder's cost drops to a handful of big gathers.
-    per_level: List[List[np.ndarray]] = []
-    radii = np.empty((n, len(level_list)))
-    for k, j in enumerate(level_list):
-        r = radius_for_level(j)
-        radii[:, k] = r
-        per_level.append(nets.members_in_balls(j, all_nodes, r))
-    chunks = [per_level[k][u] for u in range(n) for k in range(len(level_list))]
-    return _pack_or_dict(
-        metric, backend, level_list, radii, chunks,
+    radii = [radius_for_level(j) for j in level_list]
+    chunks, nearest = nets.scan(level_list, radii, nearest=return_nearest)
+    rings = _pack_or_dict(
+        metric, backend, level_list,
+        np.tile(np.asarray(radii, dtype=float), (metric.n, 1)), chunks,
         provenance={"builder": "net_rings", "levels": level_list},
     )
+    return (rings, nearest) if return_nearest else rings
 
 
 def cardinality_rings(

@@ -36,6 +36,47 @@ def _predecessors(graph: WeightedGraph) -> Tuple[np.ndarray, np.ndarray]:
     return dist, pred
 
 
+def _check_dense_arrays(graph: WeightedGraph, arrays: Dict[str, np.ndarray]) -> None:
+    """Refuse a persisted dense first-hop table that would route wrong,
+    with a :class:`~repro.serve.container.ContainerError` naming the
+    check.  ``first_hop`` is an (n, n) integer array whose diagonal is
+    the node itself and whose other entries are neighbors of their row's
+    node, matched as ``u·n + v`` keys against the adjacency CSR's in one
+    vectorized ``np.isin``.  ``first_hop_dist`` is (n, n), finite, >= 0
+    and 0 on the diagonal; it is not checked for symmetry, because the
+    two orientations of a shortest-path sum may differ in the last ulp."""
+    # Local import: repro.serve sits above repro.graphs.
+    from repro.serve.container import ContainerError
+
+    def fail(check: str) -> None:
+        raise ContainerError(f"malformed first-hop table: {check}")
+
+    n = graph.n
+    hops = np.asarray(arrays["first_hop"])
+    if hops.dtype.kind not in "iu" or hops.shape != (n, n):
+        fail(f"first_hop must be an integer array of shape (n, n) = {(n, n)} "
+             f"(has {hops.dtype} {hops.shape})")
+    if hops.size and (hops.min() < 0 or hops.max() >= n):
+        fail(f"first_hop entries must lie in [0, {n})")
+    nodes = np.arange(n)
+    adjacency = graph.to_adjacency_arrays()
+    owners = np.repeat(nodes, np.diff(adjacency["adj_indptr"]))
+    adjacent = np.isin(nodes[:, None] * n + hops, owners * n + adjacency["adj_targets"])
+    adjacent[nodes, nodes] = True
+    if not adjacent.all():
+        fail("first_hop off-diagonal entries must be neighbors of their row's node")
+    if not np.array_equal(hops[nodes, nodes], nodes):
+        fail("first_hop must hold each node itself on the diagonal")
+    dist = np.asarray(arrays["first_hop_dist"])
+    if dist.dtype.kind != "f" or dist.shape != (n, n):
+        fail(f"first_hop_dist must be a float array of shape (n, n) = {(n, n)} "
+             f"(has {dist.dtype} {dist.shape})")
+    if not np.isfinite(dist).all() or (dist < 0).any():
+        fail("first_hop_dist entries must be finite and >= 0")
+    if dist[nodes, nodes].any():
+        fail("first_hop_dist must be 0 on the diagonal")
+
+
 class FirstHopTable:
     """First hops of shortest paths for all (source, target) pairs.
 
@@ -141,11 +182,13 @@ class FirstHopTable:
     ) -> "FirstHopTable":
         """Rehydrate from :meth:`to_arrays` without re-running Dijkstra.
 
-        Dense tables keep the mapped arrays as-is (zero copy); lazy
-        tables rebuild their empty row cache over the graph.
+        Dense tables keep the mapped arrays as-is (zero copy) once
+        :func:`_check_dense_arrays` has passed them; lazy tables rebuild
+        their empty row cache over the graph.
         """
         if not meta.get("dense", True):
             return cls(graph, dense=False, row_cache_bytes=row_cache_bytes)
+        _check_dense_arrays(graph, arrays)
         table = cls.__new__(cls)
         table.graph = graph
         table.dense = True

@@ -30,13 +30,20 @@ per distance row:
   radius are still exact wherever they matter), so a whole hierarchy
   costs one scan's worth of updates.
 
+The ring builders read the finished hierarchy in a single pass
+(:meth:`NestedNets.scan`, the hot path of their construction): every
+node's distance row is asked once, and it yields that node's ring at
+every level as well as its share of every level's nearest members.  A
+coarser net is a prefix of a finer one's admission list, so one block
+whose columns lead with the finest net serves every level.
+
 Lemma 1.4 (at most ``(4 r'/r)^α`` net points in any radius-r' ball) is what
 bounds every ring cardinality in the paper; tests verify it empirically.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -191,12 +198,14 @@ def is_r_net(metric: MetricSpace, points: Sequence[NodeId], r: float) -> bool:
     return True
 
 
-def _center_blocks(metric, us: np.ndarray, candidates: np.ndarray) -> Iterator[np.ndarray]:
-    """``(centers, candidates)`` distance blocks of at most
-    :data:`_BLOCK_ELEMS` elements, covering ``us`` in order."""
-    chunk = max(1, _BLOCK_ELEMS // max(1, candidates.size))
-    for start in range(0, us.size, chunk):
-        yield metric.distances_between(us[start : start + chunk], candidates)
+def _fold_min(
+    best_d: np.ndarray, best_id: np.ndarray, d: np.ndarray, ids: np.ndarray
+) -> None:
+    """Fold ``(d, ids)`` into the running ``(best_d, best_id)`` minimum in
+    place: the lower distance wins, then the lower id."""
+    take = (d < best_d) | ((d == best_d) & (ids < best_id))
+    best_d[take] = d[take]
+    best_id[take] = ids[take]
 
 
 class NestedNets:
@@ -271,38 +280,82 @@ class NestedNets:
         row = self.metric.distances_from(u)
         return candidates[row[candidates] <= r]
 
-    def members_in_balls(
-        self, j: int, us: Sequence[NodeId], r: float
-    ) -> List[np.ndarray]:
-        """``members_in_ball(j, u, r)`` for many centers in batched blocks.
-
-        Computes ``(centers, |G_j|)`` distance blocks instead of one full
-        row per center — the hot path of the ring builders.
-        """
-        us = np.asarray(list(us), dtype=np.intp)
-        candidates = self.net_array(j)
-        return [
-            candidates[row <= r]
-            for block in _center_blocks(self.metric, us, candidates)
-            for row in block
-        ]
-
     def nearest_member(self, j: int, u: NodeId) -> NodeId:
-        """The level-``j`` net point closest to ``u`` (covering => within radius)."""
+        """The level-``j`` net point closest to ``u`` (covering => within
+        radius), read from u's row; the first admitted on ties."""
         candidates = self.net_array(j)
         row = self.metric.distances_from(u)
         return int(candidates[np.argmin(row[candidates])])
 
-    def nearest_members(self, j: int, us: Sequence[NodeId]) -> np.ndarray:
-        """:meth:`nearest_member` for many centers in batched blocks (the
-        first candidate on ties)."""
-        us = np.asarray(list(us), dtype=np.intp)
-        candidates = self.net_array(j)
-        parts = [
-            candidates[np.argmin(block, axis=1)]
-            for block in _center_blocks(self.metric, us, candidates)
-        ]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+    def scan(
+        self,
+        levels: Sequence[int],
+        radii: Sequence[float],
+        nearest: bool = False,
+    ) -> Tuple[List[np.ndarray], Optional[np.ndarray]]:
+        """Every node's ring ``B_u(radii[k]) ∩ G_levels[k]`` and, with
+        ``nearest``, every target's nearest member of each level, from one
+        distance row per node: ``(rings, nearest)``, where ``rings[u * K +
+        k]`` is a ring (node-major, K = ``len(levels)``) and ``nearest`` is
+        an ``(n, K)`` array of member ids (None unless asked for).
+
+        The rows come in blocks of at most :data:`_BLOCK_ELEMS` elements,
+        one column per node, the finest requested net's admission list
+        first.  Each coarser net is a prefix of that list (each level
+        is seeded with the coarser one), so a level reads a view of the
+        block.  A ring holds the members within its radius in u's own row,
+        in net order.
+
+        A nearest member is read from the members' own rows, the lower
+        distance first, then the lower id: the rule
+        :meth:`~repro.routing.ring_scheme.RingRouting._recompute_zoom`
+        applies under churn.  The scan asks the rows grouped by the
+        coarsest requested level that holds them, in id order within a
+        group, so each group is a contiguous run of a block.  A group's
+        min and argmin fold into its running (distance, id) minimum, and
+        a level's answer is the running minimum over its own group and
+        every coarser one.
+        """
+        metric, n, K = self.metric, self.metric.n, len(levels)
+        sizes = np.asarray([len(self.net(j)) for j in levels], dtype=np.intp)
+        targets = np.arange(n)
+        order = self.net_array(levels[int(sizes.argmax())])
+        cols = np.concatenate([order, np.setdiff1d(targets, order)])
+        prefixes = [(cols[:m], r) for m, r in zip(sizes.tolist(), radii)]
+        # Group g holds the columns in [bounds[g-1], bounds[g]): the nodes
+        # the g-th coarsest distinct net first holds; len(bounds) is none.
+        bounds = np.unique(sizes)
+        where = np.empty(n, dtype=np.intp)
+        where[cols] = targets
+        group = bounds.searchsorted(where, side="right")
+        rows = np.argsort(group, kind="stable")
+        group = group[rows]
+        rings: List[np.ndarray] = [None] * (n * K)  # type: ignore[list-item]
+        if nearest:
+            best_d = np.full((bounds.size, n), np.inf)
+            best_id = np.full((bounds.size, n), n, dtype=np.intp)
+        chunk = max(1, _BLOCK_ELEMS // max(1, n))
+        for start in range(0, n, chunk):
+            us = rows[start : start + chunk]
+            block = metric.distances_between(us, cols)
+            for u, row in zip(us.tolist(), block):
+                for k, (members, r) in enumerate(prefixes):
+                    rings[u * K + k] = members[row[: members.size] <= r]
+            if not nearest:
+                continue
+            cuts = group[start : start + us.size].searchsorted(np.arange(bounds.size + 1))
+            for g, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+                if lo < hi:
+                    part = block[lo:hi]
+                    arg = part.argmin(axis=0)
+                    _fold_min(best_d[g], best_id[g], part[arg, targets], us[lo:hi][arg])
+        if not nearest:
+            return rings, None
+        for g in range(1, bounds.size):
+            _fold_min(best_d[g], best_id[g], best_d[g - 1], best_id[g - 1])
+        out = np.empty((n, K), dtype=np.intp)
+        out[cols] = best_id[bounds.searchsorted(sizes)].T
+        return rings, out
 
     def __len__(self) -> int:
         return self.levels

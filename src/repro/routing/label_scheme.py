@@ -70,7 +70,7 @@ class LabelRouting(RoutingScheme):
         self._ring_radius = [
             min_d * (2.0 ** (j + 2)) / delta for j in range(self.levels)
         ]
-        # Rings packed into one CSR block (a batched block scan per level),
+        # Rings packed into one CSR block (one pass over the distance rows),
         # then reduced to the per-node neighbor sets F(u) = ∪_j F_j(u) \ {u}
         # as a second CSR block: one `np.unique` over each node's
         # contiguous member span instead of Python set unions.  Only the

@@ -5,7 +5,9 @@ Construction (§2):
 * For each scale ``j ∈ [log Δ]``, ``G_j`` is a (Δ/2^j)-net and the j-th
   ring of u is ``Y_uj = B_u(r_j) ∩ G_j`` with ``r_j = 4Δ/(δ 2^j)``.
 * The *zooming sequence* of a target t is ``f_tj`` — a level-j net point
-  within Δ/2^j of t; t's routing label encodes it **without global ids**:
+  within Δ/2^j of t (the nearest, read from the net points' own distance
+  rows, the lowest id on ties); t's routing label encodes it **without
+  global ids**:
   ``n_t0`` is f_t0's index in the (shared) level-0 ring enumeration, and
   ``n_tj`` is f_tj's index in the host enumeration of the previous element
   (Claim 2.3 guarantees membership).
@@ -196,13 +198,17 @@ class RingRouting(RoutingScheme):
             4.0 * diameter / (delta * 2.0**j) for j in range(self.levels)
         ]
 
-        # Rings, packed: one batched block scan per level feeds a single
-        # CSR block; sorting the member slices makes them double as the
-        # host enumerations φ_uj.
-        self.rings_packed = net_rings(
+        # Rings and zooming entries from one pass over the distance rows
+        # (each asked once), packed into a single CSR block; sorting the
+        # member slices makes them double as the host enumerations φ_uj.
+        # f_tj is the nearest member of G_j read from the members' own
+        # rows, lowest id on ties: the rule an update recomputes it by.
+        rings, zoom = net_rings(
             self.metric, self.nets,
             lambda j: self._ring_radius[j],
-        ).with_sorted_members()
+            return_nearest=True,
+        )
+        self.rings_packed = rings.with_sorted_members()
         self._indptr = self.rings_packed.indptr
         self._members = self.rings_packed.members
         #: per-(node, level) ring sizes, (n, levels)
@@ -210,13 +216,8 @@ class RingRouting(RoutingScheme):
         #: the paper's K, fixed at build time (table_bits sweeps reuse it)
         self._max_ring_card = self.rings_packed.max_ring_cardinality()
 
-        # Zooming sequences and labels, batched per level the same way.
         self._init_mutation_state()
-        n = graph.n
-        all_nodes = range(n)
-        self._zoom = np.empty((n, self.levels), dtype=np.int32)
-        for j in range(self.levels):
-            self._zoom[:, j] = self.nets.nearest_members(j, all_nodes)
+        self._zoom = zoom.astype(np.int32)
         self.labels: List[RingRoutingLabel] = self._encode_labels(strict=True)
 
         # Sparse ζ triple counts per (node, level) — computed lazily (and
@@ -434,7 +435,9 @@ class RingRouting(RoutingScheme):
         """Canonical zooming entries for ``levels``: per level j, the
         nearest *active* member of G_j, lowest id on ties (candidates are
         id-sorted and argmin takes the first minimum) — order-independent
-        by construction.
+        by construction.  The build picks its entries by the same rule
+        from the same rows (:func:`~repro.core.rings.net_rings`), so with
+        every node active this recompute returns the build's entries.
 
         One row-oriented ``distances_between(union, all nodes)`` block over
         the union of the levels' candidates serves every level, each
@@ -556,7 +559,8 @@ class RingRouting(RoutingScheme):
         (:meth:`_update_zoom`).  A level keeps its build-time entries
         until an update first touches it (its net G_j holds a changed
         node); that first touch recomputes the level whole
-        (:meth:`_recompute_zoom`) and stores each entry's distance.
+        (:meth:`_recompute_zoom`, the rule the build chose them by) and
+        stores each entry's distance.
         After it, a joined net point's row is compared with the stored
         entries, and a target whose entry departed is settled over a
         short-list read from its own row within a relative 1e-9 of the

@@ -9,8 +9,11 @@ is the reference.  These tests pin the batched builders to it:
   point sets, where distances tie;
 * whole ``NestedNets`` hierarchies (which additionally carry the
   distance-to-net array between levels) must match level-for-level;
-* the batched ring and nearest-member queries must match their scalar
-  one-row-per-center counterparts, whatever the block size.
+* the one-pass ring and nearest-member scan must match the scalar
+  one-row-per-center ring query and a brute-force nearest member read
+  from the members' own rows (lowest id on ties), whatever the block
+  size; each coarser net is a prefix of the finest net's admission list;
+* a lazy Theorem 2.1 build computes each node's full row at most twice.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.metrics.nets as nets_module
+from repro import api
 from repro.core.rings import net_rings
-from repro.graphs.generators import knn_geometric_graph
+from repro.graphs.generators import grid_graph, knn_geometric_graph
 from repro.metrics import EuclideanMetric
 from repro.metrics.graphmetric import ShortestPathMetric
 from repro.metrics.nets import NestedNets, greedy_net, greedy_scan, is_r_net
@@ -196,6 +200,27 @@ class TestNestedNets:
             assert a.net(j) == b.net(j)
 
 
+def _nearest_reference(metric, net) -> np.ndarray:
+    """Each target's nearest member of ``net``, read from the members' own
+    rows one at a time, the lowest id on ties."""
+    members = np.sort(np.asarray(net))
+    rows = np.stack([metric.distances_from(int(m)) for m in members])
+    return members[rows.argmin(axis=0)]
+
+
+def _tied_metrics():
+    """Metrics whose distances tie often: a unit grid graph and integer
+    points in the plane."""
+    grid = np.stack(np.meshgrid(np.arange(7), np.arange(7)), axis=-1).reshape(-1, 2)
+    return {
+        "graph-grid": ShortestPathMetric(grid_graph(8), dense=False),
+        "euclidean-integer": EuclideanMetric(grid.astype(float)),
+    }
+
+
+TIED = _tied_metrics()
+
+
 class TestBatchedMemberQueries:
     @pytest.mark.parametrize("name", sorted(METRICS))
     def test_net_rings_match_scalar_balls(self, name):
@@ -210,29 +235,47 @@ class TestBatchedMemberQueries:
                 expected = nets.members_in_ball(j, u, radius(j))
                 assert list(rings.ring(u, j).members) == expected.tolist()
 
-    @pytest.mark.parametrize("name", sorted(METRICS))
-    def test_nearest_members_match_scalar(self, name):
-        metric = METRICS[name]
-        nets = NestedNets(
-            metric, levels=4, base_radius=metric.diameter(), descending=True
-        )
-        us = list(range(metric.n))
+    @pytest.mark.parametrize("name", sorted(METRICS) + sorted(TIED))
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_nearest_members_match_brute_force(self, name, descending):
+        metric = {**METRICS, **TIED}[name]
+        base = metric.diameter() if descending else metric.min_distance()
+        levels = min(5, metric.log_aspect_ratio() + 1)
+        nets = NestedNets(metric, levels=levels, base_radius=base,
+                          descending=descending)
+        # every level, then a subset out of order: a scan group may then
+        # hold points admitted at several levels
+        for asked in (list(range(levels)), [levels - 1, 0][: levels]):
+            radii = [nets.radius_of(j) for j in asked]
+            _, nearest = nets.scan(asked, radii, nearest=True)
+            assert nearest.shape == (metric.n, len(asked))
+            for k, j in enumerate(asked):
+                expected = _nearest_reference(metric, nets.net(j))
+                np.testing.assert_array_equal(nearest[:, k], expected)
+
+    @pytest.mark.parametrize("name", sorted(METRICS) + sorted(TIED))
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_coarser_nets_are_prefixes_of_the_finest(self, name, descending):
+        metric = {**METRICS, **TIED}[name]
+        base = metric.diameter() if descending else metric.min_distance()
+        nets = NestedNets(metric, levels=6, base_radius=base, descending=descending)
+        finest = nets.net(5 if descending else 0)
         for j in range(nets.levels):
-            expected = [nets.nearest_member(j, u) for u in us]
-            assert nets.nearest_members(j, us).tolist() == expected
+            assert nets.net(j) == finest[: len(nets.net(j))]
 
     @pytest.mark.parametrize("name", sorted(METRICS))
     def test_tiny_blocks_change_nothing(self, name, monkeypatch):
-        # Blocks of a few elements split every scan, ring and nearest-member
-        # query into many pieces; min and per-row reads make that invisible.
+        # Blocks of a few elements split every scan into many pieces, one
+        # row each; min and per-row reads make that invisible.
         metric = METRICS[name]
         base = metric.min_distance()
         levels = min(6, metric.log_aspect_ratio() + 1)
 
         def build():
             nets = NestedNets(metric, levels=levels, base_radius=base)
-            rings = net_rings(metric, nets, lambda j: 3.0 * nets.radius_of(j))
-            nearest = [nets.nearest_members(j, range(metric.n)) for j in range(levels)]
+            rings, nearest = net_rings(
+                metric, nets, lambda j: 3.0 * nets.radius_of(j), return_nearest=True
+            )
             return nets, rings, nearest
 
         nets, rings, nearest = build()
@@ -240,6 +283,26 @@ class TestBatchedMemberQueries:
         tiny_nets, tiny_rings, tiny_nearest = build()
         for j in range(levels):
             assert tiny_nets.net(j) == nets.net(j)
-            np.testing.assert_array_equal(tiny_nearest[j], nearest[j])
+        np.testing.assert_array_equal(tiny_nearest, nearest)
         np.testing.assert_array_equal(tiny_rings.members, rings.members)
         np.testing.assert_array_equal(tiny_rings.indptr, rings.indptr)
+
+
+def test_a_lazy_routing_build_computes_each_full_row_at_most_twice(monkeypatch):
+    # One full row per node for the diameter, one for the rings and the
+    # zooming entries; a row cache far smaller than n rows forces every
+    # other read of a row to compute it again.
+    full_rows = []
+    dijkstra = ShortestPathMetric._dijkstra
+
+    def counted(self, sources, limit=np.inf):
+        if not np.isfinite(limit):
+            full_rows.append(np.size(sources))
+        return dijkstra(self, sources, limit)
+
+    monkeypatch.setattr(ShortestPathMetric, "_dijkstra", counted)
+    n = 200
+    fitted = api.build("route-thm2.1", "knn-graph", n=n, seed=0, delta=0.25,
+                       dense=False, cache_mb=0.05, cache=api.BuildCache())
+    assert fitted.inner.metric.row_cache_stats()["budget_bytes"] < n * n * 8
+    assert 0 < sum(full_rows) <= 2 * n

@@ -17,7 +17,9 @@ every level touched so far after every event, and the encoder must
 check as many rings per event as the walk target by target it replaced
 (the counts recorded with that walk).  A metric whose row of one target
 is one ulp off shows that a value read from the target's row never
-decides a new entry.
+decides a new entry.  On graphs whose distances tie, a fresh build
+holds the entries a whole recompute gives, and leaving and rejoining
+restores a fresh build's state.
 """
 
 from __future__ import annotations
@@ -351,6 +353,52 @@ def test_a_target_row_one_ulp_off_never_decides_the_entry(zoom_steps):
     assert np.array_equal(scheme._zoom, reference._zoom)
     assert np.array_equal(scheme._zoom_dist[:, touched],
                           reference._zoom_dist[:, touched])
+
+
+def _grid_build():
+    return api.build("route-thm2.1", "grid-graph", n=100, seed=0, delta=0.45,
+                     cache=api.BuildCache())
+
+
+def _zoom_after_a_whole_recompute(scheme: RingRouting) -> np.ndarray:
+    scheme._ensure_mutable()
+    scheme._recompute_zoom(list(range(scheme.levels)))
+    return scheme._zoom
+
+
+@pytest.mark.parametrize("graph", ["grid", "integer"])
+def test_a_fresh_build_holds_the_recomputed_zoom(graph):
+    # Both graphs have equidistant net points; the build breaks those ties
+    # as an update does, by the members' own rows and then the lower id.
+    if graph == "grid":
+        scheme = _grid_build().inner
+    else:
+        weighted = _integer_graph(120)
+        scheme = RingRouting(weighted, delta=0.45,
+                             metric=ShortestPathMetric(weighted, dense=False))
+    built = scheme._zoom.copy()
+    assert np.array_equal(_zoom_after_a_whole_recompute(scheme), built)
+
+
+def test_leaving_and_rejoining_restores_a_fresh_build():
+    """The same active set gives the same state: once the last net point
+    of every level has left and rejoined, the grid graph's zooming
+    entries, labels and routes are a fresh build's."""
+    fitted, fresh = _grid_build(), _grid_build()
+    scheme = fitted.inner
+    last = sorted({scheme.nets.net(j)[-1] for j in range(scheme.levels)})
+    api.update(fitted, leaves=last)
+    api.update(fitted, joins=last)
+    assert scheme._zoom_touched.any()
+    assert np.array_equal(scheme._zoom, fresh.inner._zoom)
+    assert [label.indices for label in scheme.labels] == [
+        label.indices for label in fresh.inner.labels
+    ]
+    n = scheme.graph.n
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    assert [scheme.route(u, v).path for u, v in pairs] == [
+        fresh.inner.route(u, v).path for u, v in pairs
+    ]
 
 
 def test_strict_encoder_raises_on_a_ring_missing_the_entry(knn_graph64):

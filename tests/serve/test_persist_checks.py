@@ -7,6 +7,8 @@ serve (the pristine arrays filtered by the live active set), not the
 last-merged one.  A triangulation container whose CSR labels are
 malformed would otherwise be served silently wrong: every such file is
 refused with a :class:`ContainerError` naming the file and the check.
+So is a Theorem 2.1 routing container whose rings, zooming entries,
+labels or dense first-hop table would route wrong.
 """
 
 from __future__ import annotations
@@ -188,6 +190,11 @@ def _swap_in_ring(members, arrays):
     return members
 
 
+def _neighbor_on_diagonal(hops, arrays, u=3):
+    hops[u, u] = hops[u, 0]  # a neighbor of u, where u itself belongs
+    return hops
+
+
 MALFORMED_ROUTING = {
     "indptr-short": ("ring_indptr", lambda p, arrays: p[:-1], "n·levels \\+ 1 = \\d+ entries"),
     "indptr-not-from-0": ("ring_indptr", _set(0, 1), "ring_indptr must start at 0"),
@@ -209,6 +216,22 @@ MALFORMED_ROUTING = {
                      "label_indices must be an integer array of shape"),
     "labels-below-minus-1": ("label_indices", _set((3, 0), -2),
                              "label_indices entries must be >= -1"),
+    # route(0, 39) went over the non-edge (0, 1) and reached its target
+    "hop-not-a-neighbor": ("first_hop", _set(0, 1), "must be neighbors of their row's node"),
+    # route(0, 39) raised IndexError from inside the route
+    "hop-past-n": ("first_hop", _set(0, 99), "first_hop entries must lie in \\[0, 40\\)"),
+    "negative-hop": ("first_hop", _set((5, 7), -1), "first_hop entries must lie in \\[0, 40\\)"),
+    "hop-off-the-diagonal": ("first_hop", _neighbor_on_diagonal,
+                             "each node itself on the diagonal"),
+    "hops-shape": ("first_hop", lambda h, arrays: h[:, :-1],
+                   "first_hop must be an integer array of shape \\(n, n\\)"),
+    "hops-not-integers": ("first_hop", lambda h, arrays: h.astype(float),
+                          "first_hop must be an integer array"),
+    "hop-dist-shape": ("first_hop_dist", lambda d, arrays: d[:-1],
+                       "first_hop_dist must be a float array of shape"),
+    "hop-dist-nan": ("first_hop_dist", _set((2, 9), np.nan), "finite and >= 0"),
+    "hop-dist-negative": ("first_hop_dist", _set((2, 9), -1.0), "finite and >= 0"),
+    "hop-dist-diagonal": ("first_hop_dist", _set((4, 4), 0.5), "0 on the diagonal"),
 }
 
 
