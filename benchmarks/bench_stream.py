@@ -1,19 +1,21 @@
 """Streaming-churn perf bench for the mutable schemes — machine JSON.
 
 Streams one long seeded :class:`~repro.distributed.trace.ChurnTrace`
-(join/leave events over a fixed universe) through the patch-buffered
-update path of each estimator scheme and records, per scheme:
+(join/leave events over a fixed universe) through the update path of
+each estimator scheme and records, per scheme:
 
-* ``amortized_update_s`` — mean wall-clock per ``update()`` call,
-  including every auto-merge the policy tripped along the way;
-* ``merge_s`` — mean wall-clock of the update calls that merged (the
-  patch-compaction cost the amortization has to absorb);
+* ``amortized_update_s`` — mean wall-clock per ``update()`` call; both
+  label schemes commit every update, so every call is a merge;
+* ``merge_s`` — mean wall-clock of the update calls that merged (all of
+  them here);
 * ``rebuild_s`` — a timed fresh build: what a scrub-and-rebuild epoch
   loop would pay per event instead;
 * ``update_speedup`` — ``rebuild_s / amortized_update_s``, gated by
   ``--min-speedup`` (the incremental path must beat rebuilding by 10×);
-* IVL counters — reads that overlapped a pending patch are checked
-  against the intermediate-value hull; ``ivl_violations`` must be 0;
+* IVL counters — ``ivl_violations`` must be 0.  Nothing is pending
+  after an update of either scheme, so no read is checked and both
+  counters read 0 (reads are checked against a reference in
+  ``tests/properties/test_label_churn.py``);
 * ``parity_equal`` — after ``compact()``, estimates are bit-for-bit
   equal to a fresh build bulk-updated to the same final active set.
 

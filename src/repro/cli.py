@@ -15,8 +15,9 @@ Commands mirror the paper's four problems plus workload inspection:
   structures) and run queries;
 * ``update``      — build a mutable scheme and stream join/leave churn
   into it (one explicit batch, or a seeded ChurnTrace), reporting
-  receipts, amortized update cost, patch-buffer state and the IVL
-  counters (exit 1 on any IVL violation);
+  receipts, amortized update cost, patch-buffer state and, for the
+  structures that keep them, the IVL counters (exit 1 on any IVL
+  violation);
 * ``run``         — execute a declarative experiment grid (a named
   suite or a spec JSON file) through :mod:`repro.experiments`;
 * ``results``     — list or diff persisted experiment result sets;

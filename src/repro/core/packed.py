@@ -140,10 +140,6 @@ class PackedRings:
     def n(self) -> int:
         return self.metric.n
 
-    @property
-    def num_keys(self) -> int:
-        return len(self.keys)
-
     def _ring_slice(self, u: NodeId, k: int) -> np.ndarray:
         i = u * len(self.keys) + k
         return self.members[self.indptr[i] : self.indptr[i + 1]]
@@ -185,16 +181,6 @@ class PackedRings:
         """All rings of ``u`` as a key → :class:`Ring` dict (materialized
         on the fly; the packed arrays stay the source of truth)."""
         return {key: self.ring(u, key) for key in self.keys}
-
-    def to_rings_of_neighbors(self):
-        """Materialize the full legacy dict structure (tests/debugging)."""
-        from repro.core.rings import RingsOfNeighbors
-
-        legacy = RingsOfNeighbors(self.metric)
-        for u in range(self.n):
-            for key in self.keys:
-                legacy.add_ring(self.ring(u, key))
-        return legacy
 
     # -- neighbor queries ----------------------------------------------
 

@@ -21,15 +21,18 @@ model:
   snapshot) is derived from it on its first read and kept until the next
   merge, so a structure whose reads never consult it never copies it.
 * Reads of inactive nodes raise :class:`InactiveNode`
-  (:func:`require_active`); reads that overlap a pending patch are the
-  ones the structures bracket with an IVL-style bound (Rinberg &
-  Keidar): the served value must lie between the pre-merge and
-  post-merge answers (:func:`ivl_violations`).
+  (:func:`require_active`).
+
+The label schemes commit every update at once (the triangulation merges
+its :class:`CSRPatch`, the beacons commit their :class:`Membership`), so
+every read they serve is exact for the live active set and nothing of
+theirs is ever pending.  Only Theorem 2.1 routing keeps churn pending
+under :func:`merge_due` and checks its pending ring reads itself.
 
 Nothing here knows about distances or rings — it is pure membership +
 CSR bookkeeping, shared by the labeling and routing structures, which
-take the merge policy, the inactive-read check, the IVL hull and the
-:class:`PatchStats` snapshot from this module rather than restating them.
+take the inactive-read check and the :class:`PatchStats` snapshot from
+this module rather than restating them.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ __all__ = [
     "MERGE_STALENESS",
     "merge_due",
     "require_active",
-    "ivl_violations",
     "patch_stats",
 ]
 
@@ -192,10 +194,12 @@ class Membership:
 
 
 def merge_due(membership: Membership, dirty: int, rows: int) -> bool:
-    """The merge policy: pending churn is folded once ``dirty / rows``
-    reaches :data:`MERGE_DIRTY_FRACTION` or :data:`MERGE_STALENESS`
-    updates arrived since the last merge.  The constants are read at
-    call time, so patching them here changes every structure's policy."""
+    """The merge policy of :meth:`CSRPatch.maybe_merge`, which only
+    Theorem 2.1 routing uses (the label schemes merge every update):
+    pending churn is folded once ``dirty / rows`` reaches
+    :data:`MERGE_DIRTY_FRACTION` or :data:`MERGE_STALENESS` updates
+    arrived since the last merge.  The constants are read at call time,
+    so patching them here changes the policy."""
     if membership.is_clean():
         return False
     return (
@@ -214,21 +218,6 @@ def require_active(membership: Optional[Membership], us, vs) -> None:
     gone = ids[~membership.active[ids]]
     if gone.size:
         raise InactiveNode(f"node(s) {np.unique(gone).tolist()} are not active")
-
-
-def ivl_violations(served, pre, post) -> int:
-    """How many served values lie outside their IVL hull
-    ``[min(pre, post) - tol, max(pre, post) + tol]``, where ``tol`` is
-    ``1e-9 * max(1, |served|)`` for a finite value and 0 otherwise.  A NaN
-    never lies inside, so it counts as a violation."""
-    served = np.asarray(served, dtype=float)
-    lo = np.minimum(pre, post)
-    hi = np.maximum(pre, post)
-    tol = np.where(
-        np.isfinite(served), 1e-9 * np.maximum(1.0, np.abs(served)), 0.0
-    )
-    inside = (lo - tol <= served) & (served <= hi + tol)
-    return int(inside.size - np.count_nonzero(inside))
 
 
 def patch_stats(
@@ -263,11 +252,11 @@ class CSRPatch:
     Rows whose contents overlap pending churn are flagged dirty and
     served from the pristine arrays masked by the live active set
     (canonical order — identical to what a merge would produce).
-    ``merged_*`` and :meth:`merged_row` read the pristine block filtered
-    to the membership snapshot of the last merge; a merge keeps only that
-    snapshot, and the filtered block is built on the first such read
-    (never, for a structure that reads elsewhere) and cached until the
-    next merge.  Before any merge it is the pristine block itself.
+    ``merged_*`` read the pristine block filtered to the membership
+    snapshot of the last merge; a merge keeps only that snapshot, and the
+    filtered block is built on the first such read (never, for a
+    structure that reads elsewhere) and cached until the next merge.
+    Before any merge it is the pristine block itself.
     """
 
     def __init__(
@@ -349,9 +338,6 @@ class CSRPatch:
     def row_dirty(self, r: int) -> bool:
         return bool(self._dirty[r])
 
-    def rows_dirty(self, rows: np.ndarray) -> np.ndarray:
-        return self._dirty[np.asarray(rows, dtype=np.int64)]
-
     @property
     def dirty_row_count(self) -> int:
         return int(self._dirty.sum())
@@ -382,12 +368,6 @@ class CSRPatch:
     @property
     def merged_payloads(self) -> Tuple[np.ndarray, ...]:
         return self._merged_block()[2]
-
-    def merged_row(self, r: int) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-        """Row ``r`` as of the last merge (the pre-update IVL endpoint)."""
-        indptr, keys, payloads = self._merged_block()
-        lo, hi = indptr[r], indptr[r + 1]
-        return keys[lo:hi], tuple(p[lo:hi] for p in payloads)
 
     # -- merging --------------------------------------------------------
 

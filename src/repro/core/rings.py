@@ -187,7 +187,7 @@ def net_rings(
     levels: Optional[Iterable[int]] = None,
     backend: str = "packed",
     return_nearest: bool = False,
-) -> Union[AnyRings, Tuple[AnyRings, np.ndarray]]:
+) -> Union[AnyRings, Tuple[AnyRings, Tuple[np.ndarray, np.ndarray]]]:
     """Deterministic rings ``Y_uj = B_u(radius_for_level(j)) ∩ G_j``.
 
     This is the Theorem 2.1 construction with ``radius_for_level(j) =
@@ -198,8 +198,9 @@ def net_rings(
     Every level comes from one pass over the nodes' distance rows
     (:meth:`~repro.metrics.nets.NestedNets.scan`), each row asked once.
     With ``return_nearest`` the same pass also gives each target's
-    nearest member of every level (Theorem 2.1's zooming entries ``f_tj``),
-    returned as an ``(n, levels)`` array after the rings.
+    nearest member of every level (Theorem 2.1's zooming entries ``f_tj``)
+    and its distance ``d(f_tj, t)`` read from f_tj's row, returned after
+    the rings as ``(ids, dist)``, two ``(n, levels)`` arrays.
     """
     level_list = list(levels) if levels is not None else list(range(nets.levels))
     radii = [radius_for_level(j) for j in level_list]

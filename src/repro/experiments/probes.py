@@ -285,8 +285,10 @@ def _stream_pairs(active, rng, pairs: int):
 
 def _stream_quality(fitted, active, rng, pairs: int):
     """Estimate (or routed-path) ratios vs the true metric on sampled
-    active pairs — served straight off the patch-buffered structure, so
-    mid-patch reads exercise the IVL-checked path."""
+    active pairs, served straight off the updated structure.  A label
+    scheme's read is exact for the live active set (every update
+    commits); a routing read of a ring pending churn touched takes the
+    IVL-checked path."""
     import numpy as np
 
     metric = fitted.workload.metric
@@ -341,7 +343,8 @@ def _churn_stream(
     """Stream a seeded ChurnTrace through the scheme's update path.
 
     Reports checkpointed estimate quality, IVL check/violation counters
-    (the guarantee is zero violations), merge cadence, the amortized
+    (the guarantee is zero violations; only routing runs checks, since
+    the label schemes commit every update), merge cadence, the amortized
     per-update cost against a timed scrub-and-rebuild reference, and
     bit-for-bit parity of the compacted structure against a fresh build
     bulk-updated to the same final active set.

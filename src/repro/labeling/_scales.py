@@ -113,10 +113,6 @@ class ScaleStructure:
         level = int(math.floor(math.log2(radius / self.base)))
         return max(0, min(self.nets.levels - 1, level))
 
-    def net_scale(self, level: int) -> float:
-        """Radius of the level's net."""
-        return self.nets.radius_of(level)
-
     # -- neighbor sets -----------------------------------------------------
 
     def _net_mask(self, level: int) -> np.ndarray:

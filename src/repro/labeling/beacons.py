@@ -17,14 +17,7 @@ import numpy as np
 
 from repro._types import NodeId, as_node_pair, as_node_pairs
 from repro.bits import SizeAccount, bits_for_count
-from repro.core.patch import (
-    Membership,
-    PatchStats,
-    ivl_violations,
-    merge_due,
-    patch_stats,
-    require_active,
-)
+from repro.core.patch import Membership, PatchStats, patch_stats, require_active
 from repro.labeling.encoding import DistanceCodec
 from repro.metrics.base import MetricSpace
 from repro.rng import SeedLike, ensure_rng
@@ -71,84 +64,45 @@ class BeaconTriangulation:
         self._init_mutation_state()
 
     def _init_mutation_state(self) -> None:
-        # Pristine copies: churn masks beacon *columns*, never recomputes
+        # Pristine copies: churn drops beacon *columns*, never recomputes
         # distances.  ``self.beacons``/``self._labels`` always hold the
-        # state as of the last merge (what clean reads serve).
+        # live state, which every read serves.
         self._beacons0 = self.beacons
         self._labels0 = self._labels
         self._membership: Optional[Membership] = None
-        self._view = None
         self.revision = 0
-        self.ivl_checks = 0
-        self.ivl_violations = 0
-        self._auto_merges = 0
 
     # -- incremental updates -------------------------------------------
 
-    def _ensure_membership(self) -> Membership:
+    def apply_update(self, joins=(), leaves=()) -> bool:
+        """Apply one join/leave batch and commit it: nothing is pending
+        when it returns.  Label distances stay pristine.  Only a batch
+        that changes a beacon's membership replaces the served
+        ``beacons``/``labels`` by the pristine ones without the inactive
+        beacons' columns; any other batch is membership bookkeeping
+        alone.  Returns True: every update merges."""
         if self._membership is None:
             self._membership = Membership(self.metric.n)
-        return self._membership
-
-    def _pending_beacon_changes(self) -> int:
         m = self._membership
-        if m is None or m.is_clean():
-            return 0
-        return int(
-            np.count_nonzero(m.active[self._beacons0] != m.snapshot[self._beacons0])
-        )
-
-    def _beacon_dirty(self) -> bool:
-        return self._pending_beacon_changes() > 0
-
-    def _served_labels(self) -> Tuple[np.ndarray, bool]:
-        """(label block, dirty): the (n, k') block reads serve.  While a
-        beacon change is pending it is the live view — the pristine
-        labels without inactive beacons' columns, cached per membership
-        update — and ``dirty`` says its reads must be IVL-checked;
-        otherwise it is the last-merged labels."""
-        if not self._beacon_dirty():
-            return self._labels, False
-        m = self._membership
-        if self._view is None or self._view[0] != m.updates:
-            self._view = (m.updates, self._labels0[:, m.active[self._beacons0]])
-        return self._view[1], True
-
-    def apply_update(self, joins=(), leaves=()) -> bool:
-        """Apply one join/leave batch.  Label distances stay pristine;
-        beacons owned by departed nodes are masked out of every read.
-        Returns whether this update triggered an automatic merge (the
-        merge policy of :func:`~repro.core.patch.merge_due`, with beacon
-        columns as the rows)."""
-        m = self._ensure_membership()
         m.apply(joins, leaves)
         self.revision += 1
-        self._view = None
-        if merge_due(m, self._pending_beacon_changes(), self._beacons0.size):
-            self.compact()
-            self._auto_merges += 1
-            return True
-        return False
-
-    def _live_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(beacons, labels)`` without the inactive beacons: what a
-        merge installs, computed without committing anything."""
-        mask = self._membership.active[self._beacons0]
-        return self._beacons0[mask], self._labels0[:, mask]
+        b0 = self._beacons0
+        mask = m.active[b0]
+        if (mask != m.snapshot[b0]).any():
+            self.beacons, self._labels = b0[mask], self._labels0[:, mask]
+        m.commit()
+        return True
 
     def compact(self) -> PatchStats:
-        """Fold pending churn into served ``beacons``/``labels`` arrays."""
-        m = self._ensure_membership()
-        self.beacons, self._labels = self._live_arrays()
-        m.commit()
-        self._view = None
+        """Nothing to fold: every update committed already."""
         return self.pending_patch_stats()
 
     def pending_patch_stats(self) -> PatchStats:
-        return patch_stats(
-            self._membership, self.metric.n, int(self._beacons0.size),
-            self._pending_beacon_changes(), self._auto_merges,
-        )
+        """Beacon columns are the rows; nothing is pending, and each
+        update was one merge."""
+        m = self._membership
+        return patch_stats(m, self.metric.n, int(self._beacons0.size),
+                           auto_merges=0 if m is None else m.updates)
 
     @property
     def order(self) -> int:
@@ -156,9 +110,9 @@ class BeaconTriangulation:
         return len(self.beacons)
 
     def to_arrays(self) -> Tuple[dict, dict]:
-        """(meta, arrays) inventory for the on-disk container.  A pending
-        beacon change is written as the next merge would fold it, so a
-        loaded copy answers like the live structure."""
+        """(meta, arrays) inventory for the on-disk container: the live
+        beacons and labels, so a loaded copy answers like the live
+        structure."""
         meta = {
             "n": int(self.metric.n),
             "codec": {
@@ -167,11 +121,7 @@ class BeaconTriangulation:
                 "mantissa_bits": self.codec.mantissa_bits,
             },
         }
-        beacons, labels = self.beacons, self._labels
-        if self._beacon_dirty():
-            beacons, labels = self._live_arrays()
-        arrays = {"beacons": beacons, "labels": labels}
-        return meta, arrays
+        return meta, {"beacons": self.beacons, "labels": self._labels}
 
     @classmethod
     def from_arrays(
@@ -206,38 +156,10 @@ class BeaconTriangulation:
         """(D-, D+) for the pair, from labels only."""
         u, v = as_node_pair(u, v, self.metric.n)
         require_active(self._membership, u, v)
-        labels, dirty = self._served_labels()
-        lu, lv = labels[u], labels[v]
+        lu, lv = self._labels[u], self._labels[v]
         if lu.size == 0:
             return 0.0, float("inf")
-        upper = float(np.min(lu + lv))
-        lower = float(np.max(np.abs(lu - lv)))
-        if dirty:
-            self._ivl_check([u], [v], upper)
-        return lower, upper
-
-    def _ivl_check(self, us, vs, served) -> None:
-        """Count served D+ values against their IVL hull
-        (:func:`~repro.core.patch.ivl_violations`).  The endpoints are
-        ``pre`` over the last-merged beacon columns and ``post`` over the
-        live columns, recomputed by fancy column indexing — a different
-        slicing path than the boolean-masked serving view."""
-        m = self._membership
-        us = np.asarray(us, dtype=np.intp)
-        vs = np.asarray(vs, dtype=np.intp)
-        if self._labels.shape[1]:
-            pre = (self._labels[us] + self._labels[vs]).min(axis=1)
-        else:
-            pre = np.full(us.shape, np.inf)
-        idx = np.flatnonzero(m.active[self._beacons0])
-        if idx.size:
-            post = (
-                self._labels0[us][:, idx] + self._labels0[vs][:, idx]
-            ).min(axis=1)
-        else:
-            post = np.full(us.shape, np.inf)
-        self.ivl_checks += int(us.size)
-        self.ivl_violations += ivl_violations(served, pre, post)
+        return float(np.max(np.abs(lu - lv))), float(np.min(lu + lv))
 
     def estimate(self, u: NodeId, v: NodeId) -> float:
         """The distance estimate (the upper bound D+, as in the paper)."""
@@ -250,13 +172,12 @@ class BeaconTriangulation:
     def _read_many(
         self, us, vs, with_lower: bool
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
-        """One validated batched read: ``(us, vs, D-, D+)`` over the
-        served labels (:meth:`_served_labels`), D- only ``with_lower``
-        (else None).  D+ is a gather, an in-place add and a row min; a
-        read of the live view is IVL-checked on its D+ values."""
+        """One validated batched read: ``(us, vs, D-, D+)`` over the live
+        labels, D- only ``with_lower`` (else None).  D+ is a gather, an
+        in-place add and a row min."""
         us, vs = as_node_pairs(us, vs, self.metric.n)
         require_active(self._membership, us, vs)
-        labels, dirty = self._served_labels()
+        labels = self._labels
         if labels.shape[1] == 0:
             lower, upper = np.zeros(us.shape), np.full(us.shape, np.inf)
         else:
@@ -264,8 +185,6 @@ class BeaconTriangulation:
             lower = np.abs(lu - lv).max(axis=1) if with_lower else None
             lu += lv
             upper = lu.min(axis=1)
-        if dirty:
-            self._ivl_check(us, vs, upper)
         return us, vs, lower, upper
 
     def bounds_many(self, us, vs) -> Tuple[np.ndarray, np.ndarray]:
@@ -281,13 +200,13 @@ class BeaconTriangulation:
 
     def _iter_pair_bounds(self):
         """Yield (D-, D+) blocks covering every unordered pair u < v of
-        active nodes, read from the labels reads serve
-        (:meth:`_served_labels`), so a pending beacon departure counts.
+        active nodes, read from the live labels, so a departed beacon
+        does not count.
 
         One source node per block (vectorized over its later partners),
         so peak memory stays O(n·k) even at n = 10⁴⁺.
         """
-        labels, _ = self._served_labels()
+        labels = self._labels
         if self._membership is not None:
             labels = labels[self._membership.active]
         for u in range(labels.shape[0] - 1):

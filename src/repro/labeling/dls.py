@@ -153,17 +153,6 @@ class RingDLS:
             return self.scales.x_neighbors(u, i)
         return self.scales.y_neighbors(u, i)
 
-    def _pointers_of(self, u: NodeId, node: NodeId, i: int) -> List[SegmentPointer]:
-        """All segment pointers of ``node`` among u's level-i segments."""
-        out: List[SegmentPointer] = []
-        for typ in ("X", "Y"):
-            members = self._segment_members(u, typ, i)
-            # Segments are sorted tuples; binary search for the position.
-            idx = int(np.searchsorted(members, node))
-            if idx < len(members) and members[idx] == node:
-                out.append((typ, i, idx))
-        return out
-
     def _build_label(self, u: NodeId) -> NodeLabel:
         scales = self.scales
         row = np.asarray(self.metric.distances_from(u), dtype=float)

@@ -30,13 +30,7 @@ import numpy as np
 from repro._types import NodeId, as_node_pair, as_node_pairs
 from repro.bits import SizeAccount, bits_for_count
 from repro.core.packed import pack_csr
-from repro.core.patch import (
-    CSRPatch,
-    PatchStats,
-    ivl_violations,
-    patch_stats,
-    require_active,
-)
+from repro.core.patch import CSRPatch, PatchStats, patch_stats, require_active
 from repro.labeling._dplus import PackedLabels
 from repro.labeling._scales import ScaleStructure
 from repro.labeling.encoding import DistanceCodec
@@ -117,15 +111,18 @@ class RingTriangulation:
         self._packed: Optional[PackedLabels] = None
         self._patch: Optional[CSRPatch] = None
         self.revision = 0
+        # Every read is exact for the live active set, so nothing is
+        # IVL-checked; the counters stay at 0 because the churn benchmark
+        # and ``repro update`` report them.
         self.ivl_checks = 0
         self.ivl_violations = 0
 
     # -- CSR access --------------------------------------------------------
 
     def _merged_labels(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(indptr, ids, dist)`` as of the last merge: the pristine
-        block until then, after it the patch's merged block (filtered
-        from the pristine one on its first read)."""
+        """``(indptr, ids, dist)`` for the live active set: the pristine
+        block until the first update, after it the patch's merged block
+        (filtered from the pristine one on its first read)."""
         patch = self._patch
         if patch is None:
             return self._pristine
@@ -144,11 +141,12 @@ class RingTriangulation:
         return self._merged_labels()[2]
 
     def _label_arrays(self, u: NodeId) -> Tuple[np.ndarray, np.ndarray]:
+        """u's pristine label masked by the live active set."""
         patch = self._patch
-        if patch is not None and patch.row_dirty(u):
+        if patch is not None:
             ids, (dist,) = patch.filtered_row(u)
             return ids, dist
-        indptr, ids, dist = self._merged_labels()
+        indptr, ids, dist = self._pristine
         lo, hi = indptr[u], indptr[u + 1]
         return ids[lo:hi], dist[lo:hi]
 
@@ -168,70 +166,32 @@ class RingTriangulation:
         return self._patch
 
     def apply_update(self, joins=(), leaves=()) -> bool:
-        """Apply one join/leave batch to the label structure.
+        """Apply one join/leave batch to the label structure and merge it.
 
-        Labels stay pristine.  Batched reads mask them by the live active
-        set, and scalar reads filter the rows that pending churn touches
-        the same way.  When the merge policy
-        (:func:`~repro.core.patch.merge_due`) trips, the merge commits the
-        membership and copies nothing: the merged block that clean scalar
-        reads, :attr:`order` and :meth:`to_arrays` consult is filtered
-        from the pristine one on its first such read.  Returns whether
-        this update triggered an automatic merge.
+        Labels stay pristine and every read masks them by the live active
+        set, so the update only records the batch in the membership and
+        merges at once (:meth:`CSRPatch.merge`): nothing is pending when
+        it returns.  The merge copies nothing; the merged block that
+        :attr:`order` and :meth:`to_arrays` read is filtered from the
+        pristine one on its first such read.  Returns True: every update
+        merges.
         """
         patch = self._ensure_patch()
-        patch.apply(joins, leaves)
+        patch.membership.apply(joins, leaves)
+        patch.merge()
         self.revision += 1
-        return patch.maybe_merge()
+        return True
 
     def compact(self) -> PatchStats:
-        """Force-merge pending churn (the merged block follows on its
-        first read)."""
-        patch = self._ensure_patch()
-        patch.merge()
-        return patch.stats()
+        """Nothing to fold: every update merged already."""
+        return self.pending_patch_stats()
 
     def pending_patch_stats(self) -> PatchStats:
-        if self._patch is None:
-            return patch_stats(None, self.metric.n, self.metric.n)
-        return self._patch.stats()
-
-    def _ivl_check(self, u: NodeId, v: NodeId, served: float) -> None:
-        """IVL-style bound for a read overlapping a pending patch.
-
-        ``pre`` is D+ over the last-merged arrays, ``post`` D+ over the
-        pristine arrays intersected *before* masking by the active set —
-        a deliberately different code path from the serving ones (the
-        masked dense block for batched reads, mask-then-intersect for
-        scalar ones).  The served value must land in the hull of ``pre``
-        and ``post`` (:func:`~repro.core.patch.ivl_violations`); for
-        pairs the pending churn does not actually affect, pre == post and
-        the check becomes a bit-level cross-validation of the paths.
-        """
-        patch = self._patch
-        ids_u, (dist_u,) = patch.merged_row(u)
-        ids_v, (dist_v,) = patch.merged_row(v)
-        _, iu, iv = np.intersect1d(
-            ids_u, ids_v, assume_unique=True, return_indices=True
-        )
-        pre = float((dist_u[iu] + dist_v[iv]).min()) if iu.size else float("inf")
-        plo_u, phi_u = patch.pristine_indptr[u], patch.pristine_indptr[u + 1]
-        plo_v, phi_v = patch.pristine_indptr[v], patch.pristine_indptr[v + 1]
-        common, ju, jv = np.intersect1d(
-            patch.pristine_keys[plo_u:phi_u], patch.pristine_keys[plo_v:phi_v],
-            assume_unique=True, return_indices=True,
-        )
-        keep = patch.membership.active[common] if common.size else common.astype(bool)
-        if np.any(keep):
-            dsum = (
-                patch.pristine_payloads[0][plo_u:phi_u][ju][keep]
-                + patch.pristine_payloads[0][plo_v:phi_v][jv][keep]
-            )
-            post = float(dsum.min())
-        else:
-            post = float("inf")
-        self.ivl_checks += 1
-        self.ivl_violations += ivl_violations(served, pre, post)
+        """No dirty rows and nothing pending; each update was one merge."""
+        membership = None if self._patch is None else self._patch.membership
+        updates = 0 if membership is None else membership.updates
+        return patch_stats(membership, self.metric.n, self.metric.n,
+                           auto_merges=updates)
 
     # -- structure metrics -------------------------------------------------
 
@@ -287,59 +247,40 @@ class RingTriangulation:
         self._require_active(u, v)
         if u == v:
             return 0.0
-        served = self.bounds(u, v)[1]
-        patch = self._patch
-        if patch is not None and (patch.row_dirty(u) or patch.row_dirty(v)):
-            self._ivl_check(u, v, served)
-        return served
+        return self.bounds(u, v)[1]
 
     def _packed_labels(self) -> PackedLabels:
         """The pristine CSR label arrays as :class:`PackedLabels` (built
-        on first use).  Merges never touch the pristine arrays, so it
+        on first use).  Churn never touches the pristine arrays, so it
         never goes stale; reads mask it by the live active set."""
         if self._packed is None:
             self._packed = PackedLabels(self.metric.n, *self._pristine)
         return self._packed
 
     def estimate_many(self, us, vs) -> np.ndarray:
-        """Batched D+ over the packed labels (0 on the diagonal).
-
-        Every pair is served from the pristine label block masked by the
-        live active set — exactly what the next merge would serve, dirty
-        rows included.  A pair touching a row that pending churn made
-        dirty is still checked against its IVL hull
-        (:meth:`_ivl_check`).
-        """
+        """Batched D+ over the packed labels (0 on the diagonal), from
+        the pristine label block masked by the live active set."""
         us, vs = as_node_pairs(us, vs, self.metric.n)
         patch = self._patch
         if patch is None:
             return self._packed_labels().dplus_many(us, vs)
         membership = patch.membership
         require_active(membership, us, vs)
-        out = self._packed_labels().dplus_many(
+        return self._packed_labels().dplus_many(
             us, vs, np.flatnonzero(~membership.active)
         )
-        if not patch.is_clean():
-            dirty = (patch.rows_dirty(us) | patch.rows_dirty(vs)) & (us != vs)
-            for i in np.flatnonzero(dirty):
-                self._ivl_check(int(us[i]), int(vs[i]), float(out[i]))
-        return out
 
     def to_arrays(self) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
         """(meta, arrays) inventory for the on-disk container.
 
         The CSR label arrays *are* the queryable structure; the
         construction-time :class:`ScaleStructure` is scaffolding and is
-        not persisted.  Pending churn is written as the next merge would
-        fold it (:meth:`CSRPatch.live_arrays`), so a loaded copy answers
-        like the live structure.
+        not persisted.  Under churn the merged block is written, the
+        labels without departed nodes, so a loaded copy answers like the
+        live structure.
         """
         meta: Dict[str, object] = {"delta": self.delta, "n": int(self.metric.n)}
-        patch = self._patch
-        if patch is not None and not patch.is_clean():
-            indptr, ids, (dist,) = patch.live_arrays()
-        else:
-            indptr, ids, dist = self._merged_labels()
+        indptr, ids, dist = self._merged_labels()
         arrays = {"label_indptr": indptr, "label_ids": ids, "label_dist": dist}
         return meta, arrays
 

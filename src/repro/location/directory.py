@@ -151,8 +151,5 @@ class RingObjectLocation:
         account.add("directory_owners", entries * bits_for_count(self.metric.n))
         return account
 
-    def max_directory_entries(self) -> int:
-        return max(len(d) for d in self._directory.values())
-
     def pointers_per_object(self, key: ObjectKey) -> int:
         return sum(1 for d in self._directory.values() if key in d)

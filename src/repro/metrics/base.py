@@ -210,11 +210,6 @@ class MetricSpace(abc.ABC):
         side = "left" if open_ball else "right"
         return int(np.searchsorted(sorted_row, r, side=side))
 
-    def ball_sizes(self, u: NodeId, radii: Sequence[float]) -> np.ndarray:
-        """``|B_u(r)|`` for many radii at once (one searchsorted call)."""
-        sorted_row = self._sorted_row(u)
-        return np.searchsorted(sorted_row, np.asarray(radii), side="right")
-
     def _sorted_row(self, u: NodeId) -> np.ndarray:
         cached = self._sorted_rows.get(u)
         if cached is None:

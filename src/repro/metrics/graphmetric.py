@@ -149,7 +149,9 @@ class ShortestPathMetric(MetricSpace):
 
     def _lazy_block(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """One row per source (cache-first, chunked multi-source Dijkstra),
-        gathered at ``targets``."""
+        gathered at ``targets``.  A row is cached as a copy: a view would
+        keep its whole Dijkstra block alive while the cache counts only
+        the row."""
         out = np.empty((sources.size, targets.size))
         missing: list[int] = []
         for i, u in enumerate(sources):
@@ -163,7 +165,7 @@ class ShortestPathMetric(MetricSpace):
             idx = missing[start : start + chunk]
             rows = self._dijkstra(sources[idx])
             for i, row in zip(idx, rows):
-                self._rows.put(int(sources[i]), row)
+                self._rows.put(int(sources[i]), row.copy())
                 out[i] = row[targets]
         return out
 

@@ -292,12 +292,13 @@ class NestedNets:
         levels: Sequence[int],
         radii: Sequence[float],
         nearest: bool = False,
-    ) -> Tuple[List[np.ndarray], Optional[np.ndarray]]:
+    ) -> Tuple[List[np.ndarray], Optional[Tuple[np.ndarray, np.ndarray]]]:
         """Every node's ring ``B_u(radii[k]) ∩ G_levels[k]`` and, with
         ``nearest``, every target's nearest member of each level, from one
         distance row per node: ``(rings, nearest)``, where ``rings[u * K +
         k]`` is a ring (node-major, K = ``len(levels)``) and ``nearest`` is
-        an ``(n, K)`` array of member ids (None unless asked for).
+        ``(ids, dist)``, two ``(n, K)`` arrays of member ids and of their
+        distances to the target (None unless asked for).
 
         The rows come in blocks of at most :data:`_BLOCK_ELEMS` elements,
         one column per node, the finest requested net's admission list
@@ -307,7 +308,8 @@ class NestedNets:
         in net order.
 
         A nearest member is read from the members' own rows, the lower
-        distance first, then the lower id: the rule
+        distance first, then the lower id, and its distance is the one
+        that row holds: the rule
         :meth:`~repro.routing.ring_scheme.RingRouting._recompute_zoom`
         applies under churn.  The scan asks the rows grouped by the
         coarsest requested level that holds them, in id order within a
@@ -353,9 +355,10 @@ class NestedNets:
             return rings, None
         for g in range(1, bounds.size):
             _fold_min(best_d[g], best_id[g], best_d[g - 1], best_id[g - 1])
-        out = np.empty((n, K), dtype=np.intp)
-        out[cols] = best_id[bounds.searchsorted(sizes)].T
-        return rings, out
+        level_group = bounds.searchsorted(sizes)
+        ids, dist = np.empty((n, K), dtype=np.intp), np.empty((n, K))
+        ids[cols], dist[cols] = best_id[level_group].T, best_d[level_group].T
+        return rings, (ids, dist)
 
     def __len__(self) -> int:
         return self.levels

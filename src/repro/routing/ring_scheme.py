@@ -202,8 +202,9 @@ class RingRouting(RoutingScheme):
         # (each asked once), packed into a single CSR block; sorting the
         # member slices makes them double as the host enumerations φ_uj.
         # f_tj is the nearest member of G_j read from the members' own
-        # rows, lowest id on ties: the rule an update recomputes it by.
-        rings, zoom = net_rings(
+        # rows, lowest id on ties, and d(f_tj, t) is kept from that row:
+        # the rule and the distances an update works from.
+        rings, (zoom, zoom_dist) = net_rings(
             self.metric, self.nets,
             lambda j: self._ring_radius[j],
             return_nearest=True,
@@ -218,6 +219,7 @@ class RingRouting(RoutingScheme):
 
         self._init_mutation_state()
         self._zoom = zoom.astype(np.int32)
+        self._zoom_dist = zoom_dist
         self.labels: List[RingRoutingLabel] = self._encode_labels(strict=True)
 
         # Sparse ζ triple counts per (node, level) — computed lazily (and
@@ -227,10 +229,10 @@ class RingRouting(RoutingScheme):
     def _init_mutation_state(self) -> None:
         self._patch: Optional[CSRPatch] = None
         self._level_members0: Optional[List[np.ndarray]] = None
-        #: d(f_tj, t) read from f_tj's row, per zooming entry (n, levels);
-        #: a level's column is valid once an update has touched it
+        #: d(f_tj, t) read from f_tj's row, per zooming entry (n, levels),
+        #: inf where a level has no active net point; kept from the build,
+        #: and filled by the first update of a loaded structure
         self._zoom_dist: Optional[np.ndarray] = None
-        self._zoom_touched: Optional[np.ndarray] = None
         #: dirty row -> its checked, read-only enumeration, this revision
         self._checked: Dict[int, np.ndarray] = {}
         #: (row, enumeration) first read inside an open check scope, and
@@ -370,8 +372,6 @@ class RingRouting(RoutingScheme):
                 self._indptr, self._members, universe=self.graph.n
             )
             self._level_members0 = self._pristine_nets()
-            self._zoom_dist = np.full((self.graph.n, self.levels), np.nan)
-            self._zoom_touched = np.zeros(self.levels, dtype=bool)
         return self._patch
 
     def _pristine_nets(self) -> List[np.ndarray]:
@@ -446,15 +446,10 @@ class RingRouting(RoutingScheme):
         block is never larger than that level's own.  ``rows`` shares an
         update's rows, so none is asked twice.
 
-        This whole recompute is what :meth:`apply_update` runs on a
-        level's first touch, and the reference its increments equal
-        later: it stores each entry's distance d(f_tj, t), read from
-        f_tj's row (inf where the level has no active net point), and
-        marks the levels touched.  Later touches take
-        :meth:`_zoom_step`, whose short-list from a target's own row is
-        cut at a relative 1e-9 above its minimum: that bounds the float
-        error between a distance's two orientations on any graph of
-        fewer than 2·10⁶ nodes (:data:`ZOOM_SHORTLIST_SLACK`)."""
+        It stores each entry's distance d(f_tj, t), read from f_tj's row
+        (inf where the level has no active net point).  It is the
+        reference the increments of :meth:`_zoom_step` equal, and the
+        fallback :meth:`_update_zoom` takes where they would cost more."""
         act = self._patch.membership.active
         members = [self._level_members0[j] for j in levels]
         cands = [lm[act[lm]] for lm in members]
@@ -462,7 +457,6 @@ class RingRouting(RoutingScheme):
             rows = _UpdateRows(self.metric, self.graph.n)
         rows.ask(np.concatenate(cands))
         for j, c in zip(levels, cands):
-            self._zoom_touched[j] = True
             if c.size == 0:
                 self._zoom[:, j] = -1
                 self._zoom_dist[:, j] = np.inf
@@ -476,13 +470,23 @@ class RingRouting(RoutingScheme):
         """The zooming entries after one batch, in proportion to churn.
 
         A level whose net G_j holds no changed node keeps its entries.
-        A level touched for the first time is recomputed whole
-        (:meth:`_recompute_zoom`), and so is one where more targets lost
-        their entry than G_j has active points.  Any other level takes
-        the step of :meth:`_zoom_step`.  The rows of the whole levels'
-        candidates, the joined net points and the targets whose entry
-        departed are asked in one call, the short-listed candidates' in
-        one more per level; no row is asked twice."""
+        A level where more targets lost their entry than G_j has active
+        points is recomputed whole (:meth:`_recompute_zoom`); any other
+        level takes the step of :meth:`_zoom_step`.  The rows of the
+        whole levels' candidates, the joined net points and the targets
+        whose entry departed are asked in one call, the short-listed
+        candidates' in one more per level; no row is asked twice.
+
+        A loaded structure has no stored distances, and its entries are a
+        read-only view of the container: its first update copies them
+        and reads d(f_tj, t) from the entries' own rows, in one call."""
+        if self._zoom_dist is None:
+            zoom = self._zoom = np.array(self._zoom)
+            has = zoom >= 0
+            points = np.unique(zoom[has])
+            block = _UpdateRows(self.metric, self.graph.n)[points]
+            self._zoom_dist = np.full(zoom.shape, np.inf)
+            self._zoom_dist[has] = block[points.searchsorted(zoom[has]), np.nonzero(has)[0]]
         act = self._patch.membership.active
         whole, steps, wanted = [], [], []
         for j in range(self.levels):
@@ -492,7 +496,7 @@ class RingRouting(RoutingScheme):
             if joined.size == 0 and left.size == 0:
                 continue
             lost = np.flatnonzero(_sorted_find(left, self._zoom[:, j])[1])
-            if not self._zoom_touched[j] or lost.size > np.count_nonzero(act[net]):
+            if lost.size > np.count_nonzero(act[net]):
                 whole.append(j)
             else:
                 steps.append((j, joined, lost))
@@ -556,20 +560,10 @@ class RingRouting(RoutingScheme):
         checked in one batch when the encoding ends, before any merge.
 
         Zooming entries change only where churn changed something
-        (:meth:`_update_zoom`).  A level keeps its build-time entries
-        until an update first touches it (its net G_j holds a changed
-        node); that first touch recomputes the level whole
-        (:meth:`_recompute_zoom`, the rule the build chose them by) and
-        stores each entry's distance.
-        After it, a joined net point's row is compared with the stored
-        entries, and a target whose entry departed is settled over a
-        short-list read from its own row within a relative 1e-9 of the
-        minimum, decided by the candidates' rows (:meth:`_zoom_step`).
-        The slack bounds the float error between a distance read from
-        the target's row and from the candidate's on any graph of fewer
-        than 2·10⁶ nodes (:data:`ZOOM_SHORTLIST_SLACK`), so the entries
-        stay bit-identical to a whole recompute of every touched level.
-        Each metric row is asked at most once per update.
+        (:meth:`_update_zoom`), starting from the entries and distances
+        the build kept, and stay bit-identical to a whole recompute
+        (:meth:`_zoom_step`).  Each metric row is asked at most once per
+        update.
 
         All labels are then re-encoded against the live enumerations
         (:meth:`_encode_labels`) — truncated, not failed, where Claim

@@ -5,8 +5,7 @@ batches over a fixed universe, an exact inverted index from changed ids
 to dirty CSR rows, live filtered reads bit-identical to what the next
 merge produces, merges that always filter the pristine block (so
 leave/rejoin cycles reconverge) and build it only on the first merged
-read, threshold/staleness auto-merge, and the IVL hull every structure
-checks pending reads against.
+read, and threshold/staleness auto-merge.
 """
 
 from __future__ import annotations
@@ -28,6 +27,12 @@ def _toy_patch() -> CSRPatch:
     keys = np.array([0, 1, 2, 2, 3, 1, 4], dtype=np.int64)
     dist = np.array([0.0, 1.0, 2.0, 0.5, 1.5, 2.5, 3.5])
     return CSRPatch(indptr, keys, payloads=(dist,), universe=5)
+
+
+def _merged_row(patch: CSRPatch, r: int):
+    """Row ``r`` of the merged block: ``(keys, (payload, ...))``."""
+    lo, hi = patch.merged_indptr[r], patch.merged_indptr[r + 1]
+    return patch.merged_keys[lo:hi], tuple(p[lo:hi] for p in patch.merged_payloads)
 
 
 class TestMembership:
@@ -114,7 +119,7 @@ class TestCSRPatch:
         assert patch.row_dirty(3)
         assert not patch.row_dirty(0)
         assert patch.dirty_row_count == 1
-        assert patch.rows_dirty(np.array([0, 1, 2, 3])).tolist() == [
+        assert [patch.row_dirty(r) for r in range(4)] == [
             False, False, False, True,
         ]
 
@@ -128,7 +133,7 @@ class TestCSRPatch:
         keys, (dist,) = patch.filtered_row(2)
         assert keys.size == 0 and dist.size == 0
         # merged (pre-update) row still shows the pristine contents
-        keys, (dist,) = patch.merged_row(0)
+        keys, (dist,) = _merged_row(patch, 0)
         assert keys.tolist() == [0, 1, 2]
 
     def test_merge_matches_filtered_rows_bit_for_bit(self):
@@ -137,7 +142,7 @@ class TestCSRPatch:
         served = [patch.filtered_row(r) for r in range(patch.rows)]
         patch.merge()
         for r, (keys, (dist,)) in enumerate(served):
-            mkeys, (mdist,) = patch.merged_row(r)
+            mkeys, (mdist,) = _merged_row(patch, r)
             assert np.array_equal(keys, mkeys)
             assert np.array_equal(dist, mdist)
         assert patch.dirty_row_count == 0
@@ -186,7 +191,7 @@ class TestCSRPatch:
         patch.apply(leaves=[2])
         patch.merge()
         assert filters == []
-        keys, _ = patch.merged_row(0)
+        keys, _ = _merged_row(patch, 0)
         assert len(filters) == 1
         # one block serves every merged read until the next merge
         assert patch.merged_keys[: keys.size].tolist() == keys.tolist()
@@ -210,7 +215,7 @@ class TestCSRPatch:
         patch.apply(leaves=[2])
         patch.merge()
         patch.apply(joins=[2])  # pending: the block is read only now
-        assert patch.merged_row(0)[0].tolist() == [0, 1]
+        assert _merged_row(patch, 0)[0].tolist() == [0, 1]
         assert patch.filtered_row(0)[0].tolist() == [0, 1, 2]
 
     def test_two_merges_without_a_read_give_the_second_block(self):
@@ -270,27 +275,6 @@ class TestCSRPatch:
         keys = np.array([0, 1], dtype=np.int64)
         with pytest.raises(ValueError, match="align"):
             CSRPatch(indptr, keys, payloads=(np.zeros(3),), universe=2)
-
-
-class TestIVLHull:
-    def test_inside_hull_and_tolerance(self):
-        pre = np.array([1.0, 2.0, 5.0, 1.0])
-        post = np.array([3.0, 2.0, 4.0, 1.0])
-        served = np.array([2.0, 2.0 + 1e-10, 4.5, 1.0 - 1e-10])
-        assert patch_policy.ivl_violations(served, pre, post) == 0
-
-    def test_outside_hull_counts(self):
-        served = np.array([0.5, 3.5, 2.0 + 1e-6])
-        assert patch_policy.ivl_violations(served, np.ones(3), np.full(3, 2.0)) == 3
-
-    def test_infinite_and_nan_values(self):
-        inf = float("inf")
-        assert patch_policy.ivl_violations(inf, inf, inf) == 0
-        assert patch_policy.ivl_violations(inf, 1.0, inf) == 0
-        assert patch_policy.ivl_violations(inf, 1.0, 2.0) == 1
-        # a NaN is never inside the hull
-        assert patch_policy.ivl_violations(float("nan"), 1.0, 2.0) == 1
-        assert patch_policy.ivl_violations(np.array([np.nan, 1.5]), 1.0, 2.0) == 1
 
 
 class TestPackedRingsIntegration:

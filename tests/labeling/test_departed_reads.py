@@ -91,14 +91,13 @@ def test_triangulation_worst_ratio_walks_active_pairs(tri):
 
 
 def test_beacon_quality_walks_read_the_active_pairs_served():
-    """Beacon 0 leaves and no merge follows: ``epsilon_for_delta`` and
-    ``worst_ratio`` must read the labels reads serve (without beacon 0's
-    column) over the active pairs only, as ``bounds_many`` does."""
+    """Beacon 0 leaves: ``epsilon_for_delta`` and ``worst_ratio`` must
+    read the labels reads serve (without beacon 0's column) over the
+    active pairs only, as ``bounds_many`` does."""
     fitted = api.build("beacons", "hypercube", n=N, seed=0, cache=api.BuildCache())
     inner = fitted.inner
     beacon = int(inner.beacons[0])
     api.update(fitted, leaves=[beacon])
-    assert inner.pending_patch_stats().pending_leaves == 1  # no merge
     us, vs = np.array([p for p in combinations(range(N), 2) if beacon not in p]).T
     lower, upper = inner.bounds_many(us, vs)
     delta = 0.3

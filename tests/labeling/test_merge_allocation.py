@@ -2,12 +2,11 @@
 
 On a label scheme every churn read comes from the pristine block, so a
 merge only commits the membership snapshot and the merged copy waits for
-a reader that asks for it.  Each auto-merging update after the first
-(which builds the patch's inverted index) is traced with ``tracemalloc``
-on hypercube n=200, where labels hold nearly all 200 nodes: its peak must
-stay under an eighth of the label block's ids plus distances (640 KB).
-A merge that filtered the block into fresh arrays would allocate all of
-it.
+a reader that asks for it.  Each update after the first (which creates
+the patch) merges and is traced with ``tracemalloc`` on hypercube n=200,
+where labels hold nearly all 200 nodes: its peak must stay under an
+eighth of the label block's ids plus distances (640 KB).  A merge that
+filtered the block into fresh arrays would allocate all of it.
 """
 
 from __future__ import annotations

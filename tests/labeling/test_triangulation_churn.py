@@ -1,12 +1,11 @@
 """Theorem 3.2 triangulation reads under churn, pinned end to end.
 
-Batched reads come from the pristine label block masked by the live
-active set.  A golden digest replays a churn trace with auto-merge on
-and holds every batched and scalar answer, plus the compacted container
-arrays, to the values the CSR-scatter kernel produced before the dense
-block replaced it.  A second replay keeps every patch pending and checks
-that each off-diagonal pair touching a dirty row is IVL-checked, and
-that every batched answer equals the per-pair live answer.
+Every read comes from the pristine label block masked by the live
+active set.  A golden digest replays a churn trace and holds every
+batched and scalar answer, plus the compacted container arrays, to the
+values the CSR-scatter kernel produced before the dense block replaced
+it.  Reads after random churn are checked against a plain-NumPy
+reference in ``tests/properties/test_label_churn.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.core import patch as patch_policy
 from repro.distributed.trace import ChurnTrace
 
 N = 200
@@ -76,46 +74,6 @@ def test_golden_digest():
     assert digest.hexdigest() == GOLDEN
 
 
-@pytest.fixture()
-def no_auto_merge(monkeypatch):
-    # the merge policy reads these at call time: every patch stays pending
-    monkeypatch.setattr(patch_policy, "MERGE_DIRTY_FRACTION", 1.1)
-    monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 10**9)
-
-
-@pytest.mark.usefixtures("no_auto_merge")
-def test_every_off_diagonal_dirty_pair_is_ivl_checked():
-    fitted = _build()
-    tri = fitted.inner
-    # A row is dirty once its pristine label names a node that joined or
-    # left since the last merge; with auto-merge off there is none.
-    _, arrays = tri.to_arrays()
-    ids = np.asarray(arrays["label_ids"])
-    row_of = np.repeat(np.arange(N), np.diff(arrays["label_indptr"]))
-    changed = np.zeros(N, dtype=bool)
-    seen = {"dirty": 0, "checked": 0}
-
-    def read(event, pairs):
-        changed[list(event.joins) + list(event.leaves)] = True
-        dirty_rows = np.zeros(N, dtype=bool)
-        dirty_rows[row_of[changed[ids]]] = True
-        us, vs = pairs[:, 0].copy(), pairs[:, 1].copy()
-        us[:4] = vs[:4]  # diagonal pairs read 0 and are never checked
-        dirty = (dirty_rows[us] | dirty_rows[vs]) & (us != vs)
-        before = tri.ivl_checks
-        served = tri.estimate_many(us, vs)
-        seen["checked"] += tri.ivl_checks - before
-        seen["dirty"] += int(dirty.sum())
-        looped = [tri.estimate(int(u), int(v)) for u, v in zip(us, vs)]
-        assert np.array_equal(served, looped)
-
-    _replay(fitted, read)
-    assert seen["dirty"] > 0
-    assert seen["checked"] == seen["dirty"]
-    assert tri.ivl_violations == 0
-    assert tri.pending_patch_stats().merges == 0
-
-
 def _dplus_reference(labels, us, vs, gone):
     """D+ pair by pair over the pristine label dicts without ``gone``."""
     out = []
@@ -130,7 +88,7 @@ def _dplus_reference(labels, us, vs, gone):
 def test_a_departed_best_beacon_drops_out_of_batched_reads(compact):
     # On expline a label holds about half of n, so many pairs' best
     # common beacon is a third node.  Once it leaves, a batched read must
-    # fall to the next-best active beacon, pending or merged.
+    # fall to the next-best active beacon, before and after compact().
     n = 32
     tri = api.build("triangulation", "expline", n=n, seed=0, delta=0.3,
                     cache=api.BuildCache()).inner

@@ -120,6 +120,22 @@ class TestLazyBackend:
         with pytest.raises(ValueError, match="not connected"):
             ShortestPathMetric(g, dense=False)
 
+    def test_cached_rows_keep_alive_only_what_the_budget_counts(self):
+        # One 400-row block: each cached row must hold its own bytes, not
+        # a view that keeps the whole multi-source Dijkstra block alive.
+        n, budget = 400, 512 * 1024
+        metric = ShortestPathMetric(knn_geometric_graph(n, k=4, seed=0),
+                                    dense=False, row_cache_bytes=budget)
+        metric.distances_between(np.arange(n), np.arange(n))
+        cache = metric._rows
+        alive = {}
+        for row in cache._rows.values():
+            owner = row if row.base is None else row.base
+            alive[id(owner)] = owner.nbytes
+        assert len(cache) > 1
+        assert sum(alive.values()) == cache.nbytes
+        assert cache.nbytes <= budget + n * 8
+
 
 class TestLazyFirstHops:
     def test_hops_trace_exact_shortest_paths(self, graph, dense):

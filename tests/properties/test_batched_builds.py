@@ -18,6 +18,8 @@ is the reference.  These tests pin the batched builders to it:
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,12 +202,13 @@ class TestNestedNets:
             assert a.net(j) == b.net(j)
 
 
-def _nearest_reference(metric, net) -> np.ndarray:
-    """Each target's nearest member of ``net``, read from the members' own
-    rows one at a time, the lowest id on ties."""
+def _nearest_reference(metric, net) -> Tuple[np.ndarray, np.ndarray]:
+    """Each target's nearest member of ``net`` and its distance, read from
+    the members' own rows one at a time, the lowest id on ties."""
     members = np.sort(np.asarray(net))
     rows = np.stack([metric.distances_from(int(m)) for m in members])
-    return members[rows.argmin(axis=0)]
+    best = rows.argmin(axis=0)
+    return members[best], rows[best, np.arange(metric.n)]
 
 
 def _tied_metrics():
@@ -247,11 +250,12 @@ class TestBatchedMemberQueries:
         # hold points admitted at several levels
         for asked in (list(range(levels)), [levels - 1, 0][: levels]):
             radii = [nets.radius_of(j) for j in asked]
-            _, nearest = nets.scan(asked, radii, nearest=True)
-            assert nearest.shape == (metric.n, len(asked))
+            _, (nearest, dist) = nets.scan(asked, radii, nearest=True)
+            assert nearest.shape == dist.shape == (metric.n, len(asked))
             for k, j in enumerate(asked):
-                expected = _nearest_reference(metric, nets.net(j))
-                np.testing.assert_array_equal(nearest[:, k], expected)
+                ids, d = _nearest_reference(metric, nets.net(j))
+                np.testing.assert_array_equal(nearest[:, k], ids)
+                np.testing.assert_array_equal(dist[:, k], d)
 
     @pytest.mark.parametrize("name", sorted(METRICS) + sorted(TIED))
     @pytest.mark.parametrize("descending", [False, True])
@@ -276,6 +280,7 @@ class TestBatchedMemberQueries:
             rings, nearest = net_rings(
                 metric, nets, lambda j: 3.0 * nets.radius_of(j), return_nearest=True
             )
+            nearest = np.stack(nearest)
             return nets, rings, nearest
 
         nets, rings, nearest = build()

@@ -10,10 +10,15 @@ several trace seeds:
    pure function of (pristine build, active set), independent of the
    arrival order of the churn).
 
-2. **IVL bounds mid-patch** — with auto-merge disabled, reads
-   interleaved between updates overlap pending patches; every such read
-   is bracketed by the structure's intermediate-value check (pre-merge
-   vs post-merge answer) and the violation counter must stay zero.
+2. **IVL bounds mid-patch** — Theorem 2.1 routing keeps churn pending:
+   with auto-merge disabled, routes interleaved between updates read
+   dirty rings, each bracketed by the structure's intermediate-value
+   check, and the violation counter must stay zero.  The label schemes
+   merge every update, so nothing of theirs is pending: each of their
+   reads between updates must be exact for the live active set (an
+   exact read lies in every IVL hull), checked against the labels saved
+   before any churn.  ``test_label_churn.py`` drives them through random
+   batches as well.
 """
 
 from __future__ import annotations
@@ -44,9 +49,9 @@ def _metric(kind: str, seed: int):
 
 @pytest.fixture()
 def no_auto_merge(monkeypatch):
-    # the merge policy reads these at call time: every patch stays
-    # pending, so reads stay on the dirty-row (IVL-checked) path until
-    # compact()
+    # the merge policy reads these at call time: every routing patch
+    # stays pending, so ring reads stay on the dirty-row (IVL-checked)
+    # path until compact(); the label schemes merge every update anyway
     monkeypatch.setattr(patch_policy, "MERGE_DIRTY_FRACTION", 1.1)
     monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 10**9)
 
@@ -64,6 +69,28 @@ def _bulk(struct, trace):
         struct.apply_update(joins=(), leaves=[int(x) for x in gone])
     struct.compact()
     return struct
+
+
+def _dense_labels(struct):
+    """A label scheme's saved labels as an (n, k) matrix, inf where a
+    label lacks the beacon, and the node id of each column."""
+    _, arrays = struct.to_arrays()
+    if "beacons" in arrays:
+        return np.array(arrays["labels"]), np.array(arrays["beacons"])
+    indptr = arrays["label_indptr"]
+    labels = np.full((N, N), np.inf)
+    labels[np.repeat(np.arange(N), np.diff(indptr)),
+           arrays["label_ids"]] = arrays["label_dist"]
+    return labels, np.arange(N)
+
+
+def _exact_bounds(labels, us, vs):
+    """(D-, D+) per pair over the beacons both labels hold."""
+    lu, lv = labels[us], labels[vs]
+    common = np.isfinite(lu) & np.isfinite(lv)
+    with np.errstate(invalid="ignore"):  # inf - inf off the common ones
+        lower = np.where(common, np.abs(lu - lv), 0.0).max(axis=1, initial=0.0)
+    return lower, np.where(common, lu + lv, np.inf).min(axis=1, initial=np.inf)
 
 
 def _sample_active_pairs(trace, seed=99, pairs=200):
@@ -162,39 +189,45 @@ class TestIVLMidPatch:
 
         return advance
 
+    def _exact_reads(self, struct, trace, batched_bounds):
+        # An exact read lies in every IVL hull.  Between updates, with the
+        # merge policy off, nothing of a label scheme is pending and each
+        # batched read equals D- and D+ over the active common beacons of
+        # the labels saved before any churn, on every active pair.
+        labels, columns = _dense_labels(struct)
+        advance = self._active_reader(trace)
+        seen = {"departed": 0}
+
+        def read(s):
+            ids = advance()
+            stats = s.pending_patch_stats()
+            assert (stats.dirty_rows, stats.pending_joins,
+                    stats.pending_leaves) == (0, 0, 0)
+            a, b = np.triu_indices(ids.size, 1)
+            us, vs = ids[a], ids[b]
+            lower, upper = _exact_bounds(labels[:, np.isin(columns, ids)], us, vs)
+            assert s.estimate_many(us, vs).tobytes() == upper.tobytes()
+            if batched_bounds:
+                got = s.bounds_many(us, vs)
+                assert got[0].tobytes() == lower.tobytes()
+                assert got[1].tobytes() == upper.tobytes()
+            seen["departed"] += N - ids.size
+
+        _stream(struct, trace, read=read)
+        assert seen["departed"] > 0
+
     def test_triangulation_ivl_zero_violations(self, kind, seed):
         metric = _metric(kind, seed)
         trace = ChurnTrace.generate(n=N, events=10, rate=0.08, seed=seed)
         tri = RingTriangulation(metric, delta=0.3)
-        advance = self._active_reader(trace)
-        rng = np.random.default_rng(seed)
-
-        def read(struct):
-            ids = advance()
-            us = rng.choice(ids, size=40)
-            vs = rng.choice(ids, size=40)
-            struct.estimate_many(us[us != vs], vs[us != vs])
-
-        _stream(tri, trace, read=read)
-        assert tri.ivl_checks > 0
+        self._exact_reads(tri, trace, batched_bounds=False)
         assert tri.ivl_violations == 0
 
     def test_beacons_ivl_zero_violations(self, kind, seed):
         metric = _metric(kind, seed)
         trace = ChurnTrace.generate(n=N, events=10, rate=0.08, seed=seed)
         tri = BeaconTriangulation(metric, k=12, seed=5)
-        advance = self._active_reader(trace)
-        rng = np.random.default_rng(seed)
-
-        def read(struct):
-            ids = advance()
-            us = rng.choice(ids, size=40)
-            vs = rng.choice(ids, size=40)
-            struct.bounds_many(us[us != vs], vs[us != vs])
-
-        _stream(tri, trace, read=read)
-        assert tri.ivl_checks > 0
-        assert tri.ivl_violations == 0
+        self._exact_reads(tri, trace, batched_bounds=True)
 
     def test_routing_ivl_zero_violations(self, kind, seed):
         if kind == "euclidean":

@@ -12,14 +12,16 @@ A golden digest replays a churn trace with the default merge policy and
 holds the zooming sequences, every label, routes among active nodes and
 the compacted rings to the values recorded before the table existed,
 when every read was filtered and checked anew.  On the same replay the
-zooming entries, kept incrementally, must equal a whole recompute of
-every level touched so far after every event, and the encoder must
-check as many rings per event as the walk target by target it replaced
-(the counts recorded with that walk).  A metric whose row of one target
-is one ulp off shows that a value read from the target's row never
-decides a new entry.  On graphs whose distances tie, a fresh build
-holds the entries a whole recompute gives, and leaving and rejoining
-restores a fresh build's state.
+zooming entries and their distances, kept incrementally from the
+build's, must equal a whole recompute of every level after every event,
+and the encoder must check as many rings per event as the walk target by
+target it replaced (the counts recorded with that walk).  A copy saved
+before the replay and loaded, which has no stored distances, must reach
+the same entries, distances and labels.  A metric whose row of one
+target is one ulp off shows that a value read from the target's row
+never decides a new entry.  On graphs whose distances tie, a fresh build
+holds the entries and distances a whole recompute gives, and leaving and
+rejoining restores a fresh build's state.
 """
 
 from __future__ import annotations
@@ -239,15 +241,12 @@ def test_zoom_equals_a_whole_recompute_after_every_event(zoom_steps):
     everyone = np.arange(N)
     for event in _trace().events:
         api.update(fitted, joins=event.joins, leaves=event.leaves)
-        touched = np.flatnonzero(scheme._zoom_touched)
         reference = copy.deepcopy(scheme)
-        reference._recompute_zoom(touched.tolist())
+        reference._recompute_zoom(list(range(scheme.levels)))
         assert np.array_equal(scheme._zoom, reference._zoom)
-        assert np.array_equal(
-            scheme._zoom_dist[:, touched], reference._zoom_dist[:, touched]
-        )
+        assert np.array_equal(scheme._zoom_dist, reference._zoom_dist)
         # each stored distance is d(f_tj, t) read from f_tj's row
-        for j in touched:
+        for j in range(scheme.levels):
             f = scheme._zoom[:, j].astype(np.int64)
             has = f >= 0
             points = np.unique(f[has])
@@ -258,6 +257,22 @@ def test_zoom_equals_a_whole_recompute_after_every_event(zoom_steps):
     # the replay takes both incremental paths, not only whole recomputes
     assert any(joined for _, joined, _ in zoom_steps)
     assert any(lost for _, _, lost in zoom_steps)
+
+
+def test_a_loaded_copy_replays_to_the_live_zoom(tmp_path):
+    # The container holds no zooming distances: the loaded copy's first
+    # update reads them from its entries' own rows.
+    fitted = _build()
+    api.save(fitted, tmp_path / "route.repro")
+    loaded = api.load(tmp_path / "route.repro")
+    live, copied = fitted.inner, loaded.inner
+    assert copied._zoom_dist is None
+    for event in _trace().events:
+        api.update(fitted, joins=event.joins, leaves=event.leaves)
+        api.update(loaded, joins=event.joins, leaves=event.leaves)
+        assert np.array_equal(copied._zoom, live._zoom)
+        assert np.array_equal(copied._zoom_dist, live._zoom_dist)
+        assert copied.labels == live.labels
 
 
 def test_encoder_checks_as_many_rings_per_event_as_before():
@@ -336,8 +351,8 @@ def test_a_target_row_one_ulp_off_never_decides_the_entry(zoom_steps):
                          metric=ShortestPathMetric(graph, dense=False))
     j, x, t, e, w, c = _tied_departure(scheme)
     scheme.metric = _NudgedRow(scheme.metric, t, w)
-    scheme.apply_update(leaves=[x])  # level j's first touch: whole
-    assert scheme._zoom_touched[j] and scheme._zoom[t, j] == e
+    scheme.apply_update(leaves=[x])
+    assert scheme._zoom[t, j] == e
     del zoom_steps[:]
     scheme.apply_update(leaves=[e])
     assert any(level == j and lost for level, _, lost in zoom_steps)
@@ -348,11 +363,9 @@ def test_a_target_row_one_ulp_off_never_decides_the_entry(zoom_steps):
     assert live[own.argmin()] == c
     assert scheme._zoom[t, j] == w
     reference = copy.deepcopy(scheme)
-    touched = np.flatnonzero(scheme._zoom_touched).tolist()
-    reference._recompute_zoom(touched)
+    reference._recompute_zoom(list(range(scheme.levels)))
     assert np.array_equal(scheme._zoom, reference._zoom)
-    assert np.array_equal(scheme._zoom_dist[:, touched],
-                          reference._zoom_dist[:, touched])
+    assert np.array_equal(scheme._zoom_dist, reference._zoom_dist)
 
 
 def _grid_build():
@@ -360,10 +373,12 @@ def _grid_build():
                      cache=api.BuildCache())
 
 
-def _zoom_after_a_whole_recompute(scheme: RingRouting) -> np.ndarray:
+def _zoom_after_a_whole_recompute(scheme: RingRouting):
+    """(entries, distances) a whole recompute gives, on a copy."""
+    scheme = copy.deepcopy(scheme)
     scheme._ensure_mutable()
     scheme._recompute_zoom(list(range(scheme.levels)))
-    return scheme._zoom
+    return scheme._zoom, scheme._zoom_dist
 
 
 @pytest.mark.parametrize("graph", ["grid", "integer"])
@@ -376,8 +391,9 @@ def test_a_fresh_build_holds_the_recomputed_zoom(graph):
         weighted = _integer_graph(120)
         scheme = RingRouting(weighted, delta=0.45,
                              metric=ShortestPathMetric(weighted, dense=False))
-    built = scheme._zoom.copy()
-    assert np.array_equal(_zoom_after_a_whole_recompute(scheme), built)
+    zoom, dist = _zoom_after_a_whole_recompute(scheme)
+    assert np.array_equal(zoom, scheme._zoom)
+    assert np.array_equal(dist, scheme._zoom_dist)
 
 
 def test_leaving_and_rejoining_restores_a_fresh_build():
@@ -389,8 +405,8 @@ def test_leaving_and_rejoining_restores_a_fresh_build():
     last = sorted({scheme.nets.net(j)[-1] for j in range(scheme.levels)})
     api.update(fitted, leaves=last)
     api.update(fitted, joins=last)
-    assert scheme._zoom_touched.any()
     assert np.array_equal(scheme._zoom, fresh.inner._zoom)
+    assert np.array_equal(scheme._zoom_dist, fresh.inner._zoom_dist)
     assert [label.indices for label in scheme.labels] == [
         label.indices for label in fresh.inner.labels
     ]

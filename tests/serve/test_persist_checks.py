@@ -1,10 +1,10 @@
-"""What a container holds: the live state under pending churn, and only
-label arrays a triangulation can read correctly.
+"""What a container holds: the live state under churn, and only label
+arrays a triangulation can read correctly.
 
 ``api.load`` promises answers bit-for-bit identical to the scheme that
-was saved, so a save during pending churn must write the state reads
-serve (the pristine arrays filtered by the live active set), not the
-last-merged one.  A triangulation container whose CSR labels are
+was saved, so a save after churn must write the state reads serve (the
+pristine arrays filtered by the live active set), and ``compact()``
+must not change it.  A triangulation container whose CSR labels are
 malformed would otherwise be served silently wrong: every such file is
 refused with a :class:`ContainerError` naming the file and the check.
 So is a Theorem 2.1 routing container whose rings, zooming entries,
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.core import patch as patch_policy
 from repro.serve.container import ContainerError, read_container, write_container
 
 N = 200
@@ -38,7 +37,6 @@ class TestSaveDuringPendingChurn:
         fitted = api.build("beacons", "hypercube", n=N, seed=0)
         gone = int(fitted.inner.beacons[0])
         api.update(fitted, leaves=[gone])
-        assert fitted.pending_patch_stats().pending_leaves == 1  # no merge
         live_hash = api.save(fitted, tmp_path / "live.repro")
         loaded = api.load(tmp_path / "live.repro")
         active = np.ones(N, dtype=bool)
@@ -49,13 +47,10 @@ class TestSaveDuringPendingChurn:
         fitted.compact()
         assert api.save(fitted, tmp_path / "merged.repro") == live_hash
 
-    def test_triangulation_saves_the_live_labels(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(patch_policy, "MERGE_DIRTY_FRACTION", 1.1)
-        monkeypatch.setattr(patch_policy, "MERGE_STALENESS", 10**9)
+    def test_triangulation_saves_the_live_labels(self, tmp_path):
         fitted = api.build("triangulation", "hypercube", n=N, seed=0)
         gone = [7, 11, 40]
         api.update(fitted, leaves=gone)
-        assert fitted.pending_patch_stats().merges == 0
         live_hash = api.save(fitted, tmp_path / "live.repro")
         loaded = api.load(tmp_path / "live.repro")
         saved_ids = np.asarray(loaded.container.arrays["label_ids"])
