@@ -22,12 +22,18 @@ from repro.distributed import (
     ChurnSimulation,
     DistributedNetProtocol,
     GossipRingProtocol,
-    SynchronousNetwork,
     ring_coverage,
 )
 from repro import api
 from repro.meridian import MeridianOverlay
 from repro.metrics.nets import greedy_net, is_r_net
+from repro.netsim import EventNetwork, RoundAdapter
+
+
+def _run(metric, proto, seed, max_rounds):
+    """Run a round protocol on an ideal event network: (stats, ctx)."""
+    adapter = RoundAdapter(EventNetwork(metric, seed=seed), proto, max_rounds=max_rounds)
+    return adapter.run(), adapter.ctx
 
 
 def test_distributed_net_cost(benchmark):
@@ -35,9 +41,8 @@ def test_distributed_net_cost(benchmark):
     rows = []
     for r in (0.4, 0.2, 0.1):
         proto = DistributedNetProtocol(r=r)
-        net = SynchronousNetwork(metric, proto, seed=1)
-        stats = net.run(max_rounds=100)
-        members = proto.net_members(net.ctx)
+        stats, ctx = _run(metric, proto, seed=1, max_rounds=100)
+        members = proto.net_members(ctx)
         central = greedy_net(metric, r)
         rows.append(
             (
@@ -52,9 +57,7 @@ def test_distributed_net_cost(benchmark):
         )
         assert stats.converged and is_r_net(metric, members, r)
         assert stats.rounds <= 4 * math.log2(metric.n)
-    benchmark(lambda: SynchronousNetwork(
-        metric, DistributedNetProtocol(r=0.4), seed=2
-    ).run(max_rounds=100))
+    benchmark(lambda: _run(metric, DistributedNetProtocol(r=0.4), seed=2, max_rounds=100))
     record_table(
         "sec6_distributed_net",
         "Distributed r-net construction (Luby-style, hypercube n=64)",
@@ -72,9 +75,8 @@ def test_gossip_coverage_gap(benchmark):
         proto = GossipRingProtocol(
             bootstrap=3, exchange=8, ring_capacity=6, rounds=rounds
         )
-        net = SynchronousNetwork(metric, proto, seed=3)
-        stats = net.run(max_rounds=10 * rounds + 10)
-        scale_cov, recall = ring_coverage(metric, proto, net.ctx)
+        stats, ctx = _run(metric, proto, seed=3, max_rounds=10 * rounds + 10)
+        scale_cov, recall = ring_coverage(metric, proto, ctx)
         rows.append(
             (
                 rounds,
@@ -84,9 +86,7 @@ def test_gossip_coverage_gap(benchmark):
                 f"{recall:.2f}",
             )
         )
-    benchmark(lambda: SynchronousNetwork(
-        metric, GossipRingProtocol(rounds=2), seed=4
-    ).run(max_rounds=40))
+    benchmark(lambda: _run(metric, GossipRingProtocol(rounds=2), seed=4, max_rounds=40))
     record_table(
         "sec6_gossip_gap",
         "Gossip ring discovery vs the theoretical rings (hypercube n=56)",

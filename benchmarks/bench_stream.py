@@ -40,6 +40,11 @@ from typing import Any, Dict
 
 import numpy as np
 
+# The first np.unique call of a process imports numpy.ma lazily (11-20 ms),
+# inside the first update of whichever scheme streams first.  Importing it
+# here keeps that one-time cost out of amortized_update_s.
+import numpy.ma  # noqa: F401
+
 from repro import api
 from repro.distributed.trace import ChurnTrace
 

@@ -1,11 +1,11 @@
 """Perf-regression gate: fresh bench JSON vs the committed baselines.
 
-CI produces fresh ``bench_engine`` / ``bench_build`` / ``bench_rings``
-reports into a scratch directory and this script compares every
-*timing* they record against the same-named committed baseline under
-``benchmarks/results/``:
+CI produces fresh ``bench_engine`` / ``bench_build`` / ``bench_serve`` /
+``bench_netsim`` / ``bench_stream`` reports into a scratch directory and
+this script compares every *timing* they record against the same-named
+committed baseline under ``benchmarks/results/``:
 
-    PYTHONPATH=src python benchmarks/bench_rings.py --out /tmp/perf/rings_perf.json
+    PYTHONPATH=src python benchmarks/bench_build.py --out /tmp/perf/build_perf.json
     python benchmarks/check_perf.py --fresh /tmp/perf --baseline benchmarks/results
 
 A numeric leaf counts as a timing when any segment of its JSON path

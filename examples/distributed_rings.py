@@ -18,12 +18,12 @@ from repro.distributed import (
     ChurnSimulation,
     DistributedNetProtocol,
     GossipRingProtocol,
-    SynchronousNetwork,
     ring_coverage,
 )
 from repro import api
 from repro.meridian import MeridianOverlay
 from repro.metrics.nets import greedy_net, is_r_net
+from repro.netsim import EventNetwork, RoundAdapter
 
 
 def main() -> None:
@@ -31,8 +31,8 @@ def main() -> None:
 
     print("=== 1. distributed r-net (r = 0.2) ===")
     proto = DistributedNetProtocol(r=0.2)
-    network = SynchronousNetwork(metric, proto, seed=1)
-    stats = network.run(max_rounds=100)
+    network = RoundAdapter(EventNetwork(metric, seed=1), proto, max_rounds=100)
+    stats = network.run()
     members = proto.net_members(network.ctx)
     central = greedy_net(metric, 0.2)
     print(f"  converged in {stats.rounds} rounds, "
@@ -46,8 +46,9 @@ def main() -> None:
     for rounds in (1, 4, 16):
         gossip = GossipRingProtocol(bootstrap=3, exchange=8, ring_capacity=6,
                                     rounds=rounds)
-        network = SynchronousNetwork(metric, gossip, seed=2)
-        gstats = network.run(max_rounds=10 * rounds + 10)
+        network = RoundAdapter(EventNetwork(metric, seed=2), gossip,
+                               max_rounds=10 * rounds + 10)
+        gstats = network.run()
         scale_cov, recall = ring_coverage(metric, gossip, network.ctx)
         print(f"  {rounds:>7d} {gstats.messages:>9,d} {scale_cov:>15.2f} {recall:>14.2f}")
     print("  -> recall plateaus below 1.0: the paper's Section-6 coverage gap.")

@@ -33,7 +33,6 @@ from repro.metrics.synthetic import (
     uniform_line,
 )
 from repro.api.registry import WORKLOADS, register_workload
-from repro.core.rings import AnyRings, cardinality_rings
 
 #: The instance size used when a caller does not pass ``n``.  Chosen so
 #: every workload/scheme combination builds in well under a second on a
@@ -143,7 +142,6 @@ class WorkloadInstance:
         self.revision = 0
         self._scales: Dict[float, ScaleStructure] = {}
         self._measure: Optional[DoublingMeasure] = None
-        self._rings: Dict[Tuple[int, Optional[int]], AnyRings] = {}
         self._nets: Optional[NestedNets] = None
 
     @property
@@ -185,17 +183,6 @@ class WorkloadInstance:
         if self._measure is None:
             self._measure = doubling_measure(self.metric)
         return self._measure
-
-    def sampled_rings(
-        self, samples_per_ring: int, seed: Optional[int] = 0
-    ) -> AnyRings:
-        """Shared X-type sampled rings (§5.1), built once per (k, seed)."""
-        key = (int(samples_per_ring), seed)
-        if key not in self._rings:
-            self._rings[key] = cardinality_rings(
-                self.metric, samples_per_ring=int(samples_per_ring), seed=seed
-            )
-        return self._rings[key]
 
     def __repr__(self) -> str:
         return (

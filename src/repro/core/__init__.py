@@ -15,26 +15,16 @@ technique"):
   distributed "uniformly in the space region", i.e. net points or samples
   w.r.t. a doubling measure (the Y-type neighbors).
 
-This package provides those builders (:mod:`~repro.core.rings`), the
-zooming sequences that guide routing/identification
-(:mod:`~repro.core.zooming`), the host/virtual enumeration machinery that
-replaces global node ids with short local indices
-(:mod:`~repro.core.enumeration`), and the overlay-network view used for
-routing on metrics (:mod:`~repro.core.overlay`).
+This package provides those builders (:mod:`~repro.core.rings`), the one
+CSR ring representation they return (:mod:`~repro.core.packed`), and
+the join/leave membership patch that churn reads go through
+(:mod:`~repro.core.patch`).  The zooming sequences of Theorems 2.1 and
+3.4 live with their schemes (``RingRouting`` and ``ScaleStructure``).
 """
 
 from repro.core.packed import PackedRings, exact_capped_rings
 from repro.core.patch import CSRPatch, InactiveNode, Membership, PatchStats
-from repro.core.rings import (
-    Ring,
-    RingsOfNeighbors,
-    cardinality_rings,
-    measure_rings,
-    net_rings,
-)
-from repro.core.zooming import ZoomingSequence, net_zooming_sequence
-from repro.core.enumeration import Enumeration, TranslationFunction
-from repro.core.overlay import overlay_from_rings
+from repro.core.rings import cardinality_rings, measure_rings, net_rings
 
 __all__ = [
     "CSRPatch",
@@ -42,15 +32,8 @@ __all__ = [
     "Membership",
     "PackedRings",
     "PatchStats",
-    "Ring",
-    "RingsOfNeighbors",
     "exact_capped_rings",
     "cardinality_rings",
     "measure_rings",
     "net_rings",
-    "ZoomingSequence",
-    "net_zooming_sequence",
-    "Enumeration",
-    "TranslationFunction",
-    "overlay_from_rings",
 ]

@@ -1,11 +1,6 @@
-"""CSR-packed rings of neighbors — the array backend for every builder.
+"""CSR-packed rings of neighbors — the one ring representation.
 
-A :class:`~repro.core.rings.RingsOfNeighbors` stores one Python ``Ring``
-object (an owner, a key, a radius and a member *tuple*) per (node, key)
-pair; at n = 10⁴ and K·log Δ rings per node that representation costs
-tens of bytes per member and caps the Theorem 2.1/3.2/3.4 structures
-around n ≈ 10³.  :class:`PackedRings` holds the same information in four
-flat arrays:
+:class:`PackedRings` holds every ring of a structure in four flat arrays:
 
 * ``members`` — every ring's members concatenated, **node-major** (all
   rings of node 0, then node 1, …), ``int32``;
@@ -13,14 +8,11 @@ flat arrays:
   ``members[indptr[u*K + k] : indptr[u*K + k + 1]]``;
 * ``radii`` — an ``(n, K)`` float array of ring radii;
 * ``keys`` — the ring-key vocabulary shared by all nodes (scale indices
-  for the deterministic builders, ``(i, j)`` tuples for Theorem 5.2(b)).
+  for every builder in :mod:`repro.core.rings`).
 
-The class exposes the full read API of ``RingsOfNeighbors`` (``ring``,
-``rings_of``, ``neighbors_of``, ``out_degree``, ``pointer_bits``, …), so
-existing call sites keep working; ``rings_of``/``ring`` materialize
-legacy :class:`~repro.core.rings.Ring` views lazily and nothing Θ(n·K)
-in Python objects is ever pinned.  Sample provenance (builder name,
-seed, samples-per-ring) rides along for the §5 sampled builders.
+Reads are array views (:meth:`PackedRings.members_of`), so nothing
+Θ(n·K) in Python objects is ever pinned.  Sample provenance (builder
+name, seed, samples-per-ring) rides along for the §5 sampled builders.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro._types import NodeId
-from repro.bits import SizeAccount, bits_for_count
+from repro.bits import SizeAccount
 from repro.metrics.base import MetricSpace
 
 __all__ = ["PackedRings", "csr_gather", "exact_capped_rings", "pack_csr"]
@@ -140,16 +132,10 @@ class PackedRings:
     def n(self) -> int:
         return self.metric.n
 
-    def _ring_slice(self, u: NodeId, k: int) -> np.ndarray:
-        i = u * len(self.keys) + k
-        return self.members[self.indptr[i] : self.indptr[i + 1]]
-
     def members_of(self, u: NodeId, key: Any) -> np.ndarray:
         """Member array of ``u``'s ring at ``key`` (a view, not a copy)."""
-        return self._ring_slice(u, self._key_index[key])
-
-    def radius(self, u: NodeId, key: Any) -> float:
-        return float(self.radii[u, self._key_index[key]])
+        i = u * len(self.keys) + self._key_index[key]
+        return self.members[self.indptr[i] : self.indptr[i + 1]]
 
     def ring_sizes(self) -> np.ndarray:
         """Per-(node, key) member counts as an ``(n, K)`` array."""
@@ -161,80 +147,10 @@ class PackedRings:
             return 0
         return int(np.diff(self.indptr).max())
 
-    # -- legacy (dict) view --------------------------------------------
-
-    def ring(self, u: NodeId, key: Any):
-        """The ring of ``u`` at ``key`` as a legacy :class:`Ring`, or None."""
-        from repro.core.rings import Ring
-
-        k = self._key_index.get(key)
-        if k is None:
-            return None
-        return Ring(
-            owner=u,
-            key=key,
-            radius=float(self.radii[u, k]),
-            members=tuple(int(x) for x in self._ring_slice(u, k)),
-        )
-
-    def rings_of(self, u: NodeId) -> Dict[Any, Any]:
-        """All rings of ``u`` as a key → :class:`Ring` dict (materialized
-        on the fly; the packed arrays stay the source of truth)."""
-        return {key: self.ring(u, key) for key in self.keys}
-
-    # -- neighbor queries ----------------------------------------------
-
     def _node_span(self, u: NodeId) -> np.ndarray:
         """All ring members of ``u`` concatenated (contiguous by layout)."""
         K = len(self.keys)
         return self.members[self.indptr[u * K] : self.indptr[(u + 1) * K]]
-
-    def neighbors_of(self, u: NodeId) -> List[NodeId]:
-        """Distinct neighbors of ``u`` across rings (excluding u), in
-        first-occurrence order — exactly the legacy semantics."""
-        span = self._node_span(u)
-        span = span[span != u]
-        if span.size == 0:
-            return []
-        uniq, first = np.unique(span, return_index=True)
-        return [int(x) for x in uniq[np.argsort(first, kind="stable")]]
-
-    def out_degree(self, u: NodeId) -> int:
-        span = self._node_span(u)
-        span = span[span != u]
-        if span.size == 0:
-            return 0
-        return int(np.unique(span).size)
-
-    def out_degrees(self) -> np.ndarray:
-        return np.fromiter(
-            (self.out_degree(u) for u in range(self.n)), dtype=np.int64,
-            count=self.n,
-        )
-
-    def max_out_degree(self) -> int:
-        return int(self.out_degrees().max()) if self.n else 0
-
-    # -- composition ----------------------------------------------------
-
-    def merged_with(self, other: "PackedRings") -> "PackedRings":
-        """A new packed structure holding both collections, with keys
-        prefixed ``("a", key)`` / ``("b", key)`` as in the legacy merge."""
-        if other.metric.n != self.metric.n:
-            raise ValueError("cannot merge rings over different metrics")
-        keys = [("a", k) for k in self.keys] + [("b", k) for k in other.keys]
-        radii = np.hstack([self.radii, other.radii])
-        chunks: List[np.ndarray] = []
-        for u in range(self.n):
-            for k in range(len(self.keys)):
-                chunks.append(self._ring_slice(u, k))
-            for k in range(len(other.keys)):
-                chunks.append(other._ring_slice(u, k))
-        provenance = {"builder": "merged", "a": self.provenance,
-                      "b": other.provenance}
-        return PackedRings.from_ring_chunks(
-            self.metric, keys, radii, chunks, provenance
-        )
 
     def with_sorted_members(self) -> "PackedRings":
         """A copy whose per-ring member arrays are sorted ascending (host
@@ -247,29 +163,7 @@ class PackedRings:
             self.members[order], dict(self.provenance, sorted=True),
         )
 
-    # -- incremental membership ----------------------------------------
-
-    def membership_patch(self, membership=None):
-        """A :class:`~repro.core.patch.CSRPatch` over this structure's
-        member arrays — the entry point for join/leave churn.  The rings
-        themselves stay pristine; reads through the patch see them
-        filtered to the live active set."""
-        from repro.core.patch import CSRPatch, Membership
-
-        if membership is None:
-            membership = Membership(self.n)
-        return CSRPatch(self.indptr, self.members, membership=membership)
-
     # -- accounting -----------------------------------------------------
-
-    def pointer_bits(self, u: NodeId) -> SizeAccount:
-        """Bits to store u's neighbor pointers as global ids (the naive
-        encoding the paper improves on with local enumerations)."""
-        account = SizeAccount()
-        account.add(
-            "global_id_pointers", self.out_degree(u) * bits_for_count(self.n)
-        )
-        return account
 
     def storage_account(self) -> SizeAccount:
         """Exact resident storage of the packed arrays, from their widths."""

@@ -8,9 +8,10 @@ this gap is an interesting open question."
 
 This subpackage turns that discussion into runnable experiments:
 
-* :mod:`~repro.distributed.simulator` — a synchronous round-based
-  message-passing simulator (PODC model): per-round inboxes/outboxes,
-  counted messages and distance probes.
+* :mod:`~repro.distributed.simulator` — the round-based protocol
+  surface (PODC model): per-node state, counted messages and distance
+  probes.  :class:`repro.netsim.RoundAdapter` runs every protocol here,
+  on an ideal or a degraded event network.
 * :mod:`~repro.distributed.netproto` — Luby-style distributed r-net
   construction (the building block of every ring family), with validity
   verified against the centralized construction.
@@ -27,7 +28,6 @@ from repro.distributed.simulator import (
     Message,
     RoundBasedProtocol,
     RunStats,
-    SynchronousNetwork,
 )
 from repro.distributed.netproto import DistributedNetProtocol
 from repro.distributed.ringproto import GossipRingProtocol, ring_coverage
@@ -41,7 +41,6 @@ __all__ = [
     "Message",
     "RoundBasedProtocol",
     "RunStats",
-    "SynchronousNetwork",
     "DistributedNetProtocol",
     "GossipRingProtocol",
     "ring_coverage",

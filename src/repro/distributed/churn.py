@@ -222,8 +222,7 @@ class ChurnRoundProtocol(RoundBasedProtocol):
     (:class:`repro.netsim.RoundAdapter`) can drive it too.  The overlay
     and :class:`ChurnSimulation` are built in :meth:`initialize` from the
     context's metric and RNG — the epoch trace draws from the shared
-    protocol stream, so equal seeds give identical reports on the
-    synchronous network and on a zero-latency event network.
+    protocol stream, so equal seeds give identical reports.
     """
 
     def __init__(

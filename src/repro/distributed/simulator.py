@@ -1,8 +1,12 @@
-"""Synchronous round-based message-passing simulator.
+"""The round-based protocol surface of the §6 experiments.
 
 The classic PODC model: computation proceeds in rounds; in each round
-every node reads its inbox, updates local state and sends messages that
-arrive at the start of the next round.  Two costs are counted:
+every node reads its inbox, updates local state and sends messages.
+:class:`~repro.netsim.protocol.RoundAdapter` runs a
+:class:`RoundBasedProtocol` on an
+:class:`~repro.netsim.network.EventNetwork`, one tick per round; on the
+default ideal network a message sent in one round arrives at the start
+of the next.  Two costs are counted:
 
 * **messages** — every :meth:`Context.send`;
 * **probes** — distance measurements via :meth:`Context.probe` (in a
@@ -11,8 +15,7 @@ arrive at the start of the next round.  Two costs are counted:
   which is what makes ring construction non-trivial distributedly.
 
 Protocols subclass :class:`RoundBasedProtocol` and keep per-node state in
-``ctx.state[node]`` (a dict); the simulator is deterministic given the
-seed.
+``ctx.state[node]`` (a dict); a run is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import Any, Dict, List
 
 from repro._types import NodeId
 from repro.metrics.base import MetricSpace
-from repro.rng import SeedLike, ensure_rng, rng_entropy
 
 
 @dataclass(frozen=True)
@@ -45,13 +47,13 @@ class RunStats:
     ``delivered`` the messages actually consumed by a node's step, and
     the two loss buckets say where the rest went — ``dropped`` (the
     network discarded them: link loss, partition, crashed recipient;
-    always 0 on the perfect synchronous network) and ``undelivered``
+    always 0 on the ideal network) and ``undelivered``
     (still in flight when the run ended, e.g. sent in the final round).
     ``messages == delivered + dropped + undelivered`` holds for every
     run.  ``seed`` is the resolved RNG entropy (recorded even for
-    unseeded runs) and ``config`` carries the scenario description on
-    event-simulator runs — together they make any run reproducible from
-    its persisted stats.
+    unseeded runs) and ``config`` carries the network's link and fault
+    description — together they make any run reproducible from its
+    persisted stats.
     """
 
     rounds: int
@@ -67,40 +69,37 @@ class RunStats:
 
 
 class Context:
-    """Per-run environment handed to the protocol."""
+    """The per-run environment a protocol sees, backed by an event network.
 
-    def __init__(self, metric: MetricSpace, rng) -> None:
-        self._metric = metric
-        self.rng = rng
-        self.n = metric.n
+    Sends go through the network's fault plan and link model; probes go
+    through its Byzantine perturbation.  The RNG is the network's
+    protocol generator, so equal seeds give equal draw sequences.
+    """
+
+    def __init__(self, net) -> None:
+        self._net = net
+        self._metric: MetricSpace = net.metric
+        self.rng = net.rng
+        self.n = net.n
         #: per-node protocol state
         self.state: Dict[NodeId, Dict[str, Any]] = defaultdict(dict)
-        self._outbox: List[Message] = []
         self.messages_sent = 0
         self.probes = 0
 
     def send(self, sender: NodeId, recipient: NodeId, kind: str, **payload: Any) -> None:
-        """Queue a message for delivery at the next round."""
-        if not (0 <= recipient < self.n):
-            raise ValueError(f"recipient {recipient} out of range")
-        self._outbox.append(Message(sender, recipient, kind, payload))
+        """Transmit one message through the network (ValueError when the
+        recipient is out of range)."""
+        self._net.send(sender, recipient, kind, **payload)
         self.messages_sent += 1
 
     def probe(self, u: NodeId, v: NodeId) -> float:
         """Measure d(u, v) — one counted network probe."""
         self.probes += 1
-        return self._metric.distance(u, v)
-
-    def _drain_outbox(self) -> Dict[NodeId, List[Message]]:
-        inboxes: Dict[NodeId, List[Message]] = defaultdict(list)
-        for message in self._outbox:
-            inboxes[message.recipient].append(message)
-        self._outbox = []
-        return inboxes
+        return self._net.measure(u, v)
 
 
 class RoundBasedProtocol(abc.ABC):
-    """A distributed protocol executed by :class:`SynchronousNetwork`."""
+    """A distributed protocol, run by :class:`~repro.netsim.protocol.RoundAdapter`."""
 
     @abc.abstractmethod
     def initialize(self, ctx: Context) -> None:
@@ -121,44 +120,3 @@ class RoundBasedProtocol(abc.ABC):
         (e.g. redrawing priorities) override this instead of piggybacking
         on some specific node's step.
         """
-
-
-class SynchronousNetwork:
-    """Drives a protocol over a metric's node set."""
-
-    def __init__(
-        self, metric: MetricSpace, protocol: RoundBasedProtocol, seed: SeedLike = None
-    ) -> None:
-        self.metric = metric
-        self.protocol = protocol
-        rng = ensure_rng(seed)
-        #: resolved RNG entropy, recorded in every RunStats
-        self.resolved_seed = rng_entropy(rng)
-        self.ctx = Context(metric, rng)
-
-    def run(self, max_rounds: int = 1000) -> RunStats:
-        """Execute until the protocol reports done or the budget ends."""
-        protocol, ctx = self.protocol, self.ctx
-        protocol.initialize(ctx)
-        rounds = 0
-        delivered = 0
-        converged = protocol.is_done(ctx)
-        while not converged and rounds < max_rounds:
-            inboxes = ctx._drain_outbox()
-            delivered += sum(len(box) for box in inboxes.values())
-            for node in range(ctx.n):
-                protocol.on_round(node, inboxes.get(node, []), ctx)
-            protocol.on_round_end(ctx)
-            rounds += 1
-            converged = protocol.is_done(ctx)
-        return RunStats(
-            rounds=rounds,
-            messages=ctx.messages_sent,
-            probes=ctx.probes,
-            converged=converged,
-            delivered=delivered,
-            dropped=0,
-            undelivered=len(ctx._outbox),
-            wall_clock=float(rounds),
-            seed=self.resolved_seed,
-        )

@@ -199,14 +199,15 @@ def _churn_repair(fitted) -> Dict[str, Any]:
 @register_probe("distributed-net",
                 summary="§6 distributed r-net construction cost and validity")
 def _distributed_net(fitted) -> Dict[str, Any]:
-    from repro.distributed import DistributedNetProtocol, SynchronousNetwork
+    from repro.distributed import DistributedNetProtocol
     from repro.metrics.nets import greedy_net, is_r_net
+    from repro.netsim import EventNetwork, RoundAdapter
 
     metric = fitted.workload.metric
     proto = DistributedNetProtocol(r=0.2)
-    net = SynchronousNetwork(metric, proto, seed=1)
-    stats = net.run(max_rounds=100)
-    members = proto.net_members(net.ctx)
+    adapter = RoundAdapter(EventNetwork(metric, seed=1), proto, max_rounds=100)
+    stats = adapter.run()
+    members = proto.net_members(adapter.ctx)
     return {
         "net_rounds": int(stats.rounds),
         "net_messages": int(stats.messages),
@@ -222,11 +223,8 @@ def _distributed_net(fitted) -> Dict[str, Any]:
 @register_probe("gossip-gap",
                 summary="§6 gossip ring coverage/recall vs the exact rings")
 def _gossip_gap(fitted) -> Dict[str, Any]:
-    from repro.distributed import (
-        GossipRingProtocol,
-        SynchronousNetwork,
-        ring_coverage,
-    )
+    from repro.distributed import GossipRingProtocol, ring_coverage
+    from repro.netsim import EventNetwork, RoundAdapter
 
     metric = fitted.workload.metric
     out: Dict[str, Any] = {}
@@ -234,9 +232,11 @@ def _gossip_gap(fitted) -> Dict[str, Any]:
         proto = GossipRingProtocol(
             bootstrap=3, exchange=8, ring_capacity=6, rounds=rounds
         )
-        net = SynchronousNetwork(metric, proto, seed=3)
-        net.run(max_rounds=10 * rounds + 10)
-        scale_cov, recall = ring_coverage(metric, proto, net.ctx)
+        adapter = RoundAdapter(
+            EventNetwork(metric, seed=3), proto, max_rounds=10 * rounds + 10
+        )
+        adapter.run()
+        scale_cov, recall = ring_coverage(metric, proto, adapter.ctx)
         out[f"gossip_r{rounds}_coverage"] = float(scale_cov)
         out[f"gossip_r{rounds}_recall"] = float(recall)
     return out

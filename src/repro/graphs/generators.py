@@ -13,6 +13,11 @@ import numpy as np
 from repro.graphs.graph import WeightedGraph
 from repro.rng import SeedLike, ensure_rng
 
+#: Max elements of the transient (rows × n × dim) difference block that
+#: :func:`_point_distances` fills the distance matrix with (~32 MB of
+#: float64), so generation never holds an n×n×dim array.
+_BLOCK_ELEMS = 1 << 22
+
 
 def grid_graph(side: int, dim: int = 2, jitter: float = 0.0, seed: SeedLike = None) -> WeightedGraph:
     """The ``side^dim`` lattice with unit (optionally jittered) edge weights."""
@@ -44,30 +49,44 @@ def grid_graph(side: int, dim: int = 2, jitter: float = 0.0, seed: SeedLike = No
     return graph
 
 
-def _euclidean_points_graph(
-    points: np.ndarray, k: int, rng: np.random.Generator
-) -> WeightedGraph:
-    """kNN graph on points, patched to connectivity with extra edges."""
-    n = points.shape[0]
-    graph = WeightedGraph(n)
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def _point_distances(points: np.ndarray) -> np.ndarray:
+    """The (n, n) Euclidean distance matrix of ``points``, +inf on the
+    diagonal, filled in row blocks of at most :data:`_BLOCK_ELEMS`
+    difference elements (each entry is the same sum of squares a single
+    n×n×dim block would give)."""
+    n, dim = points.shape
+    dist = np.empty((n, n))
+    step = max(1, _BLOCK_ELEMS // max(1, n * dim))
+    for lo in range(0, n, step):
+        rows = dist[lo : lo + step]
+        diff = points[lo : lo + step, None, :] - points[None, :, :]
+        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff, out=rows), out=rows)
     np.fill_diagonal(dist, np.inf)
-    for u in range(n):
-        nearest = np.argpartition(dist[u], min(k, n - 2))[:k]
-        for v in nearest:
-            graph.add_edge(u, int(v), float(dist[u, v]))
-    # Patch connectivity: union components through their closest node pair.
+    return dist
+
+
+def _patch_connectivity(graph: WeightedGraph, dist: np.ndarray) -> WeightedGraph:
+    """Union components through their closest node pair until connected."""
     while not graph.is_connected():
-        comp = _components(graph)
-        labels = np.unique(comp)
-        a_nodes = np.flatnonzero(comp == labels[0])
-        b_nodes = np.flatnonzero(comp != labels[0])
+        first = _components(graph) == 0
+        a_nodes, b_nodes = np.flatnonzero(first), np.flatnonzero(~first)
         sub = dist[np.ix_(a_nodes, b_nodes)]
         i, j = np.unravel_index(np.argmin(sub), sub.shape)
         u, v = int(a_nodes[i]), int(b_nodes[j])
         graph.add_edge(u, v, float(dist[u, v]))
     return graph
+
+
+def _euclidean_points_graph(points: np.ndarray, k: int) -> WeightedGraph:
+    """kNN graph on points, patched to connectivity with extra edges."""
+    n = points.shape[0]
+    graph = WeightedGraph(n)
+    dist = _point_distances(points)
+    for u in range(n):
+        nearest = np.argpartition(dist[u], min(k, n - 2))[:k]
+        for v in nearest:
+            graph.add_edge(u, int(v), float(dist[u, v]))
+    return _patch_connectivity(graph, dist)
 
 
 def _components(graph: WeightedGraph) -> np.ndarray:
@@ -96,7 +115,7 @@ def knn_geometric_graph(
         raise ValueError("n must be at least 2")
     rng = ensure_rng(seed)
     points = rng.random((n, dim))
-    return _euclidean_points_graph(points, k, rng)
+    return _euclidean_points_graph(points, k)
 
 
 def random_geometric_graph(
@@ -111,23 +130,12 @@ def random_geometric_graph(
     rng = ensure_rng(seed)
     points = rng.random((n, dim))
     graph = WeightedGraph(n)
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, np.inf)
+    dist = _point_distances(points)
     for u in range(n):
         for v in np.flatnonzero(dist[u] <= radius):
             if u < v:
                 graph.add_edge(u, int(v), float(dist[u, v]))
-    while not graph.is_connected():
-        comp = _components(graph)
-        labels = np.unique(comp)
-        a_nodes = np.flatnonzero(comp == labels[0])
-        b_nodes = np.flatnonzero(comp != labels[0])
-        sub = dist[np.ix_(a_nodes, b_nodes)]
-        i, j = np.unravel_index(np.argmin(sub), sub.shape)
-        u, v = int(a_nodes[i]), int(b_nodes[j])
-        graph.add_edge(u, v, float(dist[u, v]))
-    return graph
+    return _patch_connectivity(graph, dist)
 
 
 def ring_with_chords_graph(
@@ -177,4 +185,4 @@ def internet_like_graph(
         group = group * branching + sub
         scale /= branching
     points += rng.normal(scale=scale, size=(n, dim))
-    return _euclidean_points_graph(points, k, rng)
+    return _euclidean_points_graph(points, k)

@@ -29,6 +29,40 @@ from repro.bits import SizeAccount, bits_for_count
 from repro.labeling.encoding import DistanceCodec
 from repro.metrics.base import MetricSpace
 from repro.rng import SeedLike, ensure_rng
+from repro.serve.container import ContainerError, check_csr
+
+
+def _check_arrays(n: int, k: int, arrays: dict) -> None:
+    """Refuse a persisted oracle that would answer wrong, with a
+    :class:`~repro.serve.container.ContainerError` naming the check: the
+    bunches are n CSR rows and the levels k CSR rows over ``[0, n)``
+    (:func:`~repro.serve.container.check_csr`), ``bunch_dist`` holds one
+    finite entry >= 0 per bunch id, ``pivots`` is an (n, k) integer array
+    in ``[0, n)`` and ``pivot_dist`` an (n, k) finite array >= 0."""
+    what = "tz-oracle arrays"
+
+    def fail(check: str) -> None:
+        raise ContainerError(f"malformed {what}: {check}")
+
+    check_csr(what, arrays, ("bunch_indptr", "bunch_ids"), ("n", n), n)
+    check_csr(what, arrays, ("level_indptr", "level_ids"), ("k", k), n)
+    dist = np.asarray(arrays["bunch_dist"])
+    if dist.shape != np.shape(arrays["bunch_ids"]):
+        fail("bunch_dist must have one entry per bunch id")
+    if dist.dtype.kind not in "fiu" or not np.all(np.isfinite(dist) & (dist >= 0)):
+        fail("bunch_dist must be finite and >= 0")
+    pivots = np.asarray(arrays["pivots"])
+    if pivots.dtype.kind not in "iu" or pivots.shape != (n, k):
+        fail(f"pivots must be an integer array of shape (n, k) = {(n, k)} "
+             f"(has {pivots.dtype} {pivots.shape})")
+    if pivots.size and (pivots.min() < 0 or pivots.max() >= n):
+        fail(f"pivots entries must lie in [0, {n})")
+    pivot_dist = np.asarray(arrays["pivot_dist"])
+    if pivot_dist.dtype.kind != "f" or pivot_dist.shape != (n, k):
+        fail(f"pivot_dist must be a float array of shape (n, k) = {(n, k)} "
+             f"(has {pivot_dist.dtype} {pivot_dist.shape})")
+    if not np.all(np.isfinite(pivot_dist) & (pivot_dist >= 0)):
+        fail("pivot_dist entries must be finite and >= 0")
 
 
 class ThorupZwickOracle:
@@ -148,12 +182,15 @@ class ThorupZwickOracle:
     def from_arrays(
         cls, metric: MetricSpace, meta: dict, arrays: dict
     ) -> "ThorupZwickOracle":
-        """Rehydrate from :meth:`to_arrays`.
+        """Rehydrate from :meth:`to_arrays`, refusing malformed arrays
+        (:func:`_check_arrays`).
 
         Bunches are rebuilt as dicts (the query walk needs membership
         tests); estimates are unaffected by dict order, so the sorted
         CSR layout is bit-for-bit equivalent to the built oracle.
         """
+        n = metric.n
+        _check_arrays(n, int(meta["k"]), arrays)
         codec_meta = meta["codec"]
         oracle = cls.__new__(cls)
         oracle.metric = metric
@@ -175,7 +212,7 @@ class ThorupZwickOracle:
         bunch_ids = np.asarray(arrays["bunch_ids"])
         bunch_dist = np.asarray(arrays["bunch_dist"])
         oracle._bunches = []
-        for v in range(int(meta["n"])):
+        for v in range(n):
             lo, hi = int(bunch_indptr[v]), int(bunch_indptr[v + 1])
             oracle._bunches.append(
                 {

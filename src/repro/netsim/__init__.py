@@ -15,9 +15,10 @@ that lie.  This subpackage is the bridge:
 * :mod:`~repro.netsim.network` — the fault-aware transport with total
   message accounting (sent = consumed + dropped + undelivered);
 * :mod:`~repro.netsim.protocol` — the event-native protocol surface and
-  the :class:`RoundAdapter` that runs every existing
-  :class:`~repro.distributed.simulator.RoundBasedProtocol` unchanged
-  (bit-for-bit equal to the synchronous simulator on an ideal network);
+  the :class:`RoundAdapter`, the one executor of every
+  :class:`~repro.distributed.simulator.RoundBasedProtocol` (on an ideal
+  network it runs the synchronous round model, pinned by golden
+  digests);
 * :mod:`~repro.netsim.audit` — suffix-walk spot checks that catch ring
   table liars via per-prover overlap statistics;
 * :mod:`~repro.netsim.scenarios` — named degradation scenarios and the

@@ -7,8 +7,8 @@ were scheduled — the whole simulation is a pure function of the seeds,
 never of hash order or wall-clock.
 
 There is no threading and no asyncio here on purpose: the §6 experiments
-need bit-for-bit reproducibility (the zero-latency parity suite diffs
-protocol state against the synchronous simulator), and a heap of
+need bit-for-bit reproducibility (the zero-latency parity suite pins
+protocol state by golden digest), and a heap of
 callbacks is the smallest machine that provides it.
 """
 

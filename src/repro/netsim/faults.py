@@ -177,8 +177,8 @@ class FaultPlan:
     def perturb_probe(self, asker: int, target: int, d: float) -> float:
         """The distance ``asker`` measures against ``target``.
 
-        Honest targets return ``d`` exactly (parity with the synchronous
-        simulator).  A distance liar inflates by a factor drawn once per
+        Honest targets return ``d`` exactly (the ideal network's
+        answer).  A distance liar inflates by a factor drawn once per
         (liar, asker) pair — deterministic however many times and in
         whatever order the pair is probed.
         """

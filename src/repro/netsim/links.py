@@ -3,8 +3,7 @@
 A :class:`LinkModel` owns its own :class:`numpy.random.Generator`
 (seeded through :func:`repro.rng.ensure_rng`), so network randomness
 never perturbs the protocol's RNG stream — the zero-latency parity
-guarantee against :class:`~repro.distributed.simulator.SynchronousNetwork`
-depends on that separation.
+digests depend on that separation.
 
 Latency distributions are pluggable (:data:`LATENCIES`); on top of the
 sampled latency a link can add a uniform reordering ``jitter`` (two
@@ -118,8 +117,8 @@ class LinkModel:
 
     With the defaults (zero constant latency, no drop, no jitter) the
     model is the ideal network: nothing is drawn from the RNG and every
-    message arrives instantly — the configuration under which the event
-    engine reproduces the synchronous simulator bit-for-bit.
+    message arrives instantly — the configuration under which a round
+    run is the synchronous round model, bit for bit.
     """
 
     def __init__(

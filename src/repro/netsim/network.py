@@ -11,13 +11,12 @@ perturbation.
 Accounting is total: every sent message ends up in exactly one of
 ``consumed`` (handed to a protocol step), ``dropped_link`` /
 ``dropped_partition`` / ``dropped_crash`` (network discarded it) or the
-in-flight/pending remainder (:meth:`undelivered` at the end of a run) —
-the satellite fix to the synchronous simulator's silent folding,
+in-flight/pending remainder (:meth:`undelivered` at the end of a run),
 enforced here by construction.
 
 Protocol RNG (``rng``) and network RNG (inside the link model / fault
-plan) are separate generators, so an ideal network leaves the protocol's
-draw sequence identical to the synchronous simulator's.
+plan) are separate generators, so the network never perturbs the
+protocol's draw sequence.
 """
 
 from __future__ import annotations

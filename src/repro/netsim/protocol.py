@@ -5,16 +5,16 @@ Two ways to run a protocol on an :class:`~repro.netsim.network.EventNetwork`:
 * :class:`EventProtocol` + :class:`EventDriver` — the event-native
   surface: handlers fire per message arrival and per timer, nothing is
   synchronized.  New protocols (the ring auditor) implement this.
-* :class:`RoundAdapter` — the compatibility adapter: runs any existing
+* :class:`RoundAdapter` — the round executor: runs any
   :class:`~repro.distributed.simulator.RoundBasedProtocol` *unchanged*
   by ticking a global round cadence on the event loop.  Messages sent
   during a tick travel through the link model and are consumed by the
-  first tick after they arrive; crashed nodes skip their step.  With
-  zero-latency lossless links and no faults the adapter reproduces
-  :class:`~repro.distributed.simulator.SynchronousNetwork` bit-for-bit
-  (same per-node step order, same inbox order, same RNG stream — the
-  parity property suite enforces this), and the same protocol object
-  then degrades honestly under loss, latency, partitions and crashes.
+  first tick after they arrive; crashed nodes skip their step.  On
+  zero-latency lossless links with no faults a message sent in round k
+  is read in round k + 1 (the synchronous model the §6 protocols were
+  written for, pinned by golden digests in the parity property suite),
+  and the same protocol object then degrades honestly under loss,
+  latency, partitions and crashes.
 """
 
 from __future__ import annotations
@@ -83,30 +83,6 @@ class EventDriver:
         )
 
 
-class _EventContext(Context):
-    """The :class:`Context` legacy protocols see, backed by the network.
-
-    Sends route through the link/fault layers instead of a round outbox;
-    probes go through Byzantine perturbation.  The RNG is the network's
-    protocol generator, so the draw sequence matches the synchronous
-    simulator exactly.
-    """
-
-    def __init__(self, net: EventNetwork) -> None:
-        super().__init__(net.metric, net.rng)
-        self._net = net
-
-    def send(self, sender, recipient, kind, **payload) -> None:
-        if not (0 <= recipient < self.n):
-            raise ValueError(f"recipient {recipient} out of range")
-        self.messages_sent += 1
-        self._net.send(sender, recipient, kind, **payload)
-
-    def probe(self, u, v) -> float:
-        self.probes += 1
-        return self._net.measure(u, v)
-
-
 class RoundAdapter:
     """Drive a :class:`RoundBasedProtocol` over the event network.
 
@@ -132,7 +108,7 @@ class RoundAdapter:
         self.protocol = protocol
         self.round_interval = float(round_interval)
         self.max_rounds = max_rounds
-        self.ctx = _EventContext(net)
+        self.ctx = Context(net)
         self.rounds = 0
         self.converged = False
         self.converged_at: Optional[float] = None
@@ -161,8 +137,8 @@ class RoundAdapter:
         else:
             net.loop.schedule(self.round_interval, self._tick)
         # Stop as soon as the protocol converges: arrivals past that
-        # point stay in flight and are counted undelivered, mirroring
-        # the synchronous simulator's final-round outbox.
+        # point stay in flight and are counted undelivered (the messages
+        # sent in the final round).
         net.loop.run(stop=lambda: self.converged)
         return RunStats(
             rounds=self.rounds,

@@ -16,8 +16,8 @@ estimates scored against the fitted scheme's ``(stretch, δ)`` guarantee.
 
 Seeding: every random choice derives from the one ``seed`` argument.
 The protocol generator is ``ensure_rng(seed)`` itself — so the ``ideal``
-scenario at seed ``s`` replays the synchronous run at seed ``s`` exactly —
-and the link model and fault plan get spawned children of the same
+scenario at seed ``s`` replays a bare ``EventNetwork(metric, seed=s)``
+round run exactly — and the link model and fault plan get spawned children of the same
 entropy, so they perturb the environment without touching the protocol
 stream.
 """

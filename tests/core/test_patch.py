@@ -280,10 +280,9 @@ class TestCSRPatch:
 class TestPackedRingsIntegration:
     def test_membership_patch_covers_ring_rows(self):
         metric = random_hypercube_metric(24, dim=2, seed=3)
-        rings = cardinality_rings(metric, samples_per_ring=3, seed=0,
-                                  backend="packed")
+        rings = cardinality_rings(metric, samples_per_ring=3, seed=0)
         assert isinstance(rings, PackedRings)
-        patch = rings.membership_patch()
+        patch = CSRPatch(rings.indptr, rings.members, membership=Membership(rings.n))
         assert patch.rows == rings.indptr.size - 1
         patch.apply(leaves=[5])
         dirty = patch.rows_containing(np.array([5]))

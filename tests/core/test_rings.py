@@ -1,109 +1,59 @@
-"""Rings-of-neighbors structure and builders."""
+"""Rings-of-neighbors builders."""
 
 import pytest
 
-from repro.core import (
-    Ring,
-    RingsOfNeighbors,
-    cardinality_rings,
-    measure_rings,
-    net_rings,
-)
+from repro.core import cardinality_rings, measure_rings, net_rings
 from repro.metrics import NestedNets
 from repro.metrics.measure import doubling_measure
 
 
-class TestRing:
-    def test_membership(self):
-        ring = Ring(owner=0, key=1, radius=2.0, members=(3, 4, 5))
-        assert 4 in ring
-        assert 9 not in ring
-        assert len(ring) == 3
-        assert list(ring) == [3, 4, 5]
-
-
-class TestRingsOfNeighbors:
-    @pytest.fixture
-    def rings(self, hypercube32):
-        r = RingsOfNeighbors(hypercube32)
-        r.add_ring(Ring(0, 0, 1.0, (1, 2)))
-        r.add_ring(Ring(0, 1, 2.0, (2, 3, 0)))
-        r.add_ring(Ring(1, 0, 1.0, (0,)))
-        return r
-
-    def test_neighbors_deduplicated_no_self(self, rings):
-        assert sorted(rings.neighbors_of(0)) == [1, 2, 3]
-
-    def test_out_degree(self, rings):
-        assert rings.out_degree(0) == 3
-        assert rings.out_degree(1) == 1
-        assert rings.out_degree(5) == 0
-        assert rings.max_out_degree() == 3
-
-    def test_ring_lookup(self, rings):
-        assert rings.ring(0, 1).radius == 2.0
-        assert rings.ring(3, 0) is None
-
-    def test_max_ring_cardinality(self, rings):
-        assert rings.max_ring_cardinality() == 3
-
-    def test_merge(self, rings, hypercube32):
-        other = RingsOfNeighbors(hypercube32)
-        other.add_ring(Ring(0, 0, 5.0, (7,)))
-        merged = rings.merged_with(other)
-        assert sorted(merged.neighbors_of(0)) == [1, 2, 3, 7]
-
-    def test_pointer_bits(self, rings, hypercube32):
-        bits = rings.pointer_bits(0)
-        assert bits.total_bits == 3 * 5  # 3 neighbors * ceil(log2 32)
+def _inside_ring_balls(metric, rings, nodes):
+    """Every member of each listed node's rings lies within the ring radius."""
+    for u in nodes:
+        row = metric.distances_from(u)
+        for k, key in enumerate(rings.keys):
+            members = rings.members_of(u, key)
+            assert all(row[v] <= rings.radii[u, k] + 1e-12 for v in members)
 
 
 class TestNetRings:
     def test_members_in_ball_and_net(self, hypercube32):
         nets = NestedNets(hypercube32, levels=5, base_radius=hypercube32.min_distance())
         rings = net_rings(hypercube32, nets, radius_for_level=lambda j: 0.5 * 2**j)
+        assert rings.keys == tuple(range(5))
         for u in (0, 9):
             for j in range(5):
-                ring = rings.ring(u, j)
-                assert ring is not None
                 net_set = set(nets.net(j))
-                row = hypercube32.distances_from(u)
-                for v in ring.members:
-                    assert v in net_set
-                    assert row[v] <= ring.radius + 1e-12
+                assert all(int(v) in net_set for v in rings.members_of(u, j))
+        _inside_ring_balls(hypercube32, rings, (0, 9))
 
     def test_level_subset(self, hypercube32):
         nets = NestedNets(hypercube32, levels=5, base_radius=hypercube32.min_distance())
         rings = net_rings(
             hypercube32, nets, radius_for_level=lambda j: 1.0, levels=[2, 3]
         )
-        assert rings.ring(0, 2) is not None
-        assert rings.ring(0, 0) is None
+        assert rings.keys == (2, 3)
+        with pytest.raises(KeyError):
+            rings.members_of(0, 0)
 
 
 class TestSampledRings:
     def test_cardinality_rings_inside_balls(self, hypercube32):
         rings = cardinality_rings(hypercube32, samples_per_ring=4, seed=0)
-        for u in (0, 15):
-            for i in range(3):
-                ring = rings.ring(u, i)
-                row = hypercube32.distances_from(u)
-                assert all(row[v] <= ring.radius + 1e-12 for v in ring.members)
+        _inside_ring_balls(hypercube32, rings, (0, 15))
 
     def test_cardinality_rings_deterministic(self, hypercube32):
         a = cardinality_rings(hypercube32, 4, seed=3)
         b = cardinality_rings(hypercube32, 4, seed=3)
-        assert a.neighbors_of(5) == b.neighbors_of(5)
+        for key in a.keys:
+            assert a.members_of(5, key).tolist() == b.members_of(5, key).tolist()
 
     def test_measure_rings_inside_balls(self, hypercube32):
         mu = doubling_measure(hypercube32)
         rings = measure_rings(hypercube32, mu, samples_per_ring=3, seed=1)
-        for u in (2, 20):
-            for key, ring in rings.rings_of(u).items():
-                row = hypercube32.distances_from(u)
-                assert all(row[v] <= ring.radius + 1e-12 for v in ring.members)
+        _inside_ring_balls(hypercube32, rings, (2, 20))
 
     def test_measure_rings_level_count(self, hypercube32):
         mu = doubling_measure(hypercube32)
         rings = measure_rings(hypercube32, mu, 2, seed=0)
-        assert len(rings.rings_of(0)) == hypercube32.log_aspect_ratio()
+        assert len(rings.keys) == hypercube32.log_aspect_ratio()

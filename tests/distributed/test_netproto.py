@@ -4,15 +4,16 @@ import math
 
 import pytest
 
-from repro.distributed import DistributedNetProtocol, SynchronousNetwork
+from repro.distributed import DistributedNetProtocol
 from repro.metrics import exponential_line
 from repro.metrics.nets import is_r_net
+from repro.netsim import EventNetwork, RoundAdapter
 
 
 def _build(metric, r, seed):
     proto = DistributedNetProtocol(r=r)
-    net = SynchronousNetwork(metric, proto, seed=seed)
-    stats = net.run(max_rounds=100)
+    net = RoundAdapter(EventNetwork(metric, seed=seed), proto, max_rounds=100)
+    stats = net.run()
     return proto, net, stats
 
 

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.distributed import GossipRingProtocol, SynchronousNetwork, ring_coverage
+from repro.distributed import GossipRingProtocol, ring_coverage
 from repro.metrics import random_hypercube_metric
+from repro.netsim import EventNetwork, RoundAdapter
 
 
 def _run(metric, rounds, seed=0, **kwargs):
     proto = GossipRingProtocol(rounds=rounds, **kwargs)
-    net = SynchronousNetwork(metric, proto, seed=seed)
-    stats = net.run(max_rounds=10 * rounds + 10)
+    net = RoundAdapter(EventNetwork(metric, seed=seed), proto, max_rounds=10 * rounds + 10)
+    stats = net.run()
     return proto, net, stats
 
 

@@ -1,11 +1,16 @@
-"""Round-based simulator semantics."""
+"""Round-protocol semantics on the one executor, an ideal event network.
+
+Delivery one round later and the round budget are covered by
+``tests/netsim/test_protocol.py::TestRoundAdapter``.
+"""
 
 from typing import List
 
 import pytest
 
-from repro.distributed import Message, RoundBasedProtocol, SynchronousNetwork
+from repro.distributed import Message, RoundBasedProtocol
 from repro.metrics import uniform_line
+from repro.netsim import EventNetwork, RoundAdapter
 
 
 class PingPong(RoundBasedProtocol):
@@ -30,44 +35,28 @@ class PingPong(RoundBasedProtocol):
         return ctx.state[0]["count"] + ctx.state[1]["count"] >= self.volleys
 
 
+def _adapter(metric, proto, seed=None, max_rounds=10):
+    return RoundAdapter(EventNetwork(metric, seed=seed), proto, max_rounds=max_rounds)
+
+
 class TestSimulator:
-    def test_message_delivery_next_round(self):
-        metric = uniform_line(2)
-        proto = PingPong(volleys=4)
-        net = SynchronousNetwork(metric, proto)
-        stats = net.run(max_rounds=10)
-        assert stats.converged
-        assert stats.rounds == 4  # one volley per round
-        assert stats.messages == 4
-
-    def test_round_budget(self):
-        metric = uniform_line(2)
-        proto = PingPong(volleys=100)
-        net = SynchronousNetwork(metric, proto)
-        stats = net.run(max_rounds=5)
-        assert not stats.converged
-        assert stats.rounds == 5
-
     def test_probe_counted(self):
-        metric = uniform_line(3)
-        proto = PingPong(volleys=1)
-        net = SynchronousNetwork(metric, proto)
-        assert net.ctx.probe(0, 2) == 2.0
-        assert net.ctx.probes == 1
+        ctx = _adapter(uniform_line(3), PingPong(volleys=1)).ctx
+        assert ctx.probe(0, 2) == 2.0
+        assert ctx.probes == 1
 
     def test_bad_recipient_rejected(self):
-        metric = uniform_line(2)
-        net = SynchronousNetwork(metric, PingPong(1))
+        ctx = _adapter(uniform_line(2), PingPong(1)).ctx
         with pytest.raises(ValueError):
-            net.ctx.send(0, 9, "ping")
+            ctx.send(0, 9, "ping")
+        assert ctx.messages_sent == 0
 
 
 class TestAccounting:
     def test_messages_split_into_delivered_and_undelivered(self):
         # volleys=4 converges exactly when the 4th ping is consumed, so
         # every sent message was delivered and none remain in flight.
-        net = SynchronousNetwork(uniform_line(2), PingPong(volleys=4))
-        stats = net.run(max_rounds=10)
+        stats = _adapter(uniform_line(2), PingPong(volleys=4)).run()
         assert stats.delivered == 4
         assert stats.dropped == 0
         assert stats.undelivered == 0
@@ -75,28 +64,23 @@ class TestAccounting:
 
     def test_final_round_sends_counted_undelivered(self):
         # Cutting the budget mid-conversation strands the last ping in
-        # the outbox: it was sent but no round ever consumed it.
-        net = SynchronousNetwork(uniform_line(2), PingPong(volleys=100))
-        stats = net.run(max_rounds=5)
+        # flight: it was sent but no round ever consumed it.
+        stats = _adapter(uniform_line(2), PingPong(volleys=100), max_rounds=5).run()
         assert not stats.converged
         assert stats.undelivered == 1
         assert stats.messages == stats.delivered + stats.undelivered
 
-    def test_wall_clock_equals_rounds_on_sync_network(self):
-        net = SynchronousNetwork(uniform_line(2), PingPong(volleys=4))
-        stats = net.run(max_rounds=10)
+    def test_wall_clock_equals_rounds_on_ideal_network(self):
+        stats = _adapter(uniform_line(2), PingPong(volleys=4)).run()
         assert stats.wall_clock == float(stats.rounds)
 
     def test_resolved_seed_recorded(self):
-        net = SynchronousNetwork(uniform_line(2), PingPong(volleys=1), seed=37)
-        assert net.run(max_rounds=5).seed == 37
+        stats = _adapter(uniform_line(2), PingPong(volleys=1), seed=37, max_rounds=5).run()
+        assert stats.seed == 37
 
     def test_unseeded_run_still_records_entropy(self):
-        net = SynchronousNetwork(uniform_line(2), PingPong(volleys=1))
-        stats = net.run(max_rounds=5)
+        stats = _adapter(uniform_line(2), PingPong(volleys=1), max_rounds=5).run()
         assert stats.seed is not None
         # Replaying with the recorded entropy reproduces the run.
-        again = SynchronousNetwork(
-            uniform_line(2), PingPong(volleys=1), seed=stats.seed
-        )
-        assert again.run(max_rounds=5).messages == stats.messages
+        again = _adapter(uniform_line(2), PingPong(volleys=1), seed=stats.seed, max_rounds=5)
+        assert again.run().messages == stats.messages

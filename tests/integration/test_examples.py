@@ -34,3 +34,9 @@ class TestExamples:
     def test_meridian_demo(self):
         out = _run("meridian_demo.py")
         assert "nodes/ring" in out
+
+    def test_distributed_rings(self):
+        out = _run("distributed_rings.py")
+        assert "valid r-net: True" in out
+        assert "coverage gap" in out
+        assert "6 repair probes/epoch" in out

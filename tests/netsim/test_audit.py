@@ -3,11 +3,12 @@
 import pytest
 
 from repro.api.facade import build_workload
-from repro.distributed import GossipRingProtocol, SynchronousNetwork
+from repro.distributed import GossipRingProtocol
 from repro.netsim import (
     Byzantine,
     EventNetwork,
     FaultPlan,
+    RoundAdapter,
     run_audit,
     suffix_walk,
 )
@@ -29,9 +30,9 @@ class TestSuffixWalk:
 
 def gossip_tables(metric, seed=3):
     proto = GossipRingProtocol(bootstrap=3, exchange=8, ring_capacity=6, rounds=8)
-    net = SynchronousNetwork(metric, proto, seed=seed)
-    net.run(max_rounds=100)
-    return {u: proto.rings_of(net.ctx, u) for u in range(metric.n)}
+    adapter = RoundAdapter(EventNetwork(metric, seed=seed), proto, max_rounds=100)
+    adapter.run()
+    return {u: proto.rings_of(adapter.ctx, u) for u in range(metric.n)}
 
 
 @pytest.fixture(scope="module")

@@ -236,7 +236,7 @@ class TestBatchedMemberQueries:
         for u in range(metric.n):
             for j in range(nets.levels):
                 expected = nets.members_in_ball(j, u, radius(j))
-                assert list(rings.ring(u, j).members) == expected.tolist()
+                assert rings.members_of(u, j).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("name", sorted(METRICS) + sorted(TIED))
     @pytest.mark.parametrize("descending", [False, True])

@@ -50,6 +50,21 @@ class TestStructuralClaims:
             for j in range(1, scheme.levels):
                 assert zoom[j] in set(scheme.ring(zoom[j - 1], j))
 
+    def test_zooming_entries_within_net_radius(self, scheme):
+        """f_tj lies within Δ/2^j of t (Claim 2.3's premise)."""
+        for t in (0, 13, 31, 63):
+            row = scheme.metric.distances_from(t)
+            for j in range(scheme.levels):
+                assert row[scheme._zoom[t, j]] <= scheme.nets.radius_of(j)
+
+    def test_zooming_entries_converge_to_target(self, scheme, knn_graph64):
+        """At the finest level the net holds every node, so f_tj = t."""
+        assert scheme._zoom[:, -1].tolist() == list(range(knn_graph64.n))
+
+    def test_zooming_entries_are_net_points(self, scheme):
+        for j in range(scheme.levels):
+            assert set(scheme._zoom[:, j].tolist()) <= set(scheme.nets.net(j))
+
     def test_level0_rings_coincide(self, scheme, knn_graph64):
         rings = {scheme.ring(u, 0) for u in range(knn_graph64.n)}
         assert len(rings) == 1

@@ -8,7 +8,8 @@ must not change it.  A triangulation container whose CSR labels are
 malformed would otherwise be served silently wrong: every such file is
 refused with a :class:`ContainerError` naming the file and the check.
 So is a Theorem 2.1 routing container whose rings, zooming entries,
-labels or dense first-hop table would route wrong.
+labels or dense first-hop table would route wrong, and a Thorup–Zwick
+oracle whose bunches, levels or pivots would answer wrong.
 """
 
 from __future__ import annotations
@@ -244,3 +245,60 @@ def test_well_formed_routing_container_still_loads(tmp_path):
     loaded = api.load(path)
     for u, v in [(0, 39), (7, 21), (33, 2)]:
         assert loaded.inner.route(u, v).path == fitted.inner.route(u, v).path
+
+
+def _shift_bunch(ids, arrays, row=7, by=40):
+    indptr = arrays["bunch_indptr"]
+    ids[indptr[row] : indptr[row + 1]] += by
+    return ids
+
+
+def _swap_in_bunch(ids, arrays, row=7):
+    lo = arrays["bunch_indptr"][row]
+    ids[[lo, lo + 1]] = ids[[lo + 1, lo]]
+    return ids
+
+
+MALFORMED_TZ = {
+    "bunch-id-past-n": ("bunch_ids", _shift_bunch, "bunch_ids must lie in \\[0, 40\\)"),
+    "negative-bunch-id": ("bunch_ids", _set(0, -1), "bunch_ids must lie in \\[0, 40\\)"),
+    "bunch-ids-unsorted": ("bunch_ids", _swap_in_bunch, "bunch_ids must be strictly increasing"),
+    "bunch-indptr-short": ("bunch_indptr", lambda p, arrays: p[:-1], "n \\+ 1 = 41 entries"),
+    "bunch-indptr-decreasing": ("bunch_indptr", _set(5, 0), "bunch_indptr must never decrease"),
+    "level-indptr-short": ("level_indptr", lambda p, arrays: p[:-1], "k \\+ 1 = 3 entries"),
+    "level-id-past-n": ("level_ids", _set(-1, 40), "level_ids must lie in \\[0, 40\\)"),
+    "level-ids-not-integers": ("level_ids", lambda ids, arrays: ids.astype(float),
+                               "must hold integers"),
+    "bunch-dist-short": ("bunch_dist", lambda d, arrays: d[:-1],
+                         "bunch_dist must have one entry per bunch id"),
+    "bunch-dist-nan": ("bunch_dist", _set(3, np.nan), "bunch_dist must be finite and >= 0"),
+    "bunch-dist-negative": ("bunch_dist", _set(3, -0.5), "bunch_dist must be finite and >= 0"),
+    "pivots-shape": ("pivots", lambda p, arrays: p[:, :-1],
+                     "pivots must be an integer array of shape \\(n, k\\)"),
+    "pivots-not-integers": ("pivots", lambda p, arrays: p.astype(float),
+                            "pivots must be an integer array"),
+    "pivot-past-n": ("pivots", _set((3, 1), 40), "pivots entries must lie in \\[0, 40\\)"),
+    "negative-pivot": ("pivots", _set((3, 0), -1), "pivots entries must lie in \\[0, 40\\)"),
+    "pivot-dist-shape": ("pivot_dist", lambda d, arrays: d[:-1],
+                         "pivot_dist must be a float array of shape \\(n, k\\)"),
+    "pivot-dist-inf": ("pivot_dist", _set((2, 1), np.inf),
+                       "pivot_dist entries must be finite and >= 0"),
+    "pivot-dist-negative": ("pivot_dist", _set((2, 0), -1.0),
+                            "pivot_dist entries must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TZ))
+def test_malformed_tz_oracle_container_is_refused(tmp_path, case):
+    name, change, check = MALFORMED_TZ[case]
+    _, path = _save_tampered(tmp_path, "tz-oracle", name, change)
+    with pytest.raises(ContainerError, match=check) as err:
+        api.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_well_formed_tz_oracle_container_still_loads(tmp_path):
+    fitted, path = _save_tampered(tmp_path, "tz-oracle", "bunch_ids", lambda ids, arrays: ids)
+    loaded = api.load(path)
+    for u, v in _active_pairs(np.ones(40, dtype=bool), 200).tolist():
+        assert loaded.inner.estimate(u, v) == fitted.inner.estimate(u, v)
