@@ -154,13 +154,18 @@ class PackedRings:
 
     def with_sorted_members(self) -> "PackedRings":
         """A copy whose per-ring member arrays are sorted ascending (host
-        enumerations for the routing schemes), via one global lexsort."""
+        enumerations for the routing schemes), via one in-place sort of
+        the keys ``ring·n + member``: members lie in ``[0, n)``, so the
+        keys order by ring, then by member, and ``key mod n`` is the
+        member."""
         counts = np.diff(self.indptr)
-        ring_of = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        order = np.lexsort((self.members, ring_of))
+        keys = np.repeat(np.arange(counts.size, dtype=np.int64) * self.n, counts)
+        keys += self.members
+        keys.sort()
+        keys %= self.n
         return PackedRings(
             self.metric, self.keys, self.radii, self.indptr,
-            self.members[order], dict(self.provenance, sorted=True),
+            keys, dict(self.provenance, sorted=True),
         )
 
     # -- accounting -----------------------------------------------------

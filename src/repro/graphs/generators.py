@@ -14,8 +14,9 @@ from repro.graphs.graph import WeightedGraph
 from repro.rng import SeedLike, ensure_rng
 
 #: Max elements of the transient (rows × n × dim) difference block that
-#: :func:`_point_distances` fills the distance matrix with (~32 MB of
-#: float64), so generation never holds an n×n×dim array.
+#: :func:`_distance_blocks` computes each row block from (~32 MB of
+#: float64), so generation never holds an n×n×dim array or the n×n
+#: distance matrix.
 _BLOCK_ELEMS = 1 << 22
 
 
@@ -49,31 +50,39 @@ def grid_graph(side: int, dim: int = 2, jitter: float = 0.0, seed: SeedLike = No
     return graph
 
 
-def _point_distances(points: np.ndarray) -> np.ndarray:
-    """The (n, n) Euclidean distance matrix of ``points``, +inf on the
-    diagonal, filled in row blocks of at most :data:`_BLOCK_ELEMS`
-    difference elements (each entry is the same sum of squares a single
-    n×n×dim block would give)."""
+def _distance_blocks(points: np.ndarray, rows=None):
+    """Yield ``(ids, block)`` over consecutive runs ``ids`` of ``rows``
+    (all n points by default): ``block`` holds the Euclidean distances
+    from each id to every point, +inf at the id itself, and a run spans
+    at most :data:`_BLOCK_ELEMS` difference elements.  Every entry is
+    the same sum of squares a single n×n×dim block would give."""
     n, dim = points.shape
-    dist = np.empty((n, n))
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
     step = max(1, _BLOCK_ELEMS // max(1, n * dim))
-    for lo in range(0, n, step):
-        rows = dist[lo : lo + step]
-        diff = points[lo : lo + step, None, :] - points[None, :, :]
-        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff, out=rows), out=rows)
-    np.fill_diagonal(dist, np.inf)
-    return dist
+    for lo in range(0, rows.size, step):
+        ids = rows[lo : lo + step]
+        diff = points[ids, None, :] - points[None, :, :]
+        block = np.einsum("ijk,ijk->ij", diff, diff)
+        np.sqrt(block, out=block)
+        block[np.arange(ids.size), ids] = np.inf
+        yield ids, block
 
 
-def _patch_connectivity(graph: WeightedGraph, dist: np.ndarray) -> WeightedGraph:
-    """Union components through their closest node pair until connected."""
+def _patch_connectivity(graph: WeightedGraph, points: np.ndarray) -> WeightedGraph:
+    """Union components through their closest node pair until connected:
+    the first minimum in row-major order over (first component × rest),
+    read from the first component's rows block by block."""
     while not graph.is_connected():
         first = _components(graph) == 0
-        a_nodes, b_nodes = np.flatnonzero(first), np.flatnonzero(~first)
-        sub = dist[np.ix_(a_nodes, b_nodes)]
-        i, j = np.unravel_index(np.argmin(sub), sub.shape)
-        u, v = int(a_nodes[i]), int(b_nodes[j])
-        graph.add_edge(u, v, float(dist[u, v]))
+        others = np.flatnonzero(~first)
+        best = (np.inf, -1, -1)
+        for ids, block in _distance_blocks(points, np.flatnonzero(first)):
+            sub = block[:, others]
+            i, j = np.unravel_index(np.argmin(sub), sub.shape)
+            if sub[i, j] < best[0]:
+                best = (float(sub[i, j]), int(ids[i]), int(others[j]))
+        weight, u, v = best
+        graph.add_edge(u, v, weight)
     return graph
 
 
@@ -81,12 +90,11 @@ def _euclidean_points_graph(points: np.ndarray, k: int) -> WeightedGraph:
     """kNN graph on points, patched to connectivity with extra edges."""
     n = points.shape[0]
     graph = WeightedGraph(n)
-    dist = _point_distances(points)
-    for u in range(n):
-        nearest = np.argpartition(dist[u], min(k, n - 2))[:k]
-        for v in nearest:
-            graph.add_edge(u, int(v), float(dist[u, v]))
-    return _patch_connectivity(graph, dist)
+    for ids, block in _distance_blocks(points):
+        for u, row in zip(ids.tolist(), block):
+            for v in np.argpartition(row, min(k, n - 2))[:k]:
+                graph.add_edge(u, int(v), float(row[v]))
+    return _patch_connectivity(graph, points)
 
 
 def _components(graph: WeightedGraph) -> np.ndarray:
@@ -130,12 +138,12 @@ def random_geometric_graph(
     rng = ensure_rng(seed)
     points = rng.random((n, dim))
     graph = WeightedGraph(n)
-    dist = _point_distances(points)
-    for u in range(n):
-        for v in np.flatnonzero(dist[u] <= radius):
-            if u < v:
-                graph.add_edge(u, int(v), float(dist[u, v]))
-    return _patch_connectivity(graph, dist)
+    for ids, block in _distance_blocks(points):
+        for u, row in zip(ids.tolist(), block):
+            for v in np.flatnonzero(row <= radius):
+                if u < v:
+                    graph.add_edge(u, int(v), float(row[v]))
+    return _patch_connectivity(graph, points)
 
 
 def ring_with_chords_graph(

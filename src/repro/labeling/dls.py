@@ -47,9 +47,60 @@ from repro.bits import SizeAccount, bits_for_count
 from repro.labeling._scales import ScaleStructure
 from repro.labeling.encoding import DistanceCodec
 from repro.metrics.base import MetricSpace
+from repro.serve.container import ContainerError, check_indptr
 
 #: A position in a node's per-scale segments: (segment type, level, index).
 SegmentPointer = Tuple[str, int, int]
+
+
+def _check_arrays(n: int, levels_n: int, categories: int, arrays: dict) -> None:
+    """Refuse persisted labels that would decode wrong, with a
+    :class:`~repro.serve.container.ContainerError` naming the check:
+    ``seg_indptr`` slices ``seg_dist`` into 2·n·levels_n segments and
+    ``zeta_indptr`` slices ``zeta_data`` into n·(levels_n − 1) tables
+    (:func:`~repro.serve.container.check_indptr`); ``seg_dist`` is finite
+    and >= 0; ``zeta_data`` is an (m, 5) integer array whose type codes
+    (columns 0 and 3) index ``RingDLS._TYP_NAME`` and whose positions and
+    virtual indices are >= 0; ``zoom0_idx`` (n,), ``zoom_psi``
+    (n, levels_n) and ``size_bits`` (n, categories) are integer arrays
+    with entries >= 0, >= -1 (-1 is "none") and >= 0."""
+    what = "labels arrays"
+
+    def fail(check: str) -> None:
+        raise ContainerError(f"malformed {what}: {check}")
+
+    dist = np.asarray(arrays["seg_dist"])
+    if dist.ndim != 1:
+        fail("seg_dist must be one-dimensional")
+    check_indptr(what, "seg_indptr", arrays["seg_indptr"],
+                 ("2·n·levels_n", 2 * n * levels_n), ("len(seg_dist)", dist.size))
+    if dist.dtype.kind not in "fiu" or not np.all(np.isfinite(dist) & (dist >= 0)):
+        fail("seg_dist must be finite and >= 0")
+    zeta = np.asarray(arrays["zeta_data"])
+    if zeta.dtype.kind not in "iu" or zeta.ndim != 2 or zeta.shape[1] != 5:
+        fail(f"zeta_data must be an (m, 5) integer array (has {zeta.dtype} {zeta.shape})")
+    check_indptr(what, "zeta_indptr", arrays["zeta_indptr"],
+                 ("n·(levels_n - 1)", n * max(0, levels_n - 1)),
+                 ("len(zeta_data)", zeta.shape[0]))
+    if zeta.size:
+        codes = zeta[:, [0, 3]]
+        if codes.min() < 0 or codes.max() >= len(RingDLS._TYP_NAME):
+            fail(f"zeta_data type codes (columns 0 and 3) must lie in "
+                 f"[0, {len(RingDLS._TYP_NAME)})")
+        if zeta[:, [1, 2, 4]].min() < 0:
+            fail("zeta_data positions and virtual indices (columns 1, 2 and 4) "
+                 "must be >= 0")
+    for key, shape, low in (
+        ("zoom0_idx", (n,), 0),
+        ("zoom_psi", (n, levels_n), -1),
+        ("size_bits", (n, categories), 0),
+    ):
+        values = np.asarray(arrays[key])
+        if values.dtype.kind not in "iu" or values.shape != shape:
+            fail(f"{key} must be an integer array of shape {shape} "
+                 f"(has {values.dtype} {values.shape})")
+        if values.size and values.min() < low:
+            fail(f"{key} entries must be >= {low}")
 
 
 class _DetachedScales:
@@ -343,12 +394,14 @@ class RingDLS:
         translation maps, zooming sequences and size accounts are fully
         restored), while the construction-time scale structure and
         virtual-neighbor enumerations are not — only ``levels_n``
-        survives, which is all the decoders consult.
+        survives, which is all the decoders consult.  The arrays are
+        checked first (:func:`_check_arrays`).
         """
         codec_meta = meta["codec"]
         n = int(meta["n"])
         levels_n = int(meta["levels_n"])
         categories = list(meta["size_categories"])
+        _check_arrays(n, levels_n, len(categories), arrays)
 
         dls = cls.__new__(cls)
         dls.metric = metric

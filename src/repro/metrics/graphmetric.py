@@ -18,7 +18,10 @@ interface, with two backends:
   computations, not 10⁴.  :meth:`rows_within` additionally exposes
   radius-capped rows (Dijkstra with an early cutoff) for builders that
   only compare distances against a threshold — the net-construction
-  fast path.
+  fast path.  The lazy minimum distance is the lightest edge, and the
+  lazy diameter comes from an exact pruned eccentricity sweep that reads
+  a few dozen rows on the k-NN workloads (all n at worst), so a lazy
+  build does not run Dijkstra from every node just to find its scale.
 
 Select the backend per workload via the ``dense=``/``cache_mb=`` knobs
 of the graph workloads in :mod:`repro.api.workloads`.
@@ -35,6 +38,16 @@ from repro.metrics.base import DEFAULT_ROW_CACHE_BYTES, MetricSpace, RowCache
 
 #: Max elements per multi-source Dijkstra block in the lazy backend.
 _LAZY_BLOCK_ELEMS = 1 << 20
+
+#: Relative slack for comparing computed shortest-path lengths.  A length
+#: is computed as a floating-point sum of the positive weights of at most
+#: k = n - 1 edges, so it lies within a factor (1 ± γ) of the exact
+#: length, γ = k·u / (1 - k·u) with u = 2⁻⁵³; 1e-9 bounds 4γ on every
+#: graph of fewer than 2·10⁶ nodes.
+DIJKSTRA_SLACK = 1e-9
+
+#: Sources per multi-source Dijkstra call of the lazy diameter sweep.
+_SWEEP_BLOCK = 16
 
 
 class ShortestPathMetric(MetricSpace):
@@ -182,17 +195,69 @@ class ShortestPathMetric(MetricSpace):
         # Lazy backend.  Min positive distance: the minimum edge weight —
         # every path weighs at least one edge, and the lightest edge is
         # itself a shortest path between its endpoints, so the values (and
-        # floats) coincide with the dense scan's.  Diameter still needs
-        # every row once; sweep them in chunked multi-source Dijkstra
-        # blocks without churning the row cache.
+        # floats) coincide with the dense scan's.
         if self.n <= 1:
             self._extremes = (1.0, 1.0)
             return self._extremes
-        min_d = min(w for _, _, w in self._graph.edges())
-        max_d = 0.0
-        chunk = max(1, _LAZY_BLOCK_ELEMS // max(1, self.n))
-        for start in range(0, self.n, chunk):
-            block = self._dijkstra(np.arange(start, min(self.n, start + chunk)))
-            max_d = max(max_d, float(block.max()))
-        self._extremes = (float(min_d), max_d)
+        self._extremes = (float(self._csr.data.min()), self._lazy_diameter())
         return self._extremes
+
+    def _lazy_diameter(self) -> float:
+        """The largest entry over every Dijkstra row, from a few rows.
+
+        An exact pruned eccentricity sweep (iFUB's bound, Crescenzi et
+        al., TCS 2013): a double sweep 0 → a → b picks the root r that
+        minimises max(d(a,·), d(b,·)); the other rows are read in
+        decreasing d(r,·) and the sweep stops before the first node v
+        with 2·d(r,v)·(1+s) < L·(1−s), where L is the largest entry read
+        so far — through r, two unread nodes are at most 2·d(r,v) apart.
+        The two orientations of a computed distance can differ in the
+        last ulp, so every node whose entry in a row already read is at
+        least (1−4s)·L has its own row read too.  A read row is kept
+        only as its max, folded into ``near``: per node, the largest max
+        of a read row that holds the node within (1−4s) of that max (L
+        only grows, so this covers what the last step needs, in O(n)
+        floats).  ``s`` is :data:`DIJKSTRA_SLACK`.  Nothing is cached.
+        Worst case (an unweighted grid, a path with exponential gaps):
+        all n rows.
+        """
+        n, s = self.n, DIJKSTRA_SLACK
+        done = np.zeros(n, dtype=bool)
+        near = np.zeros(n)
+        top = 0.0
+
+        def read(sources) -> np.ndarray:
+            nonlocal top
+            sources = np.atleast_1d(np.asarray(sources, dtype=np.intp))
+            rows = self._dijkstra(sources)
+            done[sources] = True
+            peak = rows.max(axis=1)[:, None]
+            top = max(top, float(peak.max()))
+            close = np.where(rows >= peak * (1 - 4 * s), peak, 0.0).max(axis=0)
+            np.maximum(near, close, out=near)
+            return rows
+
+        held = {0: read(0)[0]}
+        a = int(held[0].argmax())
+        held[a] = read(a)[0]
+        b = int(held[a].argmax())
+        if b not in held:
+            held[b] = read(b)[0]
+        r = int(np.maximum(held[a], held[b]).argmin())
+        r_row = held[r] if r in held else read(r)[0]
+        order = np.argsort(-r_row, kind="stable")
+        order = order[~done[order]]
+        pos = 0
+        while pos < order.size:
+            block = order[pos : pos + _SWEEP_BLOCK]
+            block = block[2 * r_row[block] * (1 + s) >= top * (1 - s)]
+            if block.size == 0:
+                break
+            read(block)
+            pos += block.size
+        while True:
+            unread = np.flatnonzero(~done & (near >= top * (1 - 4 * s)))
+            if unread.size == 0:
+                return top
+            for start in range(0, unread.size, _SWEEP_BLOCK):
+                read(unread[start : start + _SWEEP_BLOCK])

@@ -62,7 +62,7 @@ from repro.core.patch import CSRPatch, PatchStats, patch_stats, require_active
 from repro.core.rings import net_rings
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import FirstHopTable
-from repro.metrics.graphmetric import ShortestPathMetric
+from repro.metrics.graphmetric import DIJKSTRA_SLACK, ShortestPathMetric
 from repro.metrics.nets import NestedNets
 from repro.routing.base import RouteResult, RoutingScheme
 from repro.serve.container import ContainerError, check_csr
@@ -82,15 +82,12 @@ def _sorted_find(haystack: np.ndarray, needles) -> Tuple[np.ndarray, np.ndarray]
 
 
 #: Relative slack of the short-list that finds a new zooming entry for a
-#: target whose entry departed (:meth:`RingRouting._zoom_step`).  A
-#: shortest-path length is computed as a floating-point sum of the
-#: positive weights of at most k = n - 1 edges, so it lies within a factor
-#: (1 ± γ) of the exact length, γ = k·u / (1 - k·u) with u = 2⁻⁵³.  The
+#: target whose entry departed (:meth:`RingRouting._zoom_step`).  The
 #: winner has the least distance read from the candidates' rows, so its
 #: entry in the target's row is at most (1 + γ)² / (1 - γ)² ≈ 1 + 4γ
-#: times that row's minimum.  1e-9 bounds 4γ on every graph of fewer
-#: than 2·10⁶ nodes.
-ZOOM_SHORTLIST_SLACK = 1e-9
+#: times that row's minimum, where 1 ± γ bounds a computed length's
+#: error (:data:`~repro.metrics.graphmetric.DIJKSTRA_SLACK` bounds 4γ).
+ZOOM_SHORTLIST_SLACK = DIJKSTRA_SLACK
 
 
 def _check_arrays(n: int, levels: int, arrays: dict) -> None:

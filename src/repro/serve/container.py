@@ -41,6 +41,7 @@ __all__ = [
     "Container",
     "ContainerError",
     "check_csr",
+    "check_indptr",
     "FORMAT_VERSION",
     "MAGIC",
     "read_container",
@@ -66,6 +67,44 @@ class ContainerError(ValueError):
     """A container file is missing, corrupt, truncated or incompatible."""
 
 
+def check_indptr(
+    what: str,
+    name: str,
+    indptr: Any,
+    rows: Tuple[str, int],
+    end: Tuple[str, int],
+) -> np.ndarray:
+    """Refuse a persisted CSR offset array that would slice wrong, with a
+    :class:`ContainerError` naming ``what`` and the failed check.
+
+    ``rows`` is the row count with the name the message gives it, e.g.
+    ``("n", n)``, and ``end`` the length of the sliced array with its
+    name, e.g. ``("len(ids)", ids.size)``.  The offsets are integers,
+    one more than there are rows, start at 0, never decrease and end at
+    that length.  Returns them as int64.  O(rows).
+    """
+    rows_name, count = rows
+    end_name, size = end
+
+    def fail(check: str) -> None:
+        raise ContainerError(f"malformed {what}: {check}")
+
+    indptr = np.asarray(indptr)
+    if indptr.dtype.kind not in "iu":
+        fail(f"{name} must hold integers")
+    if indptr.shape != (count + 1,):
+        fail(f"{name} must have {rows_name} + 1 = {count + 1} entries "
+             f"(has shape {indptr.shape})")
+    indptr = indptr.astype(np.int64, copy=False)
+    if indptr[0] != 0:
+        fail(f"{name} must start at 0")
+    if np.any(np.diff(indptr) < 0):
+        fail(f"{name} must never decrease")
+    if indptr[-1] != size:
+        fail(f"{name} must end at {end_name} = {size}")
+    return indptr
+
+
 def check_csr(
     what: str,
     arrays: Mapping[str, Any],
@@ -78,12 +117,11 @@ def check_csr(
 
     ``names`` are the (indptr, ids) arrays' keys and ``rows`` the row
     count with the name the message gives it, e.g. ``("n", n)``.  The
-    indptr has one entry more than there are rows, starts at 0, never
-    decreases and ends at the number of ids; the ids are integers in
-    ``[0, n)``, strictly increasing within each row.  O(rows + ids).
+    indptr passes :func:`check_indptr` against the ids; the ids are
+    integers in ``[0, n)``, strictly increasing within each row.
+    O(rows + ids).
     """
     indptr_name, ids_name = names
-    rows_name, count = rows
 
     def fail(check: str) -> None:
         raise ContainerError(f"malformed {what}: {check}")
@@ -92,18 +130,9 @@ def check_csr(
     ids = np.asarray(arrays[ids_name])
     if indptr.dtype.kind not in "iu" or ids.dtype.kind not in "iu":
         fail(f"{indptr_name} and {ids_name} must hold integers")
-    if indptr.shape != (count + 1,):
-        fail(f"{indptr_name} must have {rows_name} + 1 = {count + 1} entries "
-             f"(has shape {indptr.shape})")
     if ids.ndim != 1:
         fail(f"{ids_name} must be one-dimensional")
-    indptr = indptr.astype(np.int64, copy=False)
-    if indptr[0] != 0:
-        fail(f"{indptr_name} must start at 0")
-    if np.any(np.diff(indptr) < 0):
-        fail(f"{indptr_name} must never decrease")
-    if indptr[-1] != ids.size:
-        fail(f"{indptr_name} must end at len({ids_name}) = {ids.size}")
+    indptr = check_indptr(what, indptr_name, indptr, rows, (f"len({ids_name})", ids.size))
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         fail(f"{ids_name} must lie in [0, {n})")
     rising = np.diff(ids.astype(np.int64, copy=False)) > 0

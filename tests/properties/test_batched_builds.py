@@ -13,7 +13,8 @@ is the reference.  These tests pin the batched builders to it:
   one-row-per-center ring query and a brute-force nearest member read
   from the members' own rows (lowest id on ties), whatever the block
   size; each coarser net is a prefix of the finest net's admission list;
-* a lazy Theorem 2.1 build computes each node's full row at most twice.
+* a lazy Theorem 2.1 build computes each node's full row at most twice,
+  and at most n + n/2 full rows in all: the diameter sweep reads a few.
 """
 
 from __future__ import annotations
@@ -311,3 +312,21 @@ def test_a_lazy_routing_build_computes_each_full_row_at_most_twice(monkeypatch):
                        dense=False, cache_mb=0.05, cache=api.BuildCache())
     assert fitted.inner.metric.row_cache_stats()["budget_bytes"] < n * n * 8
     assert 0 < sum(full_rows) <= 2 * n
+
+
+def test_a_lazy_routing_build_reads_few_rows_for_the_diameter(monkeypatch):
+    # The rings and zooming entries read each row once; the pruned
+    # diameter sweep reads a few more where the all-rows pass read n.
+    full_rows = []
+    dijkstra = ShortestPathMetric._dijkstra
+
+    def counted(self, sources, limit=np.inf):
+        if not np.isfinite(limit):
+            full_rows.append(np.size(sources))
+        return dijkstra(self, sources, limit)
+
+    monkeypatch.setattr(ShortestPathMetric, "_dijkstra", counted)
+    n = 200
+    api.build("route-thm2.1", "knn-graph", n=n, seed=0, delta=0.25,
+              dense=False, cache_mb=0.05, cache=api.BuildCache())
+    assert 0 < sum(full_rows) <= n + n // 2

@@ -7,15 +7,19 @@ the two held identical rings for the same case (same keys, radii and
 member order, the same RNG draws for the sampled builders), on a
 euclidean and on a lazy-graph metric.  A second contract pins the packed
 label path: ``estimate_many`` over packed labels equals the per-pair
-``estimate`` decoder exactly.
+``estimate`` decoder exactly.  ``with_sorted_members`` (one sort of
+``ring·n + member`` keys) equals the two-key lexsort it replaced.
 """
 
 from __future__ import annotations
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.packed import PackedRings, exact_capped_rings
 from repro.core.rings import cardinality_rings, measure_rings, net_rings
@@ -124,6 +128,31 @@ class TestBuilderRoundTrip:
                 want = [int(v) for v in annulus[:cap]]
                 got = [int(v) for v in exact.members_of(u, j)]
                 assert got == want
+
+
+@st.composite
+def ring_blocks(draw):
+    """(n, K, indptr, members): n·K rings of distinct ids in [0, n), each
+    in a drawn order, empty rings included."""
+    n, K = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    one_ring = st.lists(st.integers(0, n - 1), unique=True)
+    rings = draw(st.lists(one_ring, min_size=n * K, max_size=n * K))
+    indptr = np.concatenate([[0], np.cumsum([len(ring) for ring in rings])])
+    members = np.asarray([v for ring in rings for v in ring], dtype=np.int32)
+    return n, K, indptr, members
+
+
+@given(ring_blocks())
+@settings(max_examples=150, deadline=None)
+def test_sorted_members_equal_the_two_key_lexsort(block):
+    n, K, indptr, members = block
+    rings = PackedRings(SimpleNamespace(n=n), range(K), np.zeros((n, K)), indptr, members)
+    ring_of = np.repeat(np.arange(n * K), np.diff(indptr))
+    want = members[np.lexsort((members, ring_of))]
+    got = rings.with_sorted_members()
+    assert got.members.dtype == np.int32
+    np.testing.assert_array_equal(got.members, want)
+    np.testing.assert_array_equal(got.indptr, indptr)
 
 
 class TestPackedLabelEquivalence:

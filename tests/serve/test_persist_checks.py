@@ -74,17 +74,23 @@ class TestSaveDuringPendingChurn:
             assert again[name] is array  # nothing recomputed or copied
 
 
+def _tampered_copy(source, path, name, change):
+    """Write ``source``'s container to ``path`` with segment ``name``
+    rewritten as ``change(array, arrays)``."""
+    container = read_container(source, mmap=False)
+    arrays = {key: np.array(value) for key, value in container.arrays.items()}
+    arrays[name] = change(arrays[name], arrays)
+    write_container(path, kind=container.kind, meta=container.meta, arrays=arrays)
+    return path
+
+
 def _save_tampered(tmp_path, scheme, name, change):
     """Save a 40-node ``scheme`` on hypercube, then rewrite segment
     ``name`` of its container as ``change(array, arrays)``."""
     fitted = api.build(scheme, "hypercube", n=40, seed=0)
     path = tmp_path / f"{scheme}.repro"
     api.save(fitted, path)
-    container = read_container(path, mmap=False)
-    arrays = {key: np.array(value) for key, value in container.arrays.items()}
-    arrays[name] = change(arrays[name], arrays)
-    write_container(path, kind=container.kind, meta=container.meta, arrays=arrays)
-    return fitted, path
+    return fitted, _tampered_copy(path, path, name, change)
 
 
 def _shift_row(ids, arrays, row=7, by=40):
@@ -162,11 +168,7 @@ def _save_tampered_routing(tmp_path, name, change):
     fitted = api.build("route-thm2.1", "knn-graph", n=40, seed=0, delta=0.3)
     path = tmp_path / "route.repro"
     api.save(fitted, path)
-    container = read_container(path, mmap=False)
-    arrays = {key: np.array(value) for key, value in container.arrays.items()}
-    arrays[name] = change(arrays[name], arrays)
-    write_container(path, kind=container.kind, meta=container.meta, arrays=arrays)
-    return fitted, path
+    return fitted, _tampered_copy(path, path, name, change)
 
 
 def _wide_ring(arrays) -> int:
@@ -302,3 +304,78 @@ def test_well_formed_tz_oracle_container_still_loads(tmp_path):
     loaded = api.load(path)
     for u, v in _active_pairs(np.ones(40, dtype=bool), 200).tolist():
         assert loaded.inner.estimate(u, v) == fitted.inner.estimate(u, v)
+
+
+@pytest.fixture(scope="module")
+def saved_labels(tmp_path_factory):
+    """Theorem 3.4 labels on a 40-node hypercube, built and saved once."""
+    fitted = api.build("labels", "hypercube", n=40, seed=0)
+    path = tmp_path_factory.mktemp("labels") / "labels.repro"
+    api.save(fitted, path)
+    return fitted, path
+
+
+def _grow(array, arrays):
+    """One more entry (or row) than the arrays hold."""
+    return np.concatenate([array, array[-1:]])
+
+
+def _widen(array, arrays):
+    """One more column than the arrays hold."""
+    return np.hstack([array, array[:, -1:]])
+
+
+def _drop_mid(indptr, arrays):
+    indptr[indptr.size // 2] = 0
+    return indptr
+
+
+# Every case loaded without complaint before the load check existed,
+# except negative size bits, which SizeAccount refused untyped.
+MALFORMED_LABELS = {
+    "seg-indptr-long": ("seg_indptr", _grow, "seg_indptr must have 2·n·levels_n \\+ 1"),
+    "seg-indptr-not-from-0": ("seg_indptr", _set(0, 1), "seg_indptr must start at 0"),
+    "seg-indptr-decreasing": ("seg_indptr", _drop_mid, "seg_indptr must never decrease"),
+    "seg-indptr-past-dist": ("seg_indptr", lambda p, arrays: p * 2,
+                             "seg_indptr must end at len\\(seg_dist\\)"),
+    "seg-dist-inf": ("seg_dist", _set(3, np.inf), "seg_dist must be finite and >= 0"),
+    "seg-dist-nan": ("seg_dist", _set(3, np.nan), "seg_dist must be finite and >= 0"),
+    "seg-dist-negative": ("seg_dist", _set(3, -0.5), "seg_dist must be finite and >= 0"),
+    "zeta-indptr-long": ("zeta_indptr", _grow, "zeta_indptr must have n·\\(levels_n - 1\\) \\+ 1"),
+    "zeta-indptr-not-from-0": ("zeta_indptr", _set(0, 1), "zeta_indptr must start at 0"),
+    "zeta-indptr-decreasing": ("zeta_indptr", _drop_mid, "zeta_indptr must never decrease"),
+    "zeta-indptr-past-data": ("zeta_indptr", lambda p, arrays: p * 2,
+                              "zeta_indptr must end at len\\(zeta_data\\)"),
+    "zeta-type-negative": ("zeta_data", _set((0, 0), -1), "type codes .* must lie in \\[0, 2\\)"),
+    "zeta-target-type-negative": ("zeta_data", _set((2, 3), -1),
+                                  "type codes .* must lie in \\[0, 2\\)"),
+    "zeta-position-negative": ("zeta_data", _set((0, 1), -1), "columns 1, 2 and 4\\) must be >= 0"),
+    "zeta-psi-negative": ("zeta_data", _set((0, 2), -3), "columns 1, 2 and 4\\) must be >= 0"),
+    "zeta-extra-column": ("zeta_data", _widen, "zeta_data must be an \\(m, 5\\) integer array"),
+    "zeta-not-integers": ("zeta_data", lambda z, arrays: z.astype(float),
+                          "zeta_data must be an \\(m, 5\\) integer array"),
+    "zoom0-negative": ("zoom0_idx", _set(3, -1), "zoom0_idx entries must be >= 0"),
+    "zoom0-long": ("zoom0_idx", _grow, "zoom0_idx must be an integer array of shape \\(40,\\)"),
+    "zoom-psi-below-minus-1": ("zoom_psi", _set((3, 1), -2), "zoom_psi entries must be >= -1"),
+    "zoom-psi-short": ("zoom_psi", lambda z, arrays: z[:, :-1],
+                       "zoom_psi must be an integer array of shape"),
+    "size-bits-wide": ("size_bits", _widen, "size_bits must be an integer array of shape"),
+    "size-bits-negative": ("size_bits", _set((3, 0), -5), "size_bits entries must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LABELS))
+def test_malformed_labels_container_is_refused(saved_labels, tmp_path, case):
+    name, change, check = MALFORMED_LABELS[case]
+    path = _tampered_copy(saved_labels[1], tmp_path / "labels.repro", name, change)
+    with pytest.raises(ContainerError, match=check) as err:
+        api.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_well_formed_labels_container_still_loads(saved_labels, tmp_path):
+    fitted, source = saved_labels
+    path = _tampered_copy(source, tmp_path / "labels.repro", "zeta_data", lambda z, arrays: z)
+    loaded = api.load(path)
+    pairs = _active_pairs(np.ones(40, dtype=bool), 200)
+    assert np.array_equal(_answers(loaded, pairs), _answers(fitted, pairs))
