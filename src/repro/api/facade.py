@@ -33,73 +33,16 @@ class BuildCache:
 
     Bounded because every entry pins an O(n²) distance matrix (plus any
     lazily-built scale structures) for as long as it stays cached.
-
-    With ``structure_dir`` set, metric workloads additionally spill to /
-    hydrate from container files in that directory (keyed by a stable
-    hash of the spec), so a fresh process skips the generator and its
-    O(n²) distance pass.  Hydrated instances carry the persisted matrix
-    as a :class:`~repro.metrics.matrix.DistanceMatrixMetric` — same
-    distances, but generator-specific extras (point coordinates) are
-    reattached only if they were saved.  Graph workloads always rebuild
-    (their full structure persists via :func:`save` instead).
     """
 
-    def __init__(
-        self,
-        maxsize: int = 32,
-        structure_dir: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, maxsize: int = 32) -> None:
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
         self._instances: "OrderedDict[Workload, WorkloadInstance]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        from pathlib import Path
-
-        self.structure_dir = None if structure_dir is None else Path(structure_dir)
-        self.spills = 0
-        self.hydrations = 0
         self.invalidations = 0
-
-    def _spill_path(self, spec: Workload):
-        import hashlib
-        import json
-
-        key = json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
-        return self.structure_dir / f"{spec.name}-n{spec.n}-{digest}.metric"
-
-    def _spillable(self, spec: Workload) -> bool:
-        return (
-            self.structure_dir is not None
-            and WORKLOADS.get(spec.name).meta.get("kind") == "metric"
-        )
-
-    def _hydrate(self, spec: Workload) -> Optional[WorkloadInstance]:
-        path = self._spill_path(spec)
-        if not path.exists():
-            return None
-        from repro.metrics.io import load_metric
-
-        try:
-            metric = load_metric(path)
-        except (ValueError, OSError):
-            return None  # stale or foreign file: fall through to a build
-        if metric.n != spec.n:
-            return None
-        self.hydrations += 1
-        return WorkloadInstance(spec, metric)
-
-    def _spill(self, spec: Workload, instance: WorkloadInstance) -> None:
-        path = self._spill_path(spec)
-        if path.exists():
-            return
-        from repro.metrics.io import save_metric
-
-        self.structure_dir.mkdir(parents=True, exist_ok=True)
-        save_metric(instance.metric, path)
-        self.spills += 1
 
     def instance(self, spec: Workload) -> WorkloadInstance:
         try:
@@ -121,35 +64,26 @@ class BuildCache:
                 self._instances.move_to_end(spec)
                 return cached
         self.misses += 1
-        built = self._hydrate(spec) if self._spillable(spec) else None
-        if built is None:
-            built = realize(spec)
-            if self._spillable(spec):
-                self._spill(spec, built)
+        built = realize(spec)
         self._instances[spec] = built
         while len(self._instances) > self.maxsize:
             self._instances.popitem(last=False)
         return built
 
     def clear(self) -> None:
-        """Drop memoized instances (spilled files stay on disk)."""
+        """Drop memoized instances."""
         self._instances.clear()
         self.hits = 0
         self.misses = 0
 
     def info(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "entries": len(self._instances),
             "maxsize": self.maxsize,
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
         }
-        if self.structure_dir is not None:
-            out["structure_dir"] = str(self.structure_dir)
-            out["spills"] = self.spills
-            out["hydrations"] = self.hydrations
-        return out
 
 
 #: The process-wide default cache (cleared with :func:`clear_cache`).

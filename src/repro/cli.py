@@ -534,12 +534,18 @@ def _cmd_save(args: argparse.Namespace) -> int:
 
 def _cmd_load(args: argparse.Namespace) -> int:
     from repro import api
+    from repro.routing.base import RouteResult
 
     fitted = api.load(args.path, verify=args.verify)
     print(_structure_summary(fitted))
     if args.pair is not None:
         u, v = args.pair
-        print(f"estimate({u},{v})  {fitted.inner.estimate(u, v):.6g}")
+        answer = fitted.query(u, v)
+        if isinstance(answer, RouteResult):
+            print(f"route({u},{v})  reached={answer.reached} hops={answer.hops} "
+                  f"path={answer.path}")
+        else:
+            print(f"estimate({u},{v})  {answer:.6g}")
     return 0
 
 
@@ -715,7 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--verify", action="store_true",
                         help="recompute the content hash before loading")
     p_load.add_argument("--pair", type=int, nargs=2, default=None,
-                        help="also print one distance estimate")
+                        help="also answer one pair: the estimate, or the route "
+                             "of a routing scheme")
     p_load.set_defaults(func=_cmd_load)
 
     p_serve = sub.add_parser(

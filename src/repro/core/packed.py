@@ -25,7 +25,7 @@ from repro._types import NodeId
 from repro.bits import SizeAccount
 from repro.metrics.base import MetricSpace
 
-__all__ = ["PackedRings", "csr_gather", "exact_capped_rings", "pack_csr"]
+__all__ = ["PackedRings", "csr_gather", "exact_capped_rings", "pack_csr", "spans"]
 
 
 def pack_csr(
@@ -60,12 +60,18 @@ def csr_gather(
     rows = np.asarray(rows, dtype=np.int64)
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
+    return spans(starts, counts), counts
+
+
+def spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] .. starts[i] + counts[i] - 1`` of every
+    span, concatenated in the order given, in one vectorized pass."""
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
-    # Output slot p of row i holds entry starts[i] + (p - first slot of i).
+    # Output slot p of span i holds starts[i] + (p - first slot of i).
     idx = np.arange(total, dtype=np.int64)
     idx += np.repeat(starts - (ends - counts), counts)
-    return idx, counts
+    return idx
 
 
 class PackedRings:

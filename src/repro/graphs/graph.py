@@ -17,6 +17,48 @@ import numpy as np
 from repro._types import NodeId
 
 
+def _check_adjacency_arrays(arrays: Dict[str, np.ndarray], n: int) -> None:
+    """Refuse a persisted adjacency that would route wrong, with a
+    :class:`~repro.serve.container.ContainerError` naming the check.
+
+    ``adj_indptr`` slices ``adj_targets`` into n rows
+    (:func:`~repro.serve.container.check_indptr`); every target is an
+    integer in [0, n) other than its row's node; ``adj_weights`` holds
+    one finite weight > 0 per target; and every link (u, v, w) is also
+    present as (v, u, w), matched by sorting both orientations.  A
+    negative or NaN weight would otherwise load and send Dijkstra astray.
+    """
+    # Local import: repro.serve sits above repro.graphs.
+    from repro.serve.container import ContainerError, check_indptr
+
+    what = "graph adjacency"
+
+    def fail(check: str) -> None:
+        raise ContainerError(f"malformed {what}: {check}")
+
+    targets = np.asarray(arrays["adj_targets"])
+    if targets.dtype.kind not in "iu" or targets.ndim != 1:
+        fail("adj_targets must be a one-dimensional integer array")
+    indptr = check_indptr(what, "adj_indptr", arrays["adj_indptr"], ("n", n),
+                          ("len(adj_targets)", targets.size))
+    owners = np.repeat(np.arange(n), np.diff(indptr))
+    if targets.size and (targets.min() < 0 or targets.max() >= n):
+        fail(f"adj_targets must lie in [0, {n})")
+    if np.any(targets == owners):
+        fail("adj_targets must never be their own row's node")
+    weights = np.asarray(arrays["adj_weights"])
+    if weights.dtype.kind != "f" or weights.shape != targets.shape:
+        fail("adj_weights must be a float array with one entry per target")
+    if not np.all(np.isfinite(weights) & (weights > 0)):
+        fail("adj_weights must be finite and > 0")
+    forward = np.lexsort((weights, targets, owners))
+    backward = np.lexsort((weights, owners, targets))
+    if not (np.array_equal(owners[forward], targets[backward])
+            and np.array_equal(targets[forward], owners[backward])
+            and np.array_equal(weights[forward], weights[backward])):
+        fail("every link (u, v, w) must also be present as (v, u, w)")
+
+
 class WeightedGraph:
     """An undirected graph with positive edge weights and indexed adjacency."""
 
@@ -142,13 +184,16 @@ class WeightedGraph:
 
     @classmethod
     def from_adjacency_arrays(
-        cls, arrays: Dict[str, np.ndarray]
+        cls, arrays: Dict[str, np.ndarray], n: int
     ) -> "WeightedGraph":
-        """Inverse of :meth:`to_adjacency_arrays` (same link order)."""
+        """Inverse of :meth:`to_adjacency_arrays` (same link order) for an
+        n-node graph, once :func:`_check_adjacency_arrays` has passed the
+        arrays."""
+        _check_adjacency_arrays(arrays, n)
         indptr = np.asarray(arrays["adj_indptr"])
         targets = np.asarray(arrays["adj_targets"])
         weights = np.asarray(arrays["adj_weights"])
-        graph = cls(len(indptr) - 1)
+        graph = cls(n)
         for u in range(graph._n):
             lo, hi = int(indptr[u]), int(indptr[u + 1])
             adj = [

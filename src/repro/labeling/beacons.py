@@ -21,6 +21,33 @@ from repro.core.patch import Membership, PatchStats, patch_stats, require_active
 from repro.labeling.encoding import DistanceCodec
 from repro.metrics.base import MetricSpace
 from repro.rng import SeedLike, ensure_rng
+from repro.serve.container import ContainerError
+
+
+def _check_arrays(n: int, arrays: dict) -> None:
+    """Refuse persisted beacons that would answer wrong, with a
+    :class:`~repro.serve.container.ContainerError` naming the check:
+    ``beacons`` is a 1-D integer array of distinct ids in [0, n), and
+    ``labels`` a float array of shape (n, len(beacons)), finite and >= 0.
+    O(n·k), run on every load a server makes."""
+
+    def fail(check: str) -> None:
+        raise ContainerError(f"malformed beacons arrays: {check}")
+
+    beacons = np.asarray(arrays["beacons"])
+    if beacons.dtype.kind not in "iu" or beacons.ndim != 1:
+        fail("beacons must be a one-dimensional integer array")
+    if beacons.size and (beacons.min() < 0 or beacons.max() >= n):
+        fail(f"beacons must lie in [0, {n})")
+    if np.unique(beacons).size != beacons.size:
+        fail("beacons must be distinct")
+    labels = np.asarray(arrays["labels"])
+    if labels.dtype.kind != "f" or labels.shape != (n, beacons.size):
+        fail(f"labels must be a float array of shape (n, len(beacons)) = "
+             f"{(n, beacons.size)} (has {labels.dtype} {labels.shape})")
+    # Two reductions, no temporaries: a NaN or -inf fails ``min >= 0``.
+    if labels.size and not (labels.min() >= 0 and np.isfinite(labels.max())):
+        fail("labels must be finite and >= 0")
 
 
 class BeaconTriangulation:
@@ -128,7 +155,9 @@ class BeaconTriangulation:
         cls, metric: MetricSpace, meta: dict, arrays: dict
     ) -> "BeaconTriangulation":
         """Rehydrate from :meth:`to_arrays` — the quantized (n, k) label
-        matrix is used as-is, no distance recomputation."""
+        matrix is used as-is, no distance recomputation, once
+        :func:`_check_arrays` has passed it."""
+        _check_arrays(int(meta["n"]), arrays)
         codec_meta = meta["codec"]
         tri = cls.__new__(cls)
         tri.metric = metric

@@ -33,37 +33,91 @@ Level-0 segments coincide across nodes by the ScaleStructure convention,
 so positions in them are globally meaningful — the decoder seeds both
 chains from them and also harvests every level-0 member directly (this
 covers the boundary case where the pair's critical scale is i = 0).
+
+Storage: the labels live only in the arrays :meth:`RingDLS.to_arrays`
+returns (a loaded structure keeps the container's).  A pointer is a
+(type, index) pair into one segment, types X = 0 and Y = 1.  Segment
+(u, i, typ) is CSR row ``(u·L + i)·2 + typ`` of ``seg_indptr``/``seg_dist``
+(L = ``levels_n``); ζ_ui is CSR row ``u·(L−1) + i`` of
+``zeta_indptr``/``zeta_data``, whose ``[v_typ, v_idx, ψ, w_typ, w_idx]``
+rows map a level-i pointer and ψ to a level-(i+1) pointer, sorted by the
+key (v_typ, v_idx, ψ) — so a lookup is one ``searchsorted`` and one source
+pointer's entries are one slice; ``zoom0_idx``/``zoom_psi`` hold the
+zooming sequences (−1 for "none") and ``size_bits`` the size accounts.
+One decoder reads them, vectorized over a batch of pairs; Theorem 4.2's
+routing uses its :meth:`RingDLS._chains` and :meth:`RingDLS._translate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro._types import NodeId, as_node_pair, as_node_pairs
 from repro.bits import SizeAccount, bits_for_count
+from repro.core.packed import pack_csr, spans
 from repro.labeling._scales import ScaleStructure
 from repro.labeling.encoding import DistanceCodec
 from repro.metrics.base import MetricSpace
 from repro.serve.container import ContainerError, check_indptr
 
-#: A position in a node's per-scale segments: (segment type, level, index).
-SegmentPointer = Tuple[str, int, int]
+#: Segment type codes of a pointer (typ, idx).
+X, Y = 0, 1
+
+#: A label's size-account categories, one ``size_bits`` column each.
+_CATEGORIES = ("neighbor_distances", "translation_triples", "zoom_anchor",
+               "zoom_virtual_indices")
+
+#: The label arrays and the dtype each is held in.
+_LAYOUT = {"seg_indptr": np.int64, "seg_dist": np.float64, "zeta_indptr": np.int64,
+           "zeta_data": np.int64, "zoom0_idx": np.int64, "zoom_psi": np.int64,
+           "size_bits": np.int64}
+
+#: Pairs per vectorized decoding pass (bounds the ζ harvest's temporaries).
+_DECODE_CHUNK = 1024
 
 
-def _check_arrays(n: int, levels_n: int, categories: int, arrays: dict) -> None:
+def _zeta_keys(n: int, span: int, zeta_indptr, zeta) -> np.ndarray:
+    """The search key of every ζ row, plus an int64-max sentinel.
+
+    Row ``[v_typ, v_idx, ψ, ·, ·]`` of table ``tab = u·(L−1) + i`` gets
+    ``((tab·2 + v_typ)·span + v_idx)·n + ψ``.  With ``v_idx < span`` and
+    ``ψ < n`` the keys ascend exactly when every table's rows are sorted
+    by (v_typ, v_idx, ψ) without a repeat.
+    """
+    tables = np.repeat(
+        np.arange(zeta_indptr.size - 1, dtype=np.int64), np.diff(zeta_indptr)
+    )
+    keys = np.empty(zeta.shape[0] + 1, dtype=np.int64)
+    keys[:-1] = ((tables * 2 + zeta[:, 0]) * span + zeta[:, 1]) * n + zeta[:, 2]
+    keys[-1] = np.iinfo(np.int64).max
+    return keys
+
+
+def _twice(values: np.ndarray) -> np.ndarray:
+    """``values`` for both labels of each pair, side by side."""
+    return np.concatenate([values, values])
+
+
+def _span(seg_indptr: np.ndarray) -> int:
+    """The key radix of segment positions: the longest segment (>= 1)."""
+    return max(1, int(np.diff(seg_indptr).max(initial=0)))
+
+
+def _check_arrays(n: int, levels_n: int, categories: int, arrays: dict) -> np.ndarray:
     """Refuse persisted labels that would decode wrong, with a
-    :class:`~repro.serve.container.ContainerError` naming the check:
-    ``seg_indptr`` slices ``seg_dist`` into 2·n·levels_n segments and
-    ``zeta_indptr`` slices ``zeta_data`` into n·(levels_n − 1) tables
-    (:func:`~repro.serve.container.check_indptr`); ``seg_dist`` is finite
-    and >= 0; ``zeta_data`` is an (m, 5) integer array whose type codes
-    (columns 0 and 3) index ``RingDLS._TYP_NAME`` and whose positions and
-    virtual indices are >= 0; ``zoom0_idx`` (n,), ``zoom_psi``
-    (n, levels_n) and ``size_bits`` (n, categories) are integer arrays
-    with entries >= 0, >= -1 (-1 is "none") and >= 0."""
+    :class:`~repro.serve.container.ContainerError` naming the check, and
+    return the ζ search keys (:func:`_zeta_keys`).
+
+    The CSR offsets slice 2·n·levels_n segments and n·(levels_n − 1)
+    tables (:func:`~repro.serve.container.check_indptr`); distances are
+    finite and >= 0; type codes are X or Y; ψ and ``zoom_psi`` lie in
+    [-1 or 0, n); every position — ζ sources and targets, ``zoom0_idx``
+    — indexes its own segment, since a flat read past a segment's end
+    would return the next one's distance; and each table's keys strictly
+    ascend, since a repeated key is ambiguous and lookups search them.
+    """
     what = "labels arrays"
 
     def fail(check: str) -> None:
@@ -72,21 +126,21 @@ def _check_arrays(n: int, levels_n: int, categories: int, arrays: dict) -> None:
     dist = np.asarray(arrays["seg_dist"])
     if dist.ndim != 1:
         fail("seg_dist must be one-dimensional")
-    check_indptr(what, "seg_indptr", arrays["seg_indptr"],
-                 ("2·n·levels_n", 2 * n * levels_n), ("len(seg_dist)", dist.size))
+    seg_indptr = check_indptr(what, "seg_indptr", arrays["seg_indptr"],
+                              ("2·n·levels_n", 2 * n * levels_n),
+                              ("len(seg_dist)", dist.size))
     if dist.dtype.kind not in "fiu" or not np.all(np.isfinite(dist) & (dist >= 0)):
         fail("seg_dist must be finite and >= 0")
     zeta = np.asarray(arrays["zeta_data"])
     if zeta.dtype.kind not in "iu" or zeta.ndim != 2 or zeta.shape[1] != 5:
         fail(f"zeta_data must be an (m, 5) integer array (has {zeta.dtype} {zeta.shape})")
-    check_indptr(what, "zeta_indptr", arrays["zeta_indptr"],
-                 ("n·(levels_n - 1)", n * max(0, levels_n - 1)),
-                 ("len(zeta_data)", zeta.shape[0]))
+    zeta_indptr = check_indptr(what, "zeta_indptr", arrays["zeta_indptr"],
+                               ("n·(levels_n - 1)", n * max(0, levels_n - 1)),
+                               ("len(zeta_data)", zeta.shape[0]))
     if zeta.size:
         codes = zeta[:, [0, 3]]
-        if codes.min() < 0 or codes.max() >= len(RingDLS._TYP_NAME):
-            fail(f"zeta_data type codes (columns 0 and 3) must lie in "
-                 f"[0, {len(RingDLS._TYP_NAME)})")
+        if codes.min() < 0 or codes.max() > Y:
+            fail(f"zeta_data type codes (columns 0 and 3) must lie in [0, {Y + 1})")
         if zeta[:, [1, 2, 4]].min() < 0:
             fail("zeta_data positions and virtual indices (columns 1, 2 and 4) "
                  "must be >= 0")
@@ -101,43 +155,33 @@ def _check_arrays(n: int, levels_n: int, categories: int, arrays: dict) -> None:
                  f"(has {values.dtype} {values.shape})")
         if values.size and values.min() < low:
             fail(f"{key} entries must be >= {low}")
-
-
-class _DetachedScales:
-    """Stand-in scale structure for labels loaded from disk.
-
-    Decoding only ever consults ``levels_n``; anything else was
-    construction scaffolding and raises if touched.
-    """
-
-    def __init__(self, levels_n: int) -> None:
-        self.levels_n = levels_n
-
-    def __getattr__(self, name: str):
-        raise RuntimeError(
-            f"ScaleStructure.{name} is construction-time state and is not "
-            "persisted; unavailable on a loaded structure"
+    seg_len = np.diff(seg_indptr)
+    if np.any(np.asarray(arrays["zoom0_idx"]) >= seg_len[2 * levels_n * np.arange(n) + Y]):
+        fail("zoom0_idx entries must index their node's level-0 Y segment")
+    if np.asarray(arrays["zoom_psi"]).max(initial=-1) >= n:
+        fail(f"zoom_psi entries must be < n = {n}")
+    zeta = zeta.astype(np.int64, copy=False)
+    span = _span(seg_indptr)
+    if zeta.size:
+        if zeta[:, 2].max() >= n:
+            fail(f"zeta_data virtual indices (column 2) must be < n = {n}")
+        tables = np.repeat(
+            np.arange(zeta_indptr.size - 1, dtype=np.int64), np.diff(zeta_indptr)
         )
-
-
-@dataclass
-class NodeLabel:
-    """The Theorem 3.4 label of one node (id-free).
-
-    ``segments[(typ, i)]`` is the tuple of quantized distances to that
-    scale's neighbors, in segment order.  ``zeta[i]`` maps
-    ``(pointer_at_level_i, virtual_index) -> pointer_at_level_i_plus_1``.
-    """
-
-    segments: Dict[Tuple[str, int], Tuple[float, ...]]
-    zeta: Dict[int, Dict[Tuple[SegmentPointer, int], SegmentPointer]]
-    zoom0: SegmentPointer
-    zoom_virtual_indices: Tuple[Optional[int], ...]
-    size: SizeAccount
-
-    def distance_at(self, ptr: SegmentPointer) -> float:
-        typ, level, idx = ptr
-        return self.segments[(typ, level)][idx]
+        # Segment row of each entry's level-i source: (u·L + i)·2.
+        base = 2 * (tables + tables // (levels_n - 1))
+        if np.any(zeta[:, 1] >= seg_len[base + zeta[:, 0]]):
+            fail("zeta_data source positions (column 1) must index their level-i segment")
+        if np.any(zeta[:, 4] >= seg_len[base + 2 + zeta[:, 3]]):
+            fail("zeta_data target positions (column 4) must index their "
+                 "level-(i+1) segment")
+        if n * max(1, levels_n - 1) * 2 * span * n >= 2**63:
+            fail("zeta_data search keys would overflow int64")
+    keys = _zeta_keys(n, span, zeta_indptr, zeta)
+    if np.any(np.diff(keys) <= 0):
+        fail("zeta_data keys (v_typ, v_idx, psi) must strictly ascend within "
+             "each (node, level) table")
+    return keys
 
 
 class RingDLS:
@@ -160,22 +204,14 @@ class RingDLS:
         self.codec = DistanceCodec.for_metric(metric, mantissa_bits)
 
         self._z_levels = metric.log_aspect_ratio() + 2
-        self._virtual: List[Tuple[NodeId, ...]] = [
-            self._virtual_neighbors(u) for u in range(metric.n)
-        ]
-        self._virtual_index: List[Dict[NodeId, int]] = [
-            {v: k for k, v in enumerate(t)} for t in self._virtual
-        ]
-        self.labels: List[NodeLabel] = [self._build_label(u) for u in range(metric.n)]
-        # Lazily-built per-node decode index for the batched estimator:
-        # zeta reorganized by source pointer + level-0 distance arrays.
-        self._decode_index: List[Optional[tuple]] = [None] * metric.n
+        self._t_indptr, self._t_members = self._virtual_enumerations()
+        self._adopt(self._build_arrays(), self.scales.levels_n, list(_CATEGORIES))
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
-    def _z_neighbors(self, u: NodeId, j: int) -> Tuple[NodeId, ...]:
+    def _z_neighbors(self, u: NodeId, j: int) -> np.ndarray:
         """``Z_uj = B_u(2^j) ∩ G_l``, ``l = max(0, floor(log2(2^j δ/64)))``.
 
         Radii are scaled by the metric's minimum distance (the paper
@@ -184,510 +220,371 @@ class RingDLS:
         scales = self.scales
         radius = scales.base * float(2**j)
         level = scales.net_level(radius * self.delta / 64.0)
-        members = scales.nets.members_in_ball(level, u, radius)
-        return tuple(int(x) for x in members)
+        return scales.nets.members_in_ball(level, u, radius)
 
-    def _virtual_neighbors(self, u: NodeId) -> Tuple[NodeId, ...]:
-        """``T_u = X_u ∪ Z_u ∪ (∪_{v ∈ X_u} Z_v)`` as a sorted tuple."""
+    def _virtual_enumerations(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``T_u = X_u ∪ Z_u ∪ (∪_{v ∈ X_u} Z_v)`` for every u, as a CSR
+        block of sorted int64 rows (each ``Z_v`` is computed once)."""
         scales = self.scales
-        x_all: set[NodeId] = set()
-        for i in range(scales.levels_n):
-            x_all.update(scales.x_neighbors(u, i))
-        out: set[NodeId] = set(x_all)
-        for v in [u, *x_all]:
-            for j in range(self._z_levels + 1):
-                out.update(self._z_neighbors(v, j))
-        return tuple(sorted(out))
+        n = self.metric.n
+        z = [
+            np.concatenate([self._z_neighbors(u, j) for j in range(self._z_levels + 1)])
+            for u in range(n)
+        ]
+        rows = []
+        for u in range(n):
+            x_all = np.unique(np.fromiter(
+                (x for i in range(scales.levels_n) for x in scales.x_neighbors(u, i)),
+                dtype=np.int64,
+            ))
+            rows.append(np.unique(np.concatenate([x_all, z[u], *(z[v] for v in x_all)])))
+        return pack_csr(rows, dtype=np.int64)
 
-    def _segment_members(self, u: NodeId, typ: str, i: int) -> Tuple[NodeId, ...]:
-        if typ == "X":
-            return self.scales.x_neighbors(u, i)
-        return self.scales.y_neighbors(u, i)
+    def virtual_index(self, v: NodeId, w: NodeId) -> Optional[int]:
+        """ψ: the index of w in v's virtual enumeration T_v, or None."""
+        row = self._t_members[self._t_indptr[v] : self._t_indptr[v + 1]]
+        k = int(np.searchsorted(row, w))
+        return k if k < row.size and row[k] == w else None
 
-    def _build_label(self, u: NodeId) -> NodeLabel:
-        scales = self.scales
-        row = np.asarray(self.metric.distances_from(u), dtype=float)
-        size = SizeAccount()
+    def virtual_size(self, v: NodeId) -> int:
+        """|T_v|."""
+        return int(self._t_indptr[v + 1] - self._t_indptr[v])
 
-        segments: Dict[Tuple[str, int], Tuple[float, ...]] = {}
-        for i in range(scales.levels_n):
-            for typ in ("X", "Y"):
-                members = self._segment_members(u, typ, i)
-                if members:
-                    # One vectorized quantization per segment instead of a
-                    # scalar codec call per member.
-                    quantized = self.codec.roundtrip_many(
-                        row[np.asarray(members, dtype=np.int64)]
-                    )
-                    segments[(typ, i)] = tuple(float(x) for x in quantized)
-                else:
-                    segments[(typ, i)] = ()
-                size.add(
-                    "neighbor_distances", len(members) * self.codec.bits_per_distance
+    def _build_arrays(self) -> dict:
+        """Every label, written straight into the :meth:`to_arrays` layout."""
+        scales, codec = self.scales, self.codec
+        n, levels_n = self.metric.n, scales.levels_n
+        t_sizes = np.diff(self._t_indptr)
+        t_keys = np.repeat(np.arange(n, dtype=np.int64) * n, t_sizes) + self._t_members
+        t_bits = np.array([bits_for_count(int(k)) for k in t_sizes], dtype=np.int64)
+        seg_chunks: List[np.ndarray] = []
+        zeta_chunks: List[np.ndarray] = []
+        zoom0_idx = np.zeros(n, dtype=np.int64)
+        zoom_psi = np.full((n, levels_n), -1, dtype=np.int64)
+        size_bits = np.zeros((n, len(_CATEGORIES)), dtype=np.int64)
+        for u in range(n):
+            row = np.asarray(self.metric.distances_from(u), dtype=float)
+            segs = [
+                tuple(np.asarray(members, dtype=np.int64)
+                      for members in (scales.x_neighbors(u, i), scales.y_neighbors(u, i)))
+                for i in range(levels_n)
+            ]
+            for members in (m for seg in segs for m in seg):
+                seg_chunks.append(codec.roundtrip_many(row[members]))
+            size_bits[u, 0] = codec.bits_per_distance * sum(x.size + y.size for x, y in segs)
+            # A level-i pointer costs a type flag and an index.
+            ptr_bits = [1 + bits_for_count(max(x.size, y.size)) for x, y in segs]
+            for i in range(levels_n - 1):
+                table, bits = self._table(
+                    segs[i], segs[i + 1], t_keys, t_bits, ptr_bits[i] + ptr_bits[i + 1]
                 )
+                zeta_chunks.append(table)
+                size_bits[u, 1] += bits
 
-        # Per-level pointer maps (node -> its segment pointers at that
-        # level); avoids a binary search per translation entry.
-        pointer_maps: List[Dict[NodeId, List[SegmentPointer]]] = []
-        for i in range(scales.levels_n):
-            level_map: Dict[NodeId, List[SegmentPointer]] = {}
-            for typ in ("X", "Y"):
-                for idx, member in enumerate(self._segment_members(u, typ, i)):
-                    level_map.setdefault(member, []).append((typ, i, idx))
-            pointer_maps.append(level_map)
-
-        zeta: Dict[int, Dict[Tuple[SegmentPointer, int], SegmentPointer]] = {}
-        for i in range(scales.levels_n - 1):
-            table: Dict[Tuple[SegmentPointer, int], SegmentPointer] = {}
-            next_map = pointer_maps[i + 1]
-            ptr_bits = self._pointer_bits(u, i) + self._pointer_bits(u, i + 1)
-            for v, v_ptrs in pointer_maps[i].items():
-                v_virtual = self._virtual_index[v]
-                psi_bits = bits_for_count(len(self._virtual[v]))
-                for w, w_ptrs in next_map.items():
-                    psi = v_virtual.get(w)
-                    if psi is None:
-                        continue
-                    for w_ptr in w_ptrs:
-                        for v_ptr in v_ptrs:
-                            table[(v_ptr, psi)] = w_ptr
-                            size.add("translation_triples", ptr_bits + psi_bits)
-            zeta[i] = table
-
-        # Zooming sequence encoding.
-        zoom = scales.zooming_sequence(u)
-        y0_members = self._segment_members(u, "Y", 0)
-        idx0 = int(np.searchsorted(y0_members, zoom[0]))
-        if idx0 >= len(y0_members) or y0_members[idx0] != zoom[0]:
-            raise RuntimeError(
-                f"zooming anchor f_{u},0 not in the level-0 Y segment "
-                "(ScaleStructure invariant violated)"
-            )
-        zoom0: SegmentPointer = ("Y", 0, idx0)
-        size.add("zoom_anchor", bits_for_count(len(y0_members)))
-
-        virtual_indices: List[Optional[int]] = [None]
-        for i in range(1, scales.levels_n):
-            prev = zoom[i - 1]
-            psi = self._virtual_index[prev].get(zoom[i])
-            # Claim 3.5(c): f_ui is a virtual neighbor of f_{u,i-1}.
-            if psi is None:
+            zoom = scales.zooming_sequence(u)
+            y0 = segs[0][1]
+            idx0 = int(np.searchsorted(y0, zoom[0]))
+            if idx0 >= y0.size or y0[idx0] != zoom[0]:
                 raise RuntimeError(
-                    f"Claim 3.5(c) violated: f_({u},{i})={zoom[i]} is not a "
-                    f"virtual neighbor of f_({u},{i-1})={prev}"
+                    f"zooming anchor f_{u},0 not in the level-0 Y segment "
+                    "(ScaleStructure invariant violated)"
                 )
-            virtual_indices.append(psi)
-            size.add("zoom_virtual_indices", bits_for_count(len(self._virtual[prev])))
+            zoom0_idx[u] = idx0
+            size_bits[u, 2] = bits_for_count(y0.size)
+            for i in range(1, levels_n):
+                prev = zoom[i - 1]
+                psi = self.virtual_index(prev, zoom[i])
+                # Claim 3.5(c): f_ui is a virtual neighbor of f_{u,i-1}.
+                if psi is None:
+                    raise RuntimeError(
+                        f"Claim 3.5(c) violated: f_({u},{i})={zoom[i]} is not a "
+                        f"virtual neighbor of f_({u},{i-1})={prev}"
+                    )
+                zoom_psi[u, i] = psi
+                size_bits[u, 3] += t_bits[prev]
 
-        return NodeLabel(
-            segments=segments,
-            zeta=zeta,
-            zoom0=zoom0,
-            zoom_virtual_indices=tuple(virtual_indices),
-            size=size,
-        )
+        seg_indptr, seg_dist = pack_csr(seg_chunks, dtype=np.float64)
+        zeta_indptr = np.zeros(len(zeta_chunks) + 1, dtype=np.int64)
+        zeta_indptr[1:] = np.cumsum([t.shape[0] for t in zeta_chunks])
+        zeta = np.concatenate(zeta_chunks) if zeta_chunks else np.empty((0, 5), np.int64)
+        return dict(seg_indptr=seg_indptr, seg_dist=seg_dist, zeta_indptr=zeta_indptr,
+                    zeta_data=zeta, zoom0_idx=zoom0_idx, zoom_psi=zoom_psi,
+                    size_bits=size_bits)
 
-    def _pointer_bits(self, u: NodeId, i: int) -> int:
-        """Bits for a level-i segment pointer: type flag + index."""
-        longest = max(
-            len(self._segment_members(u, "X", i)),
-            len(self._segment_members(u, "Y", i)),
-        )
-        return 1 + bits_for_count(longest)
+    def _table(self, level, upper, t_keys, t_bits, ptr_bits) -> Tuple[np.ndarray, int]:
+        """One translation table ζ_ui from the (X, Y) member arrays of
+        scales i and i+1: a row ``[v_typ, v_idx, ψ, w_typ, w_idx]`` for
+        every level-i pointer (v_typ, v_idx) of a node v and every
+        level-(i+1) member w of T_v (ψ = w's index in T_v), in key order
+        (v_typ, v_idx, ψ) — and the bits the size account charges for it.
+
+        A member w of both X_{i+1} and Y_{i+1} is stored as its Y pointer
+        but charged once per pointer it has: every (v pointer, w pointer)
+        pair costs the two pointers and ψ.  The committed label digests
+        and ResultSets pin both rules.
+        """
+        n = self.metric.n
+        x, y = level
+        upper_x, upper_y = upper
+        w = np.union1d(upper_x, upper_y)
+        in_y = np.isin(w, upper_y)
+        w_typ = in_y.astype(np.int64)
+        w_idx = np.where(in_y, np.searchsorted(upper_y, w), np.searchsorted(upper_x, w))
+        w_count = np.isin(w, upper_x).astype(np.int64) + in_y
+        src = np.concatenate([x, y])
+        src_typ = np.repeat(np.array([X, Y], dtype=np.int64), [x.size, y.size])
+        src_idx = np.concatenate([np.arange(x.size), np.arange(y.size)])
+        # One sorted search of every (v, w) pair among the T rows; w and
+        # each T_v ascend, so ψ ascends along each pointer's entries.
+        query = (src * n)[:, None] + w
+        pos = np.searchsorted(t_keys, query)
+        r, c = np.nonzero(t_keys[np.minimum(pos, t_keys.size - 1)] == query)
+        psi = pos[r, c] - self._t_indptr[src[r]]
+        table = np.stack([src_typ[r], src_idx[r], psi, w_typ[c], w_idx[c]], axis=1)
+        bits = int(np.sum(w_count[c] * (ptr_bits + t_bits[src[r]])))
+        return table, bits
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
 
-    _TYP_CODE = {"X": 0, "Y": 1}
-    _TYP_NAME = ("X", "Y")
+    def _adopt(self, arrays: dict, levels_n: int, categories: List[str], keys=None) -> None:
+        """Hold ``arrays`` as the labels (no copy in their own dtypes) and
+        index their ζ rows for the decoder."""
+        self._levels_n, self._n, self._categories = levels_n, int(self.metric.n), categories
+        self._arrays = {name: np.asarray(arrays[name]).astype(dtype, copy=False)
+                        for name, dtype in _LAYOUT.items()}
+        self._seg_indptr, self._seg_dist = self._arrays["seg_indptr"], self._arrays["seg_dist"]
+        self._zeta = self._arrays["zeta_data"]
+        self._zoom0, self._zoom_psi = self._arrays["zoom0_idx"], self._arrays["zoom_psi"]
+        self._size_bits = self._arrays["size_bits"]
+        self._span = _span(self._seg_indptr)
+        self._zeta_key = keys if keys is not None else _zeta_keys(
+            self._n, self._span, self._arrays["zeta_indptr"], self._zeta
+        )
 
     def to_arrays(self) -> tuple:
-        """(meta, arrays) inventory for the on-disk container.
-
-        Labels flatten into CSR blocks: segment distances node-major by
-        (level, type); translation triples as 5-column int rows
-        ``[v_typ, v_idx, psi, w_typ, w_idx]`` (levels are implied — a
-        level-i entry always maps a level-i pointer to a level-(i+1)
-        one); zooming sequences as an anchor index plus a ψ matrix with
-        -1 for "none".  Per-label :class:`SizeAccount` components go in
-        a dense (n, categories) matrix so accounting survives reload.
-        """
-        n = self.metric.n
-        levels_n = self.scales.levels_n
-        seg_indptr = np.zeros(n * levels_n * 2 + 1, dtype=np.int64)
-        seg_chunks: List[np.ndarray] = []
-        zeta_indptr = np.zeros(n * max(0, levels_n - 1) + 1, dtype=np.int64)
-        zeta_rows: List[List[int]] = []
-        zoom0_idx = np.zeros(n, dtype=np.int64)
-        zoom_psi = np.full((n, levels_n), -1, dtype=np.int64)
-        categories = sorted(
-            {cat for label in self.labels for cat in label.size.as_dict()}
-        )
-        cat_index = {cat: j for j, cat in enumerate(categories)}
-        size_bits = np.zeros((n, len(categories)), dtype=np.int64)
-
-        cursor = 0
-        for u, label in enumerate(self.labels):
-            for i in range(levels_n):
-                for typ in ("X", "Y"):
-                    seg = label.segments.get((typ, i), ())
-                    seg_chunks.append(np.asarray(seg, dtype=np.float64))
-                    cursor += 1
-                    seg_indptr[cursor] = seg_indptr[cursor - 1] + len(seg)
-            for i in range(levels_n - 1):
-                slot = u * (levels_n - 1) + i
-                table = label.zeta.get(i, {})
-                for ((v_typ, _v_lvl, v_idx), psi), (
-                    w_typ,
-                    _w_lvl,
-                    w_idx,
-                ) in table.items():
-                    zeta_rows.append(
-                        [
-                            self._TYP_CODE[v_typ],
-                            v_idx,
-                            psi,
-                            self._TYP_CODE[w_typ],
-                            w_idx,
-                        ]
-                    )
-                zeta_indptr[slot + 1] = zeta_indptr[slot] + len(table)
-            zoom0_idx[u] = label.zoom0[2]
-            for i, psi in enumerate(label.zoom_virtual_indices):
-                if psi is not None:
-                    zoom_psi[u, i] = psi
-            for cat, bits in label.size.as_dict().items():
-                size_bits[u, cat_index[cat]] = bits
-
+        """(meta, arrays) inventory for the on-disk container: the arrays
+        the labels live in (see the module docstring), as held."""
         meta = {
-            "n": int(n),
+            "n": self._n,
             "delta": self.delta,
-            "levels_n": int(levels_n),
-            "size_categories": categories,
+            "levels_n": self._levels_n,
+            "size_categories": list(self._categories),
             "codec": {
                 "min_distance": self.codec.min_distance,
                 "max_distance": self.codec.max_distance,
                 "mantissa_bits": self.codec.mantissa_bits,
             },
         }
-        arrays = {
-            "seg_indptr": seg_indptr,
-            "seg_dist": np.concatenate(seg_chunks)
-            if seg_chunks
-            else np.empty(0, dtype=np.float64),
-            "zeta_indptr": zeta_indptr,
-            "zeta_data": np.asarray(zeta_rows, dtype=np.int64).reshape(
-                len(zeta_rows), 5
-            ),
-            "zoom0_idx": zoom0_idx,
-            "zoom_psi": zoom_psi,
-            "size_bits": size_bits,
-        }
-        return meta, arrays
+        return meta, dict(self._arrays)
 
     @classmethod
     def from_arrays(cls, metric: MetricSpace, meta: dict, arrays: dict) -> "RingDLS":
-        """Rehydrate from :meth:`to_arrays`.
-
-        The result is *detached*: labels decode bit-for-bit (segments,
-        translation maps, zooming sequences and size accounts are fully
-        restored), while the construction-time scale structure and
-        virtual-neighbor enumerations are not — only ``levels_n``
-        survives, which is all the decoders consult.  The arrays are
-        checked first (:func:`_check_arrays`).
-        """
+        """Rehydrate from :meth:`to_arrays`, keeping the arrays once
+        :func:`_check_arrays` has passed them.  The result decodes
+        bit-for-bit; the construction-time scale structure and virtual
+        enumerations are not persisted (``scales`` is None)."""
         codec_meta = meta["codec"]
         n = int(meta["n"])
         levels_n = int(meta["levels_n"])
         categories = list(meta["size_categories"])
-        _check_arrays(n, levels_n, len(categories), arrays)
+        keys = _check_arrays(n, levels_n, len(categories), arrays)
 
         dls = cls.__new__(cls)
         dls.metric = metric
         dls.delta = float(meta["delta"])
-        dls.scales = _DetachedScales(levels_n)
+        dls.scales = None
         dls.codec = DistanceCodec(
             float(codec_meta["min_distance"]),
             float(codec_meta["max_distance"]),
             int(codec_meta["mantissa_bits"]),
         )
-        dls._z_levels = None
-        dls._virtual = None
-        dls._virtual_index = None
-
-        seg_indptr = np.asarray(arrays["seg_indptr"])
-        seg_dist = np.asarray(arrays["seg_dist"])
-        zeta_indptr = np.asarray(arrays["zeta_indptr"])
-        zeta_data = np.asarray(arrays["zeta_data"])
-        zoom0_idx = np.asarray(arrays["zoom0_idx"])
-        zoom_psi = np.asarray(arrays["zoom_psi"])
-        size_bits = np.asarray(arrays["size_bits"])
-
-        labels: List[NodeLabel] = []
-        cursor = 0
-        for u in range(n):
-            segments: Dict[Tuple[str, int], Tuple[float, ...]] = {}
-            for i in range(levels_n):
-                for typ in ("X", "Y"):
-                    lo, hi = seg_indptr[cursor], seg_indptr[cursor + 1]
-                    segments[(typ, i)] = tuple(float(x) for x in seg_dist[lo:hi])
-                    cursor += 1
-            zeta: Dict[int, Dict[Tuple[SegmentPointer, int], SegmentPointer]] = {}
-            for i in range(levels_n - 1):
-                slot = u * (levels_n - 1) + i
-                lo, hi = int(zeta_indptr[slot]), int(zeta_indptr[slot + 1])
-                table: Dict[Tuple[SegmentPointer, int], SegmentPointer] = {}
-                for row in zeta_data[lo:hi]:
-                    v_ptr = (cls._TYP_NAME[int(row[0])], i, int(row[1]))
-                    w_ptr = (cls._TYP_NAME[int(row[3])], i + 1, int(row[4]))
-                    table[(v_ptr, int(row[2]))] = w_ptr
-                zeta[i] = table
-            size = SizeAccount()
-            for j, cat in enumerate(categories):
-                bits = int(size_bits[u, j])
-                if bits:
-                    size.add(cat, bits)
-            labels.append(
-                NodeLabel(
-                    segments=segments,
-                    zeta=zeta,
-                    zoom0=("Y", 0, int(zoom0_idx[u])),
-                    zoom_virtual_indices=tuple(
-                        None if psi < 0 else int(psi) for psi in zoom_psi[u]
-                    ),
-                    size=size,
-                )
-            )
-        dls.labels = labels
-        dls._decode_index = [None] * n
+        dls._t_indptr = dls._t_members = None
+        dls._adopt(arrays, levels_n, categories, keys)
         return dls
 
     # ------------------------------------------------------------------
-    # Decoding (labels only)
+    # Decoding (labels only), vectorized over a batch
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _chain(
-        label_a: NodeLabel, label_b: NodeLabel
-    ) -> List[Tuple[SegmentPointer, SegmentPointer]]:
-        """Identify label_a's zooming sequence inside both labels.
+    def _segment(self, nodes, levels, typs) -> Tuple[np.ndarray, np.ndarray]:
+        """(start in ``seg_dist``, length) of each segment (node, level, typ)."""
+        rows = (nodes * self._levels_n + levels) * 2 + typs
+        start = self._seg_indptr[rows]
+        return start, self._seg_indptr[rows + 1] - start
 
-        Returns (pointer in a, pointer in b) pairs; stops at the first
-        level either translation map returns null.
+    def _distance(self, nodes, levels, typs, idxs) -> np.ndarray:
+        """The stored distance behind each pointer (typ, idx) of a node's
+        level-``levels`` segments."""
+        return self._seg_dist[self._segment(nodes, levels, typs)[0] + idxs]
+
+    def _key(self, nodes, levels, typs, idxs):
+        """The ζ search key of each pointer's first possible entry (ψ = 0)
+        in its node's level-``levels`` table (``levels < levels_n − 1``)."""
+        tables = nodes * (self._levels_n - 1) + levels
+        return ((tables * 2 + typs) * self._span + idxs) * self._n
+
+    def _translate(self, nodes, levels, typs, idxs, psis) -> Tuple[np.ndarray, np.ndarray]:
+        """ζ lookups, one ``searchsorted`` for the batch: for each node's
+        level-``levels`` table (``levels < levels_n − 1``), pointer
+        (typ, idx) and ψ, ``(found, rows)`` — ``zeta_data[rows]`` is the
+        entry where ``found``.  A ψ outside [0, n) aliases another
+        pointer's key, so callers mask it."""
+        keys = self._key(nodes, levels, typs, idxs) + psis
+        rows = self._zeta_key.searchsorted(keys)
+        return self._zeta_key[rows] == keys, rows
+
+    def _chains(self, a, b) -> Tuple[np.ndarray, ...]:
+        """Each node a's zooming chain identified in the labels of a and b,
+        walked in lockstep for the whole batch (one :meth:`_translate` per
+        level) and stopped at the first level either label's translation
+        map has no entry for.
+
+        Returns ``(d, level, a_typ, a_idx, b_typ, b_idx)``: one record per
+        identified f_{a,level} of pair ``d``, its pointer in a's and in
+        b's label, ordered by level.
         """
-        pairs: List[Tuple[SegmentPointer, SegmentPointer]] = []
-        pa = label_a.zoom0
-        pb = label_a.zoom0  # level-0 segments coincide across nodes
-        typ, lvl, idx = pb
-        if idx >= len(label_b.segments.get((typ, lvl), ())):
-            return pairs
-        pairs.append((pa, pb))
-        for i in range(1, len(label_a.zoom_virtual_indices)):
-            psi = label_a.zoom_virtual_indices[i]
-            if psi is None:
-                break
-            table_a = label_a.zeta.get(i - 1, {})
-            table_b = label_b.zeta.get(i - 1, {})
-            next_a = table_a.get((pa, psi))
-            next_b = table_b.get((pb, psi))
-            if next_a is None or next_b is None:
-                break
-            pa, pb = next_a, next_b
-            pairs.append((pa, pb))
-        return pairs
+        zeta = self._zeta
+        # Level-0 segments coincide across nodes: f_a0 sits at the same
+        # Y_0 position in b's label — when b's Y_0 is that long.
+        idx = self._zoom0[a]
+        d = np.flatnonzero(idx < self._segment(b, 0, Y)[1])
+        # Both labels' pointers side by side: a's half, then b's.
+        nodes = np.concatenate([a[d], b[d]])
+        typ, idx = np.full(2 * d.size, Y), _twice(idx[d])
+        steps = [(d, typ, idx)]
+        for i in range(1, self._levels_n):
+            half = d.size
+            psi = self._zoom_psi[nodes[:half], i]
+            found, rows = self._translate(nodes, i - 1, typ, idx, _twice(psi))
+            keep = (psi >= 0) & found[:half] & found[half:]
+            if not keep.all():
+                d, both = d[keep], _twice(keep)
+                nodes, rows = nodes[both], rows[both]
+                if not d.size:
+                    break
+            typ, idx = zeta[rows, 3], zeta[rows, 4]
+            steps.append((d, typ, idx))
+        level = np.repeat(np.arange(len(steps)), [step[0].size for step in steps])
+        d = np.concatenate([step[0] for step in steps])
+        typ, idx = (np.concatenate([step[k].reshape(2, -1) for step in steps], axis=1)
+                    for k in (1, 2))
+        return d, level, typ[0], idx[0], typ[1], idx[1]
 
-    @staticmethod
-    def _scan_common(
-        label_u: NodeLabel,
-        label_v: NodeLabel,
-        f_u: SegmentPointer,
-        f_v: SegmentPointer,
-    ) -> List[Tuple[SegmentPointer, SegmentPointer]]:
-        """Common neighbors found via translation entries keyed by f.
-
-        Both labels hold entries ``((f, psi) -> w)`` exactly when w is a
-        virtual neighbor of f that is also their own neighbor; a psi
-        present on both sides identifies a *common* neighbor (psi indices
-        refer to f's single, shared virtual enumeration).
-        """
-        level = f_u[1]
-        table_u = label_u.zeta.get(level, {})
-        table_v = label_v.zeta.get(level, {})
-        by_psi_u = {
-            psi: w_ptr for (ptr, psi), w_ptr in table_u.items() if ptr == f_u
-        }
-        out: List[Tuple[SegmentPointer, SegmentPointer]] = []
-        for (ptr, psi), w_ptr_v in table_v.items():
-            if ptr == f_v:
-                w_ptr_u = by_psi_u.get(psi)
-                if w_ptr_u is not None:
-                    out.append((w_ptr_u, w_ptr_v))
-        return out
-
-    def estimate_from_labels(self, label_u: NodeLabel, label_v: NodeLabel) -> float:
-        """D+ from two labels alone."""
-        common: List[Tuple[SegmentPointer, SegmentPointer]] = []
+    def _decode(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """D+ for pairs with u != v: the min of d_ub + d_vb over the
+        common neighbors b the two labels identify."""
+        size, n, zeta = u.size, self._n, self._zeta
+        pair_of: List[np.ndarray] = []
+        value: List[np.ndarray] = []
 
         # Level-0 segments coincide globally: every member is common.
-        for typ in ("X", "Y"):
-            seg_u = label_u.segments.get((typ, 0), ())
-            seg_v = label_v.segments.get((typ, 0), ())
-            for idx in range(min(len(seg_u), len(seg_v))):
-                common.append(((typ, 0, idx), (typ, 0, idx)))
+        typs = np.arange(2 * size) % 2  # X then Y for each pair
+        start_u, len_u = self._segment(np.repeat(u, 2), 0, typs)
+        start_v, len_v = self._segment(np.repeat(v, 2), 0, typs)
+        count = np.minimum(len_u, len_v)
+        at_u = spans(start_u, count)
+        pair_of.append(np.repeat(np.arange(2 * size) // 2, count))
+        value.append(self._seg_dist[at_u]
+                     + self._seg_dist[at_u + np.repeat(start_v - start_u, count)])
 
-        # Both zooming chains, identified in both labels.
-        chain_u = self._chain(label_u, label_v)
-        chain_v = [(pu, pv) for (pv, pu) in self._chain(label_v, label_u)]
-        common.extend(chain_u)
-        common.extend(chain_v)
+        # Both zooming chains, identified in both labels: each record's
+        # pointers side by side, u's label's half then v's.
+        d, level, a_typ, a_idx, b_typ, b_idx = self._chains(
+            np.concatenate([u, v]), np.concatenate([v, u])
+        )
+        pair, flip = d % size, d >= size  # flipped: v's chain, so a is v
+        records = d.size
+        nodes = np.concatenate([u[pair], v[pair]])
+        typ = np.concatenate([np.where(flip, b_typ, a_typ), np.where(flip, a_typ, b_typ)])
+        idx = np.concatenate([np.where(flip, b_idx, a_idx), np.where(flip, a_idx, b_idx)])
+        pair_of.append(pair)
+        value.append(self._distance(nodes, _twice(level), typ, idx).reshape(2, -1).sum(0))
 
-        # Harvest extra common neighbors through each identified f.
-        for f_u, f_v in list(chain_u) + list(chain_v):
-            common.extend(self._scan_common(label_u, label_v, f_u, f_v))
+        # Harvest: entries keyed by an identified f with the same ψ on
+        # both sides are common neighbors (ψ indexes f's one enumeration).
+        # Each record's two source slices are merged once, rows tagged
+        # record·n + ψ (ψ ascends within a slice).
+        h = np.flatnonzero(level < self._levels_n - 1)
+        if h.size:
+            both = np.concatenate([h, h + records])
+            first = self._key(nodes[both], _twice(level[h]), typ[both], idx[both])
+            lo = self._zeta_key.searchsorted(first)
+            count = self._zeta_key.searchsorted(first + n) - lo
+            rows = spans(lo, count)
+            tag = np.repeat(_twice(h), count) * n + zeta[rows, 2]
+            split = int(count[: h.size].sum())
+            tag_u, tag_v = tag[:split], tag[split:]
+            if tag_u.size and tag_v.size:
+                at = np.minimum(tag_u.searchsorted(tag_v), tag_u.size - 1)
+                hit = tag_u[at] == tag_v
+                rec = tag_v[hit] // n
+                w = np.concatenate([rows[:split][at[hit]], rows[split:][hit]])
+                pair_of.append(pair[rec])
+                value.append(self._distance(
+                    np.concatenate([nodes[rec], nodes[rec + records]]),
+                    _twice(level[rec] + 1), zeta[w, 3], zeta[w, 4],
+                ).reshape(2, -1).sum(0))
 
-        best = float("inf")
-        for ptr_u, ptr_v in common:
-            best = min(best, label_u.distance_at(ptr_u) + label_v.distance_at(ptr_v))
-        return best
-
-    def estimate(self, u: NodeId, v: NodeId) -> float:
-        """Distance estimate for a node pair via their labels."""
-        u, v = as_node_pair(u, v, self.metric.n)
-        if u == v:
-            return 0.0
-        return self.estimate_from_labels(self.labels[u], self.labels[v])
-
-    # -- batched estimation --------------------------------------------
-
-    def _index_of(self, u: NodeId) -> tuple:
-        """u's decode index: per-level ``ptr -> {psi: (w_ptr, d_w)}``
-        maps (ζ keyed by source pointer, so the common-neighbor harvest
-        intersects two small dicts instead of scanning whole tables) plus
-        the level-0 segment distances as arrays."""
-        cached = self._decode_index[u]
-        if cached is None:
-            label = self.labels[u]
-            by_ptr: List[Dict[SegmentPointer, Dict[int, tuple]]] = []
-            for i in range(self.scales.levels_n - 1):
-                level_map: Dict[SegmentPointer, Dict[int, tuple]] = {}
-                for (ptr, psi), w_ptr in label.zeta.get(i, {}).items():
-                    level_map.setdefault(ptr, {})[psi] = (
-                        w_ptr,
-                        label.distance_at(w_ptr),
-                    )
-                by_ptr.append(level_map)
-            seg0 = {
-                typ: np.asarray(label.segments.get((typ, 0), ()), dtype=float)
-                for typ in ("X", "Y")
-            }
-            cached = (by_ptr, seg0)
-            self._decode_index[u] = cached
-        return cached
-
-    def _chain_indexed(self, label_a: NodeLabel, by_ptr_a, label_b: NodeLabel,
-                       by_ptr_b) -> List[Tuple[SegmentPointer, SegmentPointer]]:
-        """:meth:`_chain` over the decode indexes (same pairs, O(1) steps)."""
-        pairs: List[Tuple[SegmentPointer, SegmentPointer]] = []
-        pa = pb = label_a.zoom0  # level-0 segments coincide across nodes
-        typ, lvl, idx = pb
-        if idx >= len(label_b.segments.get((typ, lvl), ())):
-            return pairs
-        pairs.append((pa, pb))
-        for i in range(1, len(label_a.zoom_virtual_indices)):
-            psi = label_a.zoom_virtual_indices[i]
-            if psi is None or i - 1 >= len(by_ptr_a):
-                break
-            entry_a = by_ptr_a[i - 1].get(pa, {}).get(psi)
-            entry_b = by_ptr_b[i - 1].get(pb, {}).get(psi)
-            if entry_a is None or entry_b is None:
-                break
-            pa, pb = entry_a[0], entry_b[0]
-            pairs.append((pa, pb))
-        return pairs
-
-    def _estimate_indexed(self, u: NodeId, v: NodeId) -> float:
-        """:meth:`estimate` over the decode indexes — the identical
-        candidate set (level-0 members, both chains, the ζ harvest), so
-        the minimum matches the per-pair decoder bit for bit."""
-        label_u, label_v = self.labels[u], self.labels[v]
-        by_ptr_u, seg0_u = self._index_of(u)
-        by_ptr_v, seg0_v = self._index_of(v)
-        best = float("inf")
-        for typ in ("X", "Y"):
-            a, b = seg0_u[typ], seg0_v[typ]
-            m = min(a.size, b.size)
-            if m:
-                best = min(best, float((a[:m] + b[:m]).min()))
-        chain_u = self._chain_indexed(label_u, by_ptr_u, label_v, by_ptr_v)
-        chain_v = [
-            (pu, pv)
-            for (pv, pu) in self._chain_indexed(label_v, by_ptr_v, label_u, by_ptr_u)
-        ]
-        for f_u, f_v in chain_u + chain_v:
-            best = min(best, label_u.distance_at(f_u) + label_v.distance_at(f_v))
-            level = f_u[1]
-            if level >= len(by_ptr_u):
-                continue
-            map_u = by_ptr_u[level].get(f_u, {})
-            map_v = by_ptr_v[level].get(f_v, {})
-            if not map_u or not map_v:
-                continue
-            if len(map_v) < len(map_u):
-                map_u, map_v = map_v, map_u
-            for psi, (_w_ptr, d_small) in map_u.items():
-                other = map_v.get(psi)
-                if other is not None:
-                    best = min(best, d_small + other[1])
+        best = np.full(size, np.inf)
+        np.minimum.at(best, np.concatenate(pair_of), np.concatenate(value))
         return best
 
     def estimate_many(self, us, vs) -> np.ndarray:
-        """Batched estimates via the per-node decode indexes.
-
-        The ζ harvest dominates per-pair decoding; reorganizing each
-        label's translation tables by source pointer (once, lazily) turns
-        it from a full-table scan into a small-dict intersection, which
-        is what makes :func:`repro.engine.bulk_estimates` fast for the
-        paper's own labeling scheme.
-        """
+        """D+ for a batch of pairs (0 on the diagonal), decoded from the
+        two labels of each pair in vectorized passes of up to
+        ``_DECODE_CHUNK`` pairs."""
         us, vs = as_node_pairs(us, vs, self.metric.n)
-        out = np.empty(us.shape[0], dtype=float)
-        for i in range(us.shape[0]):
-            u, v = int(us[i]), int(vs[i])
-            out[i] = 0.0 if u == v else self._estimate_indexed(u, v)
+        out = np.zeros(us.shape[0], dtype=float)
+        off = np.flatnonzero(us != vs)
+        for lo in range(0, off.size, _DECODE_CHUNK):
+            sel = off[lo : lo + _DECODE_CHUNK]
+            out[sel] = self._decode(us[sel], vs[sel])
         return out
+
+    def estimate(self, u: NodeId, v: NodeId) -> float:
+        """Distance estimate for a node pair via their labels (a batch of
+        one)."""
+        u, v = as_node_pair(u, v, self.metric.n)
+        return 0.0 if u == v else float(self._decode(np.array([u]), np.array([v]))[0])
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
 
     def label_bits(self, u: NodeId) -> SizeAccount:
-        return self.labels[u].size
+        return SizeAccount(
+            {cat: int(bits) for cat, bits in zip(self._categories, self._size_bits[u])}
+        )
 
     def max_label_bits(self) -> int:
-        return max(label.size.total_bits for label in self.labels)
+        return int(self._size_bits.sum(axis=1).max())
 
     def mean_label_bits(self) -> float:
-        return float(np.mean([label.size.total_bits for label in self.labels]))
+        return float(np.mean(self._size_bits.sum(axis=1)))
 
     def max_virtual_neighbors(self) -> int:
         """max_u |T_u| — the paper bounds it by O_{α,δ}(log n · log Δ)."""
-        if self._virtual is None:
+        if self._t_indptr is None:
             raise RuntimeError(
                 "virtual-neighbor enumerations are construction-time state "
                 "and are not persisted; unavailable on a loaded structure"
             )
-        return max(len(t) for t in self._virtual)
+        return int(np.diff(self._t_indptr).max())
 
     # ------------------------------------------------------------------
-    # Simulation/test helpers (not part of the decoding protocol)
+    # Simulation helpers (not part of the decoding protocol)
     # ------------------------------------------------------------------
 
-    def _segment_node_for_test(self, u: NodeId, ptr: SegmentPointer) -> NodeId:
-        """Resolve a segment pointer of u back to the physical node.
+    def segment_node(self, u: NodeId, level: int, typ: int, idx: int) -> NodeId:
+        """The physical node behind pointer (typ, idx) of u's level-``level``
+        segments.
 
         Only tests and the Theorem 4.2 simulator use this — the decoding
-        protocol itself never converts pointers to global ids.
+        protocol itself never converts pointers to global ids (a real
+        node resolves pointers to its first-hop slots).
         """
-        typ, level, idx = ptr
-        return self._segment_members(u, typ, level)[idx]
+        scales = self.scales
+        members = scales.x_neighbors(u, level) if typ == X else scales.y_neighbors(u, level)
+        return members[idx]

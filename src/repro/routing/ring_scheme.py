@@ -653,16 +653,19 @@ class RingRouting(RoutingScheme):
         cls,
         meta: dict,
         arrays: dict,
+        n: int,
         row_cache_bytes: Optional[int] = None,
     ) -> "RingRouting":
-        """Rehydrate from :meth:`to_arrays` with zero net construction.
+        """Rehydrate an n-node scheme from :meth:`to_arrays` with zero net
+        construction.
 
-        The rings, zooming entries and labels are checked first
-        (:func:`_check_arrays`).  The attached metric is always the lazy
-        (row-on-demand) :class:`ShortestPathMetric` — routing itself never
-        consults it, and evaluation distances are identical either way; a
-        loaded structure must not pay an APSP rebuild."""
-        graph = WeightedGraph.from_adjacency_arrays(arrays)
+        The graph adjacency, rings, zooming entries and labels are
+        checked first (:func:`_check_arrays`).  The attached metric is
+        always the lazy (row-on-demand) :class:`ShortestPathMetric` —
+        routing itself never consults it, and evaluation distances are
+        identical either way; a loaded structure must not pay an APSP
+        rebuild."""
+        graph = WeightedGraph.from_adjacency_arrays(arrays, n)
         _check_arrays(graph.n, int(meta["levels"]), arrays)
         scheme = cls.__new__(cls)
         scheme.graph = graph

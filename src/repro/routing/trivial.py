@@ -69,11 +69,13 @@ class TrivialRouting(RoutingScheme):
         cls,
         meta: dict,
         arrays: dict,
+        n: int,
         row_cache_bytes: Optional[int] = None,
     ) -> "TrivialRouting":
-        """Rehydrate from :meth:`to_arrays` (no Dijkstra rerun for the
-        dense backend; the lazy backend recomputes rows on demand)."""
-        graph = WeightedGraph.from_adjacency_arrays(arrays)
+        """Rehydrate an n-node scheme from :meth:`to_arrays` (no Dijkstra
+        rerun for the dense backend; the lazy backend recomputes rows on
+        demand).  The adjacency is checked first."""
+        graph = WeightedGraph.from_adjacency_arrays(arrays, n)
         scheme = cls.__new__(cls)
         scheme.graph = graph
         scheme.first_hops = FirstHopTable.from_arrays(

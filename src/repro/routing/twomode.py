@@ -38,12 +38,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
 
 from repro._types import NodeId, as_node_pair
 from repro.bits import SizeAccount, bits_for_count
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.shortest_paths import FirstHopTable
-from repro.labeling.dls import NodeLabel, RingDLS, SegmentPointer
+from repro.labeling.dls import X, RingDLS
 from repro.metrics.graphmetric import ShortestPathMetric
 from repro.routing.base import RouteResult, RoutingScheme
 
@@ -55,10 +56,10 @@ FriendEntry = Tuple[int, Optional[int], int, float]
 
 @dataclass
 class TwoModeLabel:
-    """Routing label of a target node."""
+    """Routing label of a target node: its friends and id on top of its
+    Theorem 3.4 label, which the decoder reads from ``dls`` by node."""
 
     node: NodeId
-    base: NodeLabel
     friends: List[FriendEntry]
     extra_bits: int
 
@@ -95,6 +96,7 @@ class TwoModeRouting(RoutingScheme):
         self.labels: List[TwoModeLabel] = [
             self._build_label(t) for t in range(graph.n)
         ]
+        self._resolve_friends()
         self._build_mode2()
 
     # ------------------------------------------------------------------
@@ -118,14 +120,13 @@ class TwoModeRouting(RoutingScheme):
         return out
 
     def _build_label(self, t: NodeId) -> TwoModeLabel:
-        base = self.dls.labels[t]
         zoom = self.scales.zooming_sequence(t)
         row = self.metric.distances_from(t)
         friends: List[FriendEntry] = []
         extra_bits = bits_for_count(self.graph.n)  # ID(t)
         for i, j, w in self._friend_candidates(t):
             f_prev = zoom[i - 1]
-            psi = self.dls._virtual_index[f_prev].get(w)
+            psi = self.dls.virtual_index(f_prev, w)
             if psi is None:
                 # Claim 3.5's conditions don't hold for this friend; the
                 # label simply omits it (the paper's analysis never needs
@@ -134,11 +135,11 @@ class TwoModeRouting(RoutingScheme):
             dist = self.dls.codec.roundtrip(float(row[w]))
             friends.append((i, j, psi, dist))
             extra_bits += (
-                bits_for_count(len(self.dls._virtual[f_prev]))
+                bits_for_count(self.dls.virtual_size(f_prev))
                 + self.dls.codec.bits_per_distance
                 + bits_for_count(self.scales.nets.levels)
             )
-        return TwoModeLabel(node=t, base=base, friends=friends, extra_bits=extra_bits)
+        return TwoModeLabel(node=t, friends=friends, extra_bits=extra_bits)
 
     # ------------------------------------------------------------------
     # Mode M2 data: anchors, chunk directories, stored paths
@@ -190,42 +191,65 @@ class TwoModeRouting(RoutingScheme):
     # M1 identification machinery
     # ------------------------------------------------------------------
 
-    def _identify_chain(
-        self, u: NodeId, label: TwoModeLabel
-    ) -> List[SegmentPointer]:
-        """Pointers of f_t0..f_tk inside u's enumerations (k = deepest)."""
-        pairs = RingDLS._chain(label.base, self.dls.labels[u])
-        return [pv for (_pa, pv) in pairs]
+    def _resolve_friends(self) -> None:
+        """Every target's friends as every node resolves them from the
+        target's label, in one batched pass of the Theorem 3.4 decoder:
+        t's zooming chain identified in u's label for all (t, u)
+        (``dls._chains``), then one ζ lookup for every (u, friend of t)
+        whose f_{t,i-1} was identified (``dls._translate``).
 
-    def _resolve_friend(
-        self, u: NodeId, label: TwoModeLabel, chain: List[SegmentPointer],
-        i: int, psi: int,
-    ) -> Optional[SegmentPointer]:
-        """Pointer of a friend (given by ψ in f_{t,i-1}'s enumeration)
-        inside u's enumerations, via ζ_{u,i-1}."""
-        if i - 1 >= len(chain) or i - 1 < 0:
-            return None
-        f_ptr = chain[i - 1]
-        table = self.dls.labels[u].zeta.get(i - 1, {})
-        return table.get((f_ptr, psi))
+        Friends are numbered globally, target t's in
+        ``[_friend_ptr[t], _friend_ptr[t+1])``.  Friend f resolves at u to
+        pointer (``_res_typ[u, f]``, ``_res_idx[u, f]``) of u's level-i
+        segments at stored distance ``_res_dist[u, f]``; to type -1 and a
+        NaN distance where it does not.
+        """
+        n, dls = self.graph.n, self.dls
+        counts = [len(label.friends) for label in self.labels]
+        self._friend_ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        entries = [entry for label in self.labels for entry in label.friends]
+        self._friend_level = np.array([e[0] for e in entries], dtype=np.int64)
+        psi = np.array([e[2] for e in entries], dtype=np.int64)
+        self._friend_dist = np.array([e[3] for e in entries], dtype=float)
 
-    def _distance_at(self, u: NodeId, ptr: SegmentPointer) -> float:
-        return self.dls.labels[u].distance_at(ptr)
+        pairs = np.arange(n * n, dtype=np.int64)  # t·n + u
+        d, level, _, _, typ, idx = dls._chains(pairs // n, pairs % n)
+        chain_len = np.bincount(d, minlength=n * n)
+        chain = np.zeros((n * n, self._levels_n, 2), dtype=np.int64)
+        chain[d, level] = np.stack([typ, idx], axis=1)
 
-    def _is_good(
-        self, u: NodeId, i: int, j: Optional[int], d_uw: float, d_wt: float,
-        ptr: SegmentPointer,
+        total = len(entries)
+        node = np.repeat(np.arange(n, dtype=np.int64), total)
+        friend = np.tile(np.arange(total, dtype=np.int64), n)
+        pair = np.repeat(np.arange(n, dtype=np.int64), counts)[friend] * n + node
+        lv = self._friend_level[friend]
+        q = np.flatnonzero(lv <= chain_len[pair])  # f_{t,i-1} identified at u
+        f_ptr = chain[pair[q], lv[q] - 1]
+        hit, rows = dls._translate(node[q], lv[q] - 1, f_ptr[:, 0], f_ptr[:, 1], psi[friend[q]])
+        q, rows = q[hit], rows[hit]
+        w_typ, w_idx = dls._zeta[rows, 3], dls._zeta[rows, 4]
+        self._res_typ = np.full((n, total), -1, dtype=np.int8)
+        self._res_typ.flat[q] = w_typ
+        self._res_idx = np.zeros((n, total), dtype=np.int64)
+        self._res_idx.flat[q] = w_idx
+        self._res_dist = np.full((n, total), np.nan)
+        self._res_dist.flat[q] = dls._distance(node[q], lv[q], w_typ, w_idx)
+
+    def _friend_node(self, u: NodeId, f: int) -> NodeId:
+        """The node behind friend f's pointer in u's label."""
+        return self.dls.segment_node(
+            u, int(self._friend_level[f]), int(self._res_typ[u, f]), int(self._res_idx[u, f])
+        )
+
+    def _strictly_good(
+        self, u: NodeId, i: int, j: Optional[int], d_uw: float, typ: int
     ) -> bool:
-        """Goodness of an intermediate target (conditions (c1)-(c3) hold by
-        successful resolution; see ``strict_goodness`` in ``__init__``)."""
+        """The literal (c4)-(c5) conditions of Appendix B and the pointer
+        type of (c2), on top of the behavioral d_wt <= δ'·d_uw (see
+        ``strict_goodness`` in ``__init__``; (c1)-(c3) hold by successful
+        resolution)."""
         dp = self.delta_prime
         scales = self.scales
-        if d_uw <= 0:
-            return False
-        if d_wt > dp * d_uw:
-            return False
-        if not self.strict_goodness:
-            return True
         r_ui = scales.rui(u, i)
         if 6.0 * r_ui > dp * d_uw:
             return False
@@ -240,33 +264,30 @@ class TwoModeRouting(RoutingScheme):
         if not (r_ui < 2.0 * d_uw / (1.0 - self.delta) and r_prev >= 2.0 * d_uw * (1.0 - dp)):
             return False
         # (c2): pointer type must match the friend kind.
-        typ = ptr[0]
-        if j is None and typ != "X":
-            return False
-        if j is not None and typ != "Y":
-            return False
-        return True
+        return (typ == X) == (j is None)
 
-    def _select_good(
-        self, u: NodeId, label: TwoModeLabel, chain: List[SegmentPointer]
-    ) -> Optional[Tuple[int, Optional[int], int, float, SegmentPointer]]:
-        """A (u,i,j)-good intermediate target, or None.
+    def _select_good(self, u: NodeId, t: NodeId) -> Optional[int]:
+        """A (u,i,j)-good intermediate target among t's friends (its global
+        friend index), or None.
 
-        Prefers the friend with the smallest stored distance to t.
+        Prefers the friend with the smallest stored distance to t (the
+        first one on ties).  A friend u cannot resolve has a NaN distance
+        and is never good.
         """
-        best: Optional[Tuple[int, Optional[int], int, float, SegmentPointer]] = None
-        best_score = float("inf")
-        for i, j, psi, d_wt in label.friends:
-            ptr = self._resolve_friend(u, label, chain, i, psi)
-            if ptr is None:
-                continue
-            d_uw = self._distance_at(u, ptr)
-            if not self._is_good(u, i, j, d_uw, d_wt, ptr):
-                continue
-            if d_wt < best_score:
-                best_score = d_wt
-                best = (i, j, psi, d_uw, ptr)
-        return best
+        lo, hi = self._friend_ptr[t], self._friend_ptr[t + 1]
+        d_uw = self._res_dist[u, lo:hi]
+        d_wt = self._friend_dist[lo:hi]
+        good = (d_uw > 0) & (d_wt <= self.delta_prime * d_uw)
+        if self.strict_goodness:
+            friends = self.labels[t].friends
+            for k in np.flatnonzero(good):
+                i, j = friends[k][:2]
+                good[k] = self._strictly_good(
+                    u, i, j, float(d_uw[k]), int(self._res_typ[u, lo + k])
+                )
+        if not good.any():
+            return None
+        return int(lo + np.argmin(np.where(good, d_wt, np.inf)))
 
     # ------------------------------------------------------------------
     # Routing
@@ -281,16 +302,16 @@ class TwoModeRouting(RoutingScheme):
         header = self._header_bits_m1(label)
         path = [source]
         current = source
-        # Intermediate-target id: (i, j, psi, Dest) or None.
-        inter: Optional[Tuple[int, Optional[int], int, float]] = None
+        # Intermediate-target id: (friend of t, Dest) or None; the friend
+        # stands for its (i, j, ψ-index) in t's label.
+        inter: Optional[Tuple[int, float]] = None
         switches = 0
 
         while current != target and len(path) <= limit:
-            chain = self._identify_chain(current, label)
             step: Optional[NodeId] = None
             if inter is not None:
-                ptr = self._resolve_friend(current, label, chain, inter[0], inter[2])
-                if ptr is None:
+                f, dest = inter
+                if self._res_typ[current, f] < 0:
                     inter = None
                     switches += 1
                     delivered = self._route_mode2(current, target, path, limit)
@@ -299,18 +320,18 @@ class TwoModeRouting(RoutingScheme):
                         header_bits=max(header, self._header_bits_m2()),
                         mode_switches=switches,
                     )
-                d_cw = self._distance_at(current, ptr)
+                d_cw = float(self._res_dist[current, f])
                 if d_cw <= 0:
                     inter = None  # we are at the intermediate target
                 else:
-                    w = self._segment_node(current, ptr)
+                    w = self._friend_node(current, f)
                     nxt = self.first_hops.first_hop(current, w)
-                    if d_cw - self.graph.weight(current, nxt) <= 2 * self.delta_prime * inter[3]:
+                    if d_cw - self.graph.weight(current, nxt) <= 2 * self.delta_prime * dest:
                         inter = None  # close enough: next node reselects
                     step = nxt
             if step is None and current != target:
-                choice = self._select_good(current, label, chain)
-                if choice is None:
+                f = self._select_good(current, target)
+                if f is None:
                     switches += 1
                     delivered = self._route_mode2(current, target, path, limit)
                     return RouteResult(
@@ -318,9 +339,8 @@ class TwoModeRouting(RoutingScheme):
                         header_bits=max(header, self._header_bits_m2()),
                         mode_switches=switches,
                     )
-                i, j, psi, d_uw, ptr = choice
-                inter = (i, j, psi, d_uw)
-                w = self._segment_node(current, ptr)
+                inter = (f, float(self._res_dist[current, f]))
+                w = self._friend_node(current, f)
                 if w == current:
                     inter = None
                     continue
@@ -332,17 +352,6 @@ class TwoModeRouting(RoutingScheme):
             source, target, path, current == target,
             header_bits=header, mode_switches=switches,
         )
-
-    def _segment_node(self, u: NodeId, ptr: SegmentPointer) -> NodeId:
-        """The physical node behind a segment pointer of u (simulation
-        helper; a real node resolves pointers to its first-hop slots)."""
-        typ, level, idx = ptr
-        members = (
-            self.scales.x_neighbors(u, level)
-            if typ == "X"
-            else self.scales.y_neighbors(u, level)
-        )
-        return members[idx]
 
     def _route_mode2(
         self, s: NodeId, target: NodeId, path: List[NodeId], limit: int
@@ -379,8 +388,8 @@ class TwoModeRouting(RoutingScheme):
     # ------------------------------------------------------------------
 
     def _header_bits_m1(self, label: TwoModeLabel) -> int:
-        base = label.base.size.total_bits + label.extra_bits
-        max_t = max(len(t) for t in self.dls._virtual)
+        base = self.dls.label_bits(label.node).total_bits + label.extra_bits
+        max_t = self.dls.max_virtual_neighbors()
         inter = (
             bits_for_count(self._levels_n)
             + bits_for_count(self.scales.nets.levels)
@@ -403,7 +412,7 @@ class TwoModeRouting(RoutingScheme):
         n_bits = bits_for_count(self.graph.n)
 
         # Mode M1 share.
-        own = self.dls.labels[u].size
+        own = self.dls.label_bits(u)
         for name, bits in own.components.items():
             account.add(f"m1_{name}", bits)
         neighbors = len(self.scales.all_neighbors(u))
@@ -422,8 +431,7 @@ class TwoModeRouting(RoutingScheme):
 
     def label_bits(self, u: NodeId) -> SizeAccount:
         account = SizeAccount()
-        label = self.labels[u]
-        for name, bits in label.base.size.components.items():
+        for name, bits in self.dls.label_bits(u).components.items():
             account.add(name, bits)
-        account.add("friends_and_id", label.extra_bits)
+        account.add("friends_and_id", self.labels[u].extra_bits)
         return account

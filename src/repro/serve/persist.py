@@ -185,13 +185,15 @@ def _rehydrate(name, container, metric, row_cache_bytes):
         from repro.routing.trivial import TrivialRouting
 
         return TrivialRouting.from_arrays(
-            meta, arrays, row_cache_bytes=row_cache_bytes
+            meta, arrays, int(container.meta["metric"]["n"]),
+            row_cache_bytes=row_cache_bytes,
         )
     if name == "route-thm2.1":
         from repro.routing.ring_scheme import RingRouting
 
         return RingRouting.from_arrays(
-            meta, arrays, row_cache_bytes=row_cache_bytes
+            meta, arrays, int(container.meta["metric"]["n"]),
+            row_cache_bytes=row_cache_bytes,
         )
     raise UnsupportedSchemeError(f"no load codec for scheme {name!r}")
 

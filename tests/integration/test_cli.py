@@ -89,6 +89,9 @@ class TestServeCommands:
         code = main(["load", str(path), "--verify"])
         assert code == 0
         assert "route-thm2.1" in capsys.readouterr().out
+        code = main(["load", str(path), "--pair", "0", "5"])
+        assert code == 0
+        assert "route(0,5)  reached=True hops=" in capsys.readouterr().out
 
     def test_load_rejects_non_container(self, tmp_path):
         path = tmp_path / "garbage.repro"

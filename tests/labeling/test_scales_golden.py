@@ -10,7 +10,10 @@ the lazy graph metric.  A non-uniform measure, and the two other
 consumers of the scale structure (Theorem 3.4's labels and Theorem
 4.2's routing), are pinned the same way.  The digests were recorded on
 the per-ball construction that preceded the count-based one; floats are
-hashed by their exact bits.
+hashed by their exact bits.  Theorem 3.4's labels were then per-node
+objects; they now live only in their container arrays, so the two
+digests over them feed the canonical text of those objects rebuilt from
+the arrays (:func:`_node_labels`).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.bits import SizeAccount
 from repro.metrics.measure import doubling_measure
 from repro.metrics.packing import eps_mu_packing
 
@@ -122,11 +126,70 @@ def _zeta_bytes(zeta) -> bytes:
     return table[np.lexsort(table.T[::-1])].tobytes()
 
 
+@dataclasses.dataclass
+class NodeLabel:
+    """The per-node label object the digests were recorded on:
+    ``segments[(typ, i)]`` holds a segment's distances, ``zeta[i]`` maps
+    ``((typ, i, idx), psi)`` to ``(typ, i + 1, idx)``."""
+
+    segments: dict
+    zeta: dict
+    zoom0: tuple
+    zoom_virtual_indices: tuple
+    size: SizeAccount
+
+
+@dataclasses.dataclass
+class TwoModeLabel:
+    """Theorem 4.2's routing label as recorded, with its NodeLabel."""
+
+    node: int
+    base: NodeLabel
+    friends: list
+    extra_bits: int
+
+
+def _node_labels(dls) -> list:
+    """Every node's :class:`NodeLabel`, rebuilt from ``dls.to_arrays()``."""
+    meta, arrays = dls.to_arrays()
+    levels_n, typ = meta["levels_n"], ("X", "Y")
+    seg_indptr, seg_dist = arrays["seg_indptr"], arrays["seg_dist"]
+    zeta_indptr, zeta_data = arrays["zeta_indptr"], arrays["zeta_data"]
+    labels = []
+    for u in range(meta["n"]):
+        segments = {}
+        for i in range(levels_n):
+            for t in (0, 1):
+                row = (u * levels_n + i) * 2 + t
+                segments[(typ[t], i)] = tuple(seg_dist[seg_indptr[row] : seg_indptr[row + 1]].tolist())
+        zeta = {}
+        for i in range(levels_n - 1):
+            slot = u * (levels_n - 1) + i
+            rows = zeta_data[zeta_indptr[slot] : zeta_indptr[slot + 1]].tolist()
+            zeta[i] = {((typ[vt], i, vx), psi): (typ[wt], i + 1, wx)
+                       for vt, vx, psi, wt, wx in rows}
+        psis = arrays["zoom_psi"][u].tolist()
+        labels.append(NodeLabel(
+            segments=segments,
+            zeta=zeta,
+            zoom0=("Y", 0, int(arrays["zoom0_idx"][u])),
+            zoom_virtual_indices=tuple(None if psi < 0 else psi for psi in psis),
+            size=dls.label_bits(u),
+        ))
+    return labels
+
+
+def _virtual(dls) -> list:
+    """Every node's virtual enumeration T_u as a tuple of ids."""
+    return [tuple(int(w) for w in dls._t_members[dls._t_indptr[u] : dls._t_indptr[u + 1]])
+            for u in range(dls.metric.n)]
+
+
 def test_ring_dls_labels():
     dls = api.build("labels", "hypercube", n=64, seed=0, cache=api.BuildCache()).inner
     digest = hashlib.sha256()
-    digest.update(_canon(dls._virtual).encode())
-    for label in dls.labels:
+    digest.update(_canon(_virtual(dls)).encode())
+    for label in _node_labels(dls):
         digest.update((_canon(dataclasses.replace(label, zeta={})) + "\n").encode())
         digest.update(_zeta_bytes(label.zeta))
     assert digest.hexdigest() == DLS_LABELS
@@ -135,7 +198,8 @@ def test_ring_dls_labels():
 def test_two_mode_routing():
     scheme = api.build("route-thm4.2", "gap-path", n=64, seed=0, cache=api.BuildCache()).inner
     digest = hashlib.sha256()
-    for label in scheme.labels:
+    for label, base in zip(scheme.labels, _node_labels(scheme.dls)):
+        label = TwoModeLabel(label.node, base, label.friends, label.extra_bits)
         digest.update((_canon(label) + "\n").encode())
     digest.update(_canon((scheme._m2_owner, scheme._anchor)).encode())
     for u in range(0, 64, 3):

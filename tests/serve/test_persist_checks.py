@@ -8,8 +8,11 @@ must not change it.  A triangulation container whose CSR labels are
 malformed would otherwise be served silently wrong: every such file is
 refused with a :class:`ContainerError` naming the file and the check.
 So is a Theorem 2.1 routing container whose rings, zooming entries,
-labels or dense first-hop table would route wrong, and a Thorup–Zwick
-oracle whose bunches, levels or pivots would answer wrong.
+labels or dense first-hop table would route wrong, a routing container
+whose graph adjacency would, a beacons container whose beacons or
+labels would answer wrong, a Theorem 3.4 labels container whose
+segments, translation tables or zooming sequences would, and a
+Thorup–Zwick oracle whose bunches, levels or pivots would.
 """
 
 from __future__ import annotations
@@ -249,6 +252,90 @@ def test_well_formed_routing_container_still_loads(tmp_path):
         assert loaded.inner.route(u, v).path == fitted.inner.route(u, v).path
 
 
+@pytest.fixture(scope="module", params=["route-trivial", "route-thm2.1"])
+def saved_graph_router(request, tmp_path_factory):
+    """A routing scheme on a 40-node lazy k-NN graph, built and saved once."""
+    fitted = api.build(request.param, "knn-graph", n=40, seed=0, delta=0.3,
+                       workload_params={"dense": False})
+    path = tmp_path_factory.mktemp("graph") / "route.repro"
+    api.save(fitted, path)
+    return fitted, path
+
+
+def _self_link(targets, arrays):
+    targets[arrays["adj_indptr"][3]] = 3  # row 3's first link back to 3
+    return targets
+
+
+# Every case loaded before the adjacency check existed (the target past n
+# and the short indptr raised an untyped IndexError); a negative weight
+# then aborted a route on the trivial scheme and grew without bound on
+# Theorem 2.1's.  No case routes on the tampered graph.
+MALFORMED_GRAPHS = {
+    "indptr-short": ("adj_indptr", lambda p, arrays: p[:-1], "adj_indptr must have n \\+ 1 = 41"),
+    "indptr-decreasing": ("adj_indptr", _set(5, 0), "adj_indptr must never decrease"),
+    "target-past-n": ("adj_targets", _set(0, 999), "adj_targets must lie in \\[0, 40\\)"),
+    "negative-target": ("adj_targets", _set(0, -1), "adj_targets must lie in \\[0, 40\\)"),
+    "targets-not-integers": ("adj_targets", lambda t, arrays: t.astype(float),
+                             "adj_targets must be a one-dimensional integer array"),
+    "self-link": ("adj_targets", _self_link, "never be their own row's node"),
+    "weight-negative": ("adj_weights", _set(0, -1.0), "adj_weights must be finite and > 0"),
+    "weight-nan": ("adj_weights", _set(0, np.nan), "adj_weights must be finite and > 0"),
+    "weight-zero": ("adj_weights", _set(0, 0.0), "adj_weights must be finite and > 0"),
+    "weights-short": ("adj_weights", lambda w, arrays: w[:-1], "one entry per target"),
+    "weight-one-way": ("adj_weights", lambda w, arrays: w * np.r_[2.0, np.ones(w.size - 1)],
+                       "also be present as \\(v, u, w\\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+def test_malformed_routing_graph_is_refused(saved_graph_router, tmp_path, case):
+    name, change, check = MALFORMED_GRAPHS[case]
+    path = _tampered_copy(saved_graph_router[1], tmp_path / "route.repro", name, change)
+    with pytest.raises(ContainerError, match=check) as err:
+        api.load(path)
+    assert str(path) in str(err.value)
+
+
+def test_well_formed_routing_graph_still_loads(saved_graph_router, tmp_path):
+    fitted, source = saved_graph_router
+    path = _tampered_copy(source, tmp_path / "route.repro", "adj_weights", lambda w, arrays: w)
+    loaded = api.load(path)
+    for u, v in [(0, 39), (7, 21)]:
+        assert loaded.inner.route(u, v).path == fitted.inner.route(u, v).path
+
+
+def _repeat_beacon(beacons, arrays):
+    beacons[1] = beacons[0]
+    return beacons
+
+
+# Every case loaded and served before the beacons check existed: a NaN
+# label served NaN, a negative one a wrong estimate.
+MALFORMED_BEACONS = {
+    "beacon-past-n": ("beacons", _set(0, 999), "beacons must lie in \\[0, 40\\)"),
+    "negative-beacon": ("beacons", _set(0, -1), "beacons must lie in \\[0, 40\\)"),
+    "beacons-repeated": ("beacons", _repeat_beacon, "beacons must be distinct"),
+    "beacons-not-integers": ("beacons", lambda b, arrays: b.astype(float),
+                             "beacons must be a one-dimensional integer array"),
+    "labels-short": ("labels", lambda lab, arrays: lab[:10],
+                     "labels must be a float array of shape \\(n, len\\(beacons\\)\\)"),
+    "labels-narrow": ("labels", lambda lab, arrays: lab[:, :-1],
+                      "labels must be a float array of shape"),
+    "label-nan": ("labels", _set((0, 0), np.nan), "labels must be finite and >= 0"),
+    "label-negative": ("labels", _set((0, 0), -5.0), "labels must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BEACONS))
+def test_malformed_beacons_container_is_refused(tmp_path, case):
+    name, change, check = MALFORMED_BEACONS[case]
+    _, path = _save_tampered(tmp_path, "beacons", name, change)
+    with pytest.raises(ContainerError, match=check) as err:
+        api.load(path)
+    assert str(path) in str(err.value)
+
+
 def _shift_bunch(ids, arrays, row=7, by=40):
     indptr = arrays["bunch_indptr"]
     ids[indptr[row] : indptr[row + 1]] += by
@@ -331,7 +418,8 @@ def _drop_mid(indptr, arrays):
 
 
 # Every case loaded without complaint before the load check existed,
-# except negative size bits, which SizeAccount refused untyped.
+# except negative size bits, which SizeAccount refused untyped; so did
+# every case from the flat-segment comment on before that check.
 MALFORMED_LABELS = {
     "seg-indptr-long": ("seg_indptr", _grow, "seg_indptr must have 2·n·levels_n \\+ 1"),
     "seg-indptr-not-from-0": ("seg_indptr", _set(0, 1), "seg_indptr must start at 0"),
@@ -361,6 +449,20 @@ MALFORMED_LABELS = {
                        "zoom_psi must be an integer array of shape"),
     "size-bits-wide": ("size_bits", _widen, "size_bits must be an integer array of shape"),
     "size-bits-negative": ("size_bits", _set((3, 0), -5), "size_bits entries must be >= 0"),
+    # Flat segments: a position past its segment's end would read the
+    # next segment's distance, and a table's keys must strictly ascend
+    # (a repeated key is ambiguous; lookups search sorted keys).
+    "zeta-source-past-segment": ("zeta_data", _set((0, 1), 10**6),
+                                 "source positions \\(column 1\\) must index their level-i"),
+    "zeta-target-past-segment": ("zeta_data", _set((0, 4), 10**6),
+                                 "target positions \\(column 4\\) must index their level-\\(i\\+1\\)"),
+    "zeta-psi-past-n": ("zeta_data", _set((0, 2), 40), "column 2\\) must be < n = 40"),
+    "zeta-keys-unsorted": ("zeta_data", lambda z, arrays: z[[1, 0, *range(2, len(z))]],
+                           "keys .* must strictly ascend"),
+    "zeta-keys-repeated": ("zeta_data", lambda z, arrays: z[[0, 0, *range(2, len(z))]],
+                           "keys .* must strictly ascend"),
+    "zoom0-past-segment": ("zoom0_idx", _set(3, 10**6), "zoom0_idx entries must index"),
+    "zoom-psi-past-n": ("zoom_psi", _set((3, 1), 40), "zoom_psi entries must be < n = 40"),
 }
 
 

@@ -244,25 +244,3 @@ class TestFacade:
         loaded = api.load(path)
         pairs = np.argwhere(np.ones((30, 30)))[:90]
         assert np.array_equal(_estimates(fitted, pairs), _estimates(loaded, pairs))
-
-    def test_build_cache_spills_and_hydrates(self, tmp_path):
-        from repro.api import BuildCache, Workload
-
-        cache = BuildCache(structure_dir=tmp_path / "spill")
-        spec = Workload.make("hypercube", n=24, seed=9)
-        first = cache.instance(spec)
-        assert cache.spills == 1
-        cache.clear()
-        second = cache.instance(spec)
-        assert cache.hydrations == 1
-        for u in range(24):
-            assert np.allclose(
-                first.metric.distances_from(u), second.metric.distances_from(u)
-            )
-
-    def test_build_cache_ignores_graph_workloads(self, tmp_path):
-        from repro.api import BuildCache, Workload
-
-        cache = BuildCache(structure_dir=tmp_path / "spill")
-        cache.instance(Workload.make("knn-graph", n=24, seed=9))
-        assert cache.spills == 0 and cache.hydrations == 0
