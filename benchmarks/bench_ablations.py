@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from benchmarks.conftest import record_table
 from repro import api
+from repro.engine import UniformSamplePlan, evaluate_routing
 from repro.labeling import RingTriangulation
 from repro.labeling._scales import ScaleStructure
 from repro.metrics.measure import counting_measure, doubling_measure
-from repro.routing import TwoModeRouting, evaluate_scheme
+from repro.routing import TwoModeRouting
 from repro.smallworld import GreedyRingsModel, PrunedRingsModel, evaluate_model
 from repro.smallworld.base import ContactGraph
 from repro.rng import ensure_rng
@@ -66,7 +67,9 @@ def test_ring_family_ablation(benchmark):
     rows = []
     for families, label in (("xy", "X+Y (paper)"), ("x", "X only"), ("y", "Y only")):
         model = _RingSubsetModel(metric, families, c=1.5, mu=mu)
-        stats = evaluate_model(model, sample_queries=250, seed=8)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=8), UniformSamplePlan(size=250, seed=8)
+        )
         rows.append(
             (label, f"{stats.completion_rate:.1%}", stats.max_hops,
              f"{stats.mean_hops:.1f}", stats.max_out_degree)
@@ -96,7 +99,9 @@ def test_measure_ablation(benchmark):
         ("counting measure", counting_measure(metric)),
     ):
         model = GreedyRingsModel(metric, c=1.5, mu=mu)
-        stats = evaluate_model(model, sample_queries=250, seed=9)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=9), UniformSamplePlan(size=250, seed=9)
+        )
         results[name] = stats
         rows.append(
             (name, f"{stats.completion_rate:.1%}", stats.max_hops,
@@ -134,7 +139,9 @@ def test_nongreedy_step_ablation(benchmark):
         ("with step (**)", PrunedRingsModel(metric, c=1.5, mu=mu)),
         ("greedy only", GreedyOnlyPruned(metric, c=1.5, mu=mu)),
     ):
-        stats = evaluate_model(model, sample_queries=250, seed=10)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=10), UniformSamplePlan(size=250, seed=10)
+        )
         results[name] = stats
         rows.append(
             (name, f"{stats.completion_rate:.1%}", stats.max_hops,
@@ -162,7 +169,7 @@ def test_goodness_ablation(benchmark):
     rows = []
     for name, strict in (("behavioral (default)", False), ("strict App-B", True)):
         scheme = TwoModeRouting(graph, delta=0.2, metric=metric, strict_goodness=strict)
-        stats = evaluate_scheme(scheme, metric.matrix, sample_pairs=200, seed=11)
+        stats = evaluate_routing(scheme, metric.matrix, UniformSamplePlan(size=200, seed=11))
         switches = sum(
             scheme.route(u, v).mode_switches
             for u in range(0, 56, 8)

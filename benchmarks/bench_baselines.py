@@ -20,6 +20,7 @@ import numpy as np
 
 from benchmarks.conftest import record_table
 from repro import api
+from repro.engine import UniformSamplePlan
 from repro.labeling import RingDLS, RingTriangulation, ThorupZwickOracle, TriangulationDLS
 from repro.metrics import label_entropy_bits, scale_coded_metric
 from repro.smallworld import (
@@ -105,7 +106,9 @@ def test_kleinberg_exponent_sweep(benchmark):
     rows = []
     for exponent in (0.0, 1.0, 2.0, 3.0, 4.0):
         model = KleinbergGridModel(14, exponent=exponent, q=1)
-        stats = evaluate_model(model, sample_queries=250, seed=2)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=2), UniformSamplePlan(size=250, seed=2)
+        )
         rows.append(
             (exponent, f"{stats.completion_rate:.0%}", stats.max_hops,
              f"{stats.mean_hops:.1f}")

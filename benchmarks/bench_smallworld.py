@@ -17,6 +17,7 @@ import math
 
 from benchmarks.conftest import record_table
 from repro import api
+from repro.engine import UniformSamplePlan
 from repro.metrics.measure import doubling_measure
 from repro.smallworld import (
     GreedyRingsModel,
@@ -62,7 +63,9 @@ def test_hops_vs_n_exponential_line(benchmark):
             ("Thm 5.2(a)", GreedyRingsModel(metric, c=1.5, mu=mu)),
             ("Thm 5.2(b)", PrunedRingsModel(metric, c=1.5, mu=mu)),
         ):
-            stats = evaluate_model(model, sample_queries=250, seed=5)
+            stats = evaluate_model(
+                model, model.sample_contacts(seed=5), UniformSamplePlan(size=250, seed=5)
+            )
             rows.append(
                 (
                     n,
@@ -101,7 +104,9 @@ def test_theorem55_grid(benchmark):
         workload = api.build_workload("grid-graph", n=side * side)
         graph, metric = workload.graph, workload.metric
         model = SingleLinkModel(metric, graph)
-        stats = evaluate_model(model, sample_queries=250, seed=6)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=6), UniformSamplePlan(size=250, seed=6)
+        )
         log_delta = math.log2(metric.aspect_ratio())
         rows.append(
             (

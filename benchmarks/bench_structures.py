@@ -16,6 +16,7 @@ import pytest
 
 from benchmarks.conftest import record_table
 from repro import api
+from repro.engine import UniformSamplePlan
 from repro.smallworld import (
     GreedyRingsModel,
     GroupStructuresModel,
@@ -37,7 +38,9 @@ def test_properties_a_b_c(benchmark, metric):
     }
     rows = []
     for name, model in models.items():
-        stats = evaluate_model(model, sample_queries=300, seed=7)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=7), UniformSamplePlan(size=300, seed=7)
+        )
         rows.append(
             (
                 name,

@@ -21,6 +21,7 @@ import math
 
 
 from repro import api
+from repro.engine import UniformSamplePlan
 from repro.smallworld import ContactGraph, evaluate_model
 from repro.smallworld.base import SmallWorldModel
 from repro.rng import ensure_rng
@@ -62,9 +63,10 @@ def main() -> None:
           f"log2 Δ = {log_delta:.0f}, log2 n = {math.log2(n):.1f}\n")
 
     print("routing 500 random queries per model:")
+    uniform = UniformContactsModel(metric, k=24)
     report("uniform contacts (k=24)",
-           evaluate_model(UniformContactsModel(metric, k=24),
-                          sample_queries=500, seed=3))
+           evaluate_model(uniform, uniform.sample_contacts(seed=3),
+                          UniformSamplePlan(size=500, seed=3)))
     for name, key in (("Thm 5.2(a) greedy rings", "sw-5.2a"),
                       ("Thm 5.2(b) pruned + (**)", "sw-5.2b")):
         fitted = api.build(key, workload=workload, seed=3, c=1.5)
@@ -80,7 +82,8 @@ def main() -> None:
         chain.add_edge(i, i + 1, metric.distance(i, i + 1))
     single = SingleLinkModel(metric, chain)
     report("Thm 5.5 single long link",
-           evaluate_model(single, sample_queries=300, seed=4))
+           evaluate_model(single, single.sample_contacts(seed=4),
+                          UniformSamplePlan(size=300, seed=4)))
     print(f"\n  (5.5's bound is 2^O(α) log² Δ ≈ {log_delta ** 2:.0f} hops — "
           "cheap per node, slow per query;\n   the ring models trade degree "
           "for O(log n)-hop queries.)")

@@ -7,7 +7,8 @@ Every adapter implements the :class:`Scheme` protocol —
   estimate, a routed packet, a small-world lookup, a closest-node
   search),
 * ``stats(samples=..., seed=...)`` — a flat dict of the quality/size
-  numbers the paper's tables report,
+  numbers the paper's tables report: the family's structure facts plus
+  ``evaluate()`` on ``UniformSamplePlan(size=samples, seed=seed)``,
 * ``size_account()`` — the bit-level storage breakdown of the heaviest
   node (the paper's per-node size claims are always worst-case).
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro._types import NodeId
 from repro.bits import SizeAccount, bits_for_count
-from repro.rng import SeedLike, ensure_rng
+from repro.rng import SeedLike
 
 from repro.api.configs import (
     BeaconsConfig,
@@ -104,7 +105,18 @@ class FittedScheme:
         raise NotImplementedError
 
     def stats(self, *, samples: int = 200, seed: SeedLike = 0) -> Dict[str, Any]:
-        raise NotImplementedError
+        """The family's structure facts plus :meth:`evaluate` on
+        ``UniformSamplePlan(size=samples, seed=seed)``."""
+        from repro.engine import UniformSamplePlan
+
+        out = self._structure_stats()
+        out.update(self.evaluate(UniformSamplePlan(size=samples, seed=seed)))
+        return out
+
+    def _structure_stats(self) -> Dict[str, Any]:
+        """Facts about the built structure that :meth:`stats` reports
+        beside the sampled quality numbers (none by default)."""
+        return {}
 
     def evaluate(self, plan: Any) -> Dict[str, Any]:
         """Quality stats over an engine query plan (see :mod:`repro.engine`).
@@ -155,13 +167,6 @@ class FittedScheme:
             f"{type(self).__name__}(workload={self.workload.name!r}, "
             f"n={self.workload.n}, config={self.config})"
         )
-
-    # -- shared helpers ------------------------------------------------
-
-    def _sample_pairs(self, samples: int, seed: SeedLike, n: int) -> np.ndarray:
-        rng = ensure_rng(seed)
-        pairs = rng.integers(0, n, size=(samples, 2))
-        return pairs[pairs[:, 0] != pairs[:, 1]]
 
 
 class _MutableSchemeMixin:
@@ -251,16 +256,6 @@ class _EstimatorScheme(FittedScheme):
         best = max(range(n), key=lambda u: self.inner.label_bits(u).total_bits)
         return self.inner.label_bits(best)
 
-    def _error_stats(self, samples: int, seed: SeedLike) -> Dict[str, Any]:
-        metric = self.workload.metric
-        pairs = self._sample_pairs(samples, seed, metric.n)
-        report = self.evaluate(pairs)
-        return {
-            "sampled_pairs": report["sampled_pairs"],
-            "max_relative_error": report["max_relative_error"],
-            "mean_relative_error": report["mean_relative_error"],
-        }
-
     def evaluate(self, plan: Any) -> Dict[str, Any]:
         """Batched error stats over an engine plan (or explicit pairs)."""
         from repro.engine import evaluate_estimator
@@ -286,15 +281,13 @@ class TriangulationScheme(_MutableSchemeMixin, _EstimatorScheme):
         )
         return cls(workload, config, tri)
 
-    def stats(self, *, samples: int = 200, seed: SeedLike = 0) -> Dict[str, Any]:
+    def _structure_stats(self) -> Dict[str, Any]:
         tri = self.inner
-        out = {
+        return {
             "order": tri.order,
             "mean_order": tri.mean_order(),
             "certified_ratio_bound": tri.certified_ratio_bound(),
         }
-        out.update(self._error_stats(samples, seed))
-        return out
 
     def size_account(self) -> SizeAccount:
         tri = self.inner
@@ -330,10 +323,8 @@ class BeaconsScheme(_MutableSchemeMixin, _EstimatorScheme):
         )
         return cls(workload, config, tri)
 
-    def stats(self, *, samples: int = 200, seed: SeedLike = 0) -> Dict[str, Any]:
-        out = {"order": self.inner.order}
-        out.update(self._error_stats(samples, seed))
-        return out
+    def _structure_stats(self) -> Dict[str, Any]:
+        return {"order": self.inner.order}
 
     def size_account(self) -> SizeAccount:
         return self.inner.label_bits(0)
@@ -367,15 +358,13 @@ class RingDLSScheme(_EstimatorScheme):
         )
         return cls(workload, config, dls)
 
-    def stats(self, *, samples: int = 200, seed: SeedLike = 0) -> Dict[str, Any]:
+    def _structure_stats(self) -> Dict[str, Any]:
         dls = self.inner
-        out = {
+        return {
             "max_label_bits": dls.max_label_bits(),
             "mean_label_bits": dls.mean_label_bits(),
             "max_virtual_neighbors": dls.max_virtual_neighbors(),
         }
-        out.update(self._error_stats(samples, seed))
-        return out
 
     def size_account(self) -> SizeAccount:
         return self._worst_label_account()
@@ -407,13 +396,11 @@ class TriangulationDLSScheme(_EstimatorScheme):
         dls = TriangulationDLS(tri, mantissa_bits=config.mantissa_bits)
         return cls(workload, config, dls)
 
-    def stats(self, *, samples: int = 200, seed: SeedLike = 0) -> Dict[str, Any]:
-        out = {
+    def _structure_stats(self) -> Dict[str, Any]:
+        return {
             "max_label_bits": self.inner.max_label_bits(),
             "order": self.inner.triangulation.order,
         }
-        out.update(self._error_stats(samples, seed))
-        return out
 
     def size_account(self) -> SizeAccount:
         return self._worst_label_account()
@@ -448,14 +435,12 @@ class OracleScheme(_EstimatorScheme):
         )
         return cls(workload, config, oracle)
 
-    def stats(self, *, samples: int = 200, seed: SeedLike = 0) -> Dict[str, Any]:
-        out = {
+    def _structure_stats(self) -> Dict[str, Any]:
+        return {
             "stretch_bound": self.inner.stretch_bound(),
             "max_label_bits": self.inner.max_label_bits(),
             "max_bunch_size": self.inner.max_bunch_size(),
         }
-        out.update(self._error_stats(samples, seed))
-        return out
 
     def size_account(self) -> SizeAccount:
         return self._worst_label_account()
@@ -509,8 +494,13 @@ class _RoutingAdapter(FittedScheme):
         """Route one packet; returns the :class:`RouteResult`."""
         return self.inner.route(u, v)
 
-    @staticmethod
-    def _stats_dict(rs) -> Dict[str, Any]:
+    def evaluate(self, plan: Any) -> Dict[str, Any]:
+        """Routing stats over an engine plan (or explicit pairs)."""
+        from repro.engine import evaluate_routing
+
+        rs = evaluate_routing(
+            self.inner, self._matrix, plan, metric=self.workload.metric
+        )
         return {
             "pairs": rs.pairs,
             "delivery_rate": rs.delivery_rate,
@@ -521,24 +511,6 @@ class _RoutingAdapter(FittedScheme):
             "max_table_bits": rs.max_table_bits,
             "max_label_bits": rs.max_label_bits,
         }
-
-    def stats(self, *, samples: int = 200, seed: SeedLike = 0) -> Dict[str, Any]:
-        from repro.routing.base import evaluate_scheme
-
-        rs = evaluate_scheme(
-            self.inner, self._matrix, sample_pairs=samples, seed=seed,
-            metric=self.workload.metric,
-        )
-        return self._stats_dict(rs)
-
-    def evaluate(self, plan: Any) -> Dict[str, Any]:
-        """Routing stats over an engine plan (or explicit pairs)."""
-        from repro.engine import evaluate_routing
-
-        rs = evaluate_routing(
-            self.inner, self._matrix, plan, metric=self.workload.metric
-        )
-        return self._stats_dict(rs)
 
     def size_account(self) -> SizeAccount:
         inner = self.inner
@@ -656,8 +628,11 @@ class _SmallWorldAdapter(FittedScheme):
 
         return route_query(self.inner, self.contact_graph(), u, v)
 
-    @staticmethod
-    def _stats_dict(sw) -> Dict[str, Any]:
+    def evaluate(self, plan: Any) -> Dict[str, Any]:
+        """Query stats over an engine plan (or explicit pairs)."""
+        from repro.smallworld.base import evaluate_model
+
+        sw = evaluate_model(self.inner, self.contact_graph(), plan)
         return {
             "queries": sw.queries,
             "completion_rate": sw.completion_rate,
@@ -666,27 +641,6 @@ class _SmallWorldAdapter(FittedScheme):
             "max_out_degree": sw.max_out_degree,
             "mean_out_degree": sw.mean_out_degree,
         }
-
-    def stats(self, *, samples: int = 200, seed: SeedLike = 0) -> Dict[str, Any]:
-        from repro.smallworld.base import evaluate_model
-
-        sw = evaluate_model(
-            self.inner, graph=self.contact_graph(),
-            sample_queries=samples, seed=seed,
-        )
-        return self._stats_dict(sw)
-
-    def evaluate(self, plan: Any) -> Dict[str, Any]:
-        """Query stats over an engine plan (or explicit pairs)."""
-        from repro.engine import resolve_pairs
-        from repro.smallworld.base import evaluate_model
-
-        pairs = resolve_pairs(plan, self.inner.metric)
-        sw = evaluate_model(
-            self.inner, graph=self.contact_graph(),
-            queries=[(int(u), int(v)) for u, v in pairs],
-        )
-        return self._stats_dict(sw)
 
     def size_account(self) -> SizeAccount:
         graph = self.contact_graph()
@@ -804,21 +758,14 @@ class MeridianScheme(FittedScheme):
 
         return closest_node_search(self.inner, u, v, beta=self.config.beta)
 
-    def stats(self, *, samples: int = 200, seed: SeedLike = 0) -> Dict[str, Any]:
-        pairs = self._sample_pairs(samples, seed, self.workload.metric.n)
-        return self._query_stats(pairs)
-
     def evaluate(self, plan: Any) -> Dict[str, Any]:
         """Search-quality stats over an engine plan (or explicit pairs)."""
         from repro.engine import resolve_pairs
 
-        return self._query_stats(resolve_pairs(plan, self.workload.metric))
-
-    def _query_stats(self, pairs) -> Dict[str, Any]:
         approximations = []
         hops = []
-        for u, v in pairs:
-            result = self.query(int(u), int(v))
+        for u, v in resolve_pairs(plan, self.workload.metric).tolist():
+            result = self.query(u, v)
             approximations.append(result.approximation)
             hops.append(result.hops)
         exact = sum(1 for a in approximations if a <= 1.0 + 1e-9)

@@ -10,7 +10,7 @@ Commands mirror the paper's four problems plus workload inspection:
 * ``labels``      — build the Theorem 3.4 labels, report bit sizes and
   an estimate for a node pair;
 * ``route``       — build a routing scheme (thm2.1 / thm4.1 / thm4.2 /
-  trivial) on a doubling graph and route sampled packets;
+  trivial) on a doubling graph and route the packets of a query plan;
 * ``smallworld``  — sample a small-world model (5.2a / 5.2b / 5.5 /
   structures) and run queries;
 * ``update``      — build a mutable scheme and stream join/leave churn
@@ -277,10 +277,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
         n=args.n, seed=args.seed,
         workload_params={"k": args.k}, config={"delta": args.delta},
     )
-    if args.plan is not None:
-        stats = api.evaluate(fitted, _plan_config(args))
-    else:
-        stats = fitted.stats(samples=args.packets, seed=args.seed)
+    stats = api.evaluate(fitted, _plan_config(args))
     print(f"scheme        {args.scheme}")
     print(f"delivery      {stats['delivery_rate']:.1%}")
     print(f"max stretch   {stats['max_stretch']:.4f}")
@@ -418,7 +415,8 @@ def _cmd_results(args: argparse.Namespace) -> int:
         a, b = loaded
         diff = a.diff(b)
         if not (diff["only_self"] or diff["only_other"] or diff["changed"]):
-            print("result sets agree on every shared cell metric")
+            print("result sets agree on every shared cell's metrics, "
+                  "non-timing probes and sizes")
             return 0
         for entry in diff["only_self"]:
             print(f"only in {args.diff[0]}: {entry['title']}  [{entry['key']}]")
@@ -426,8 +424,9 @@ def _cmd_results(args: argparse.Namespace) -> int:
             print(f"only in {args.diff[1]}: {entry['title']}  [{entry['key']}]")
         for key, entry in diff["changed"].items():
             print(f"{entry['title']}  [{key}]")
-            for name, pair in entry["metrics"].items():
-                print(f"  {name:<24s} {pair['self']!r} -> {pair['other']!r}")
+            for section in ("metrics", "probes", "sizes"):
+                for name, pair in entry[section].items():
+                    print(f"  {name:<24s} {pair['self']!r} -> {pair['other']!r}")
         return 1
     found = sorted(out.glob(f"*{RESULTSET_SUFFIX}")) if out.is_dir() else []
     if not found:
@@ -609,17 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_route.add_argument("--n", type=int, default=96)
     p_route.add_argument("--k", type=int, default=4)
     p_route.add_argument("--delta", type=float, default=0.25)
-    p_route.add_argument("--packets", type=int, default=300)
     p_route.add_argument("--seed", type=int, default=0)
-    p_route.add_argument("--plan", default=None,
-                         choices=["all-pairs", "uniform", "stratified"],
-                         help="evaluate on an engine query plan instead of "
-                              "the legacy --packets sample")
-    p_route.add_argument("--pairs", type=int, default=2000,
-                         help="sample size for --plan uniform")
-    p_route.add_argument("--per-scale", type=int, default=64,
-                         help="pairs per scale for --plan stratified")
-    p_route.set_defaults(func=_cmd_route)
+    _add_plan_arguments(p_route)
+    p_route.set_defaults(func=_cmd_route, pairs=300)
 
     p_eval = sub.add_parser(
         "evaluate", help="evaluate any registered scheme over a query plan")

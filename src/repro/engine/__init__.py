@@ -1,17 +1,18 @@
 """The batched query engine: plans + vectorized evaluation drivers.
 
 This layer sits between the structures (metrics, rings, schemes) and the
-API facade: it decides *which* node pairs an evaluation touches
-(:mod:`repro.engine.plans`) and runs the touch loop with batched
-distance queries and NumPy aggregation (:mod:`repro.engine.evaluate`).
+API facade: it is the only code that decides *which* node pairs an
+evaluation touches (:mod:`repro.engine.plans`), and it runs the touch
+loop with batched distance queries, one ``estimate_many`` call per
+estimator, and NumPy aggregation (:mod:`repro.engine.evaluate`).
 Exhaustive all-pairs evaluation and seed-deterministic sampling are the
 same code path, so benchmarks scale from n = 10² (exact) to n = 10⁴⁺
-(sampled) by swapping one plan object.
+(sampled) by swapping one plan object.  Every scheme's ``stats()`` is
+its ``evaluate()`` on a :class:`UniformSamplePlan`.
 """
 
 from repro.engine.evaluate import (
     EstimatorStats,
-    bulk_estimates,
     evaluate_estimator,
     evaluate_routing,
 )
@@ -34,7 +35,6 @@ __all__ = [
     "QueryPlan",
     "StratifiedPlan",
     "UniformSamplePlan",
-    "bulk_estimates",
     "evaluate_estimator",
     "evaluate_routing",
     "make_plan",

@@ -2,13 +2,12 @@
 
 Two drivers cover the library's evaluation shapes:
 
-* :func:`evaluate_estimator` — anything with an ``estimate(u, v)``
-  method (triangulations, distance labels, oracles).  True distances
-  come from one :meth:`~repro.metrics.base.MetricSpace.pairwise` call;
-  estimators exposing a vectorized ``estimate_many(us, vs)`` are queried
-  in bulk, others fall back to a per-pair loop — either way the error
-  aggregation is a handful of NumPy reductions, never a Python
-  accumulate.
+* :func:`evaluate_estimator` — anything with a vectorized
+  ``estimate_many(us, vs)`` method (triangulations, distance labels,
+  oracles).  True distances come from one
+  :meth:`~repro.metrics.base.MetricSpace.pairwise` call and the
+  estimates from one ``estimate_many`` call; the error aggregation is a
+  handful of NumPy reductions, never a Python accumulate.
 * :func:`evaluate_routing` — packet simulation per pair (inherently
   sequential hop-by-hop), but pair generation, true-distance lookup and
   stretch/hop aggregation are all vectorized, so no Θ(n²) Python pair
@@ -54,20 +53,6 @@ class EstimatorStats:
         }
 
 
-def bulk_estimates(estimator: Any, pairs: np.ndarray) -> np.ndarray:
-    """Estimates for every pair, vectorized when the estimator allows.
-
-    Uses ``estimator.estimate_many(us, vs)`` when present; otherwise
-    loops ``estimator.estimate`` (or the estimator itself, if it is a
-    bare callable) pair by pair.
-    """
-    many = getattr(estimator, "estimate_many", None)
-    if many is not None:
-        return np.asarray(many(pairs[:, 0], pairs[:, 1]), dtype=float)
-    one = getattr(estimator, "estimate", estimator)
-    return np.array([one(int(u), int(v)) for u, v in pairs], dtype=float)
-
-
 def evaluate_estimator(
     estimator: Any,
     metric: MetricSpace,
@@ -79,7 +64,7 @@ def evaluate_estimator(
         return EstimatorStats(0, 0, float("inf"), float("inf"), float("inf"),
                               float("inf"), float("inf"))
     true = metric.pairwise(pairs)
-    est = bulk_estimates(estimator, pairs)
+    est = np.asarray(estimator.estimate_many(pairs[:, 0], pairs[:, 1]), dtype=float)
     valid = (true > 0) & np.isfinite(est)
     true_v = true[valid]
     est_v = est[valid]
@@ -114,9 +99,8 @@ def evaluate_routing(
     ``metric.pairwise`` query instead (the lazy, matrix-free backends —
     bit-for-bit equal where both exist).  ``metric`` is otherwise only
     needed for distance-aware plans (stratified); it defaults to the
-    scheme's node count.  The returned object is the
-    :class:`repro.routing.base.RoutingStats` the per-pair path produced,
-    bit-for-bit at equal pair sets.
+    scheme's node count.  Returns a
+    :class:`repro.routing.base.RoutingStats`.
     """
     from repro.routing.base import RoutingStats  # local: avoids layer cycle
 

@@ -461,11 +461,6 @@ def _serve_roundtrip(fitted) -> Dict[str, Any]:
                 inner.estimate_many(pairs[:, 0], pairs[:, 1]),
                 again.estimate_many(pairs[:, 0], pairs[:, 1]),
             )
-        elif hasattr(inner, "estimate"):
-            equal = all(
-                inner.estimate(int(u), int(v)) == again.estimate(int(u), int(v))
-                for u, v in pairs
-            )
         else:
             equal = all(
                 inner.route(int(u), int(v)).path == again.route(int(u), int(v)).path

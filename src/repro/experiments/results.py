@@ -360,24 +360,28 @@ class ResultSet:
         return r.metric(col)
 
     def diff(self, other: "ResultSet", rtol: float = 1e-9) -> Dict[str, Any]:
-        """Cell-keyed comparison: missing cells and changed metric values.
+        """Cell-keyed comparison: missing cells, and changed metric values,
+        probe values and size accounts.
 
         Entries are keyed by the exact cell key (titles alone collide
-        across seeds/plans) and carry the title for display.
+        across seeds/plans) and carry the title for display; a changed
+        cell lists its changed ``metrics``, ``probes`` and ``sizes``
+        (``size_bits`` and ``size_components.<name>``).  Timing probes,
+        whose names end in ``_s`` or ``_speedup``, are skipped like the
+        cell ``timings``: they differ from run to run.  NaN equals NaN.
         """
         mine = {r.key: r for r in self.results}
         theirs = {r.key: r for r in other.results}
         changed: Dict[str, Dict[str, Any]] = {}
         for key in mine.keys() & theirs.keys():
             a, b = mine[key], theirs[key]
-            deltas: Dict[str, Any] = {}
-            names = set(a.metrics) | set(b.metrics)
-            for name in sorted(names):
-                va, vb = a.metrics.get(name), b.metrics.get(name)
-                if _values_differ(va, vb, rtol):
-                    deltas[name] = {"self": va, "other": vb}
-            if deltas:
-                changed[key] = {"title": a.title, "metrics": deltas}
+            sections = {
+                "metrics": _deltas(a.metrics, b.metrics, rtol),
+                "probes": _deltas(_untimed(a.probes), _untimed(b.probes), rtol),
+                "sizes": _deltas(_sizes(a), _sizes(b), rtol),
+            }
+            if any(sections.values()):
+                changed[key] = {"title": a.title, **sections}
         return {
             "only_self": [
                 {"key": k, "title": mine[k].title}
@@ -391,9 +395,36 @@ class ResultSet:
         }
 
 
+def _untimed(probes: Mapping[str, Any]) -> Dict[str, Any]:
+    return {
+        name: value for name, value in probes.items()
+        if not name.endswith(("_s", "_speedup"))
+    }
+
+
+def _sizes(result: CellResult) -> Dict[str, Any]:
+    out: Dict[str, Any] = {"size_bits": result.size_bits}
+    for name, bits in result.size_components.items():
+        out[f"size_components.{name}"] = bits
+    return out
+
+
+def _deltas(a: Mapping[str, Any], b: Mapping[str, Any], rtol: float) -> Dict[str, Any]:
+    """``{name: {"self": ..., "other": ...}}`` for every name whose
+    values differ (a name on one side only counts as a change)."""
+    deltas: Dict[str, Any] = {}
+    for name in sorted(set(a) | set(b)):
+        va, vb = a.get(name), b.get(name)
+        if _values_differ(va, vb, rtol):
+            deltas[name] = {"self": va, "other": vb}
+    return deltas
+
+
 def _values_differ(a: Any, b: Any, rtol: float) -> bool:
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         if a == b:  # covers equal ints and identical infinities
+            return False
+        if np.isnan(a) and np.isnan(b):
             return False
         if not (np.isfinite(a) and np.isfinite(b)):
             return True

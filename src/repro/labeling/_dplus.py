@@ -30,9 +30,9 @@ themselves.  Timed on 256-pair batches at n = 1000 on a 2-vCPU Xeon
 against the sort-free CSR scatter it replaces (medians of 50 calls):
 5.7 → 0.45 ms with rows holding all of n, 0.85 → 0.55 ms at 10%, and
 0.31 → 0.56 ms at 1%, where the block is ~48× the CSR's 0.17 MB.  No
-workload builds rows that sparse.  Batching D+ this way keeps
-:func:`repro.engine.bulk_estimates` vectorized for the paper's own
-schemes instead of falling back to the per-pair loop.
+workload builds rows that sparse.  Every evaluation, probe and served
+batch reads the paper's own schemes through this batched D+
+(``estimate_many``).
 """
 
 from __future__ import annotations

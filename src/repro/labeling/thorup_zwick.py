@@ -13,7 +13,10 @@ small.  We implement the classic construction:
 * the query walks pivots, swapping roles, until a common bunch member is
   found; the returned estimate is a (2k−1)-approximation.
 
-The label of v stores its pivots and its bunch with distances; the bench
+The label of v stores its pivots and its bunch with distances.  The
+bunches live only in the CSR arrays a container saves (ascending ids per
+row), and a batch of queries walks the pivots in lockstep with one
+``searchsorted`` per level over the keys ``row·n + id``.  The bench
 compares its label size and accuracy against the doubling-aware schemes
 of §3 on doubling and non-doubling inputs.
 """
@@ -24,7 +27,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro._types import NodeId, as_node_pair
+from repro._types import NodeId, as_node_pair, as_node_pairs
 from repro.bits import SizeAccount, bits_for_count
 from repro.labeling.encoding import DistanceCodec
 from repro.metrics.base import MetricSpace
@@ -38,7 +41,12 @@ def _check_arrays(n: int, k: int, arrays: dict) -> None:
     bunches are n CSR rows and the levels k CSR rows over ``[0, n)``
     (:func:`~repro.serve.container.check_csr`), ``bunch_dist`` holds one
     finite entry >= 0 per bunch id, ``pivots`` is an (n, k) integer array
-    in ``[0, n)`` and ``pivot_dist`` an (n, k) finite array >= 0."""
+    in ``[0, n)`` and ``pivot_dist`` an (n, k) finite array >= 0.
+
+    The query walk reads ``dist[a, w]`` and ``dist[b, w]`` without a
+    fallback, so three memberships must hold too: every node is in its
+    own bunch, every pivot p_i(v) is in B(v), and every top-level pivot
+    p_{k-1}(·) is in every bunch (where every walk ends)."""
     what = "tz-oracle arrays"
 
     def fail(check: str) -> None:
@@ -63,6 +71,34 @@ def _check_arrays(n: int, k: int, arrays: dict) -> None:
              f"(has {pivot_dist.dtype} {pivot_dist.shape})")
     if not np.all(np.isfinite(pivot_dist) & (pivot_dist >= 0)):
         fail("pivot_dist entries must be finite and >= 0")
+    ids = np.asarray(arrays["bunch_ids"], dtype=np.int64)
+    keys = _bunch_keys(np.asarray(arrays["bunch_indptr"], dtype=np.int64), ids, n)
+    nodes = np.arange(n, dtype=np.int64)
+    if not _holds(keys, nodes, nodes, n).all():
+        fail("every node must be in its own bunch")
+    pivots = pivots.astype(np.int64)
+    if not _holds(keys, np.repeat(nodes, k), pivots.ravel(), n).all():
+        fail("every pivot p_i(v) must be in the bunch B(v)")
+    # Ids ascend strictly within a row, so an id held by all n rows
+    # occurs exactly n times.
+    if np.any(np.bincount(ids, minlength=n)[pivots[:, k - 1]] != n):
+        fail("every top-level pivot p_{k-1} must be in every bunch")
+
+
+def _bunch_keys(indptr: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """The sorted search keys ``row·n + id`` of CSR bunch rows whose ids
+    ascend."""
+    rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+    return rows * n + ids
+
+
+def _holds(keys: np.ndarray, rows: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
+    """Whether each ``ids[j]`` is in bunch ``rows[j]``."""
+    if keys.size == 0:
+        return np.zeros(rows.shape, dtype=bool)
+    want = rows * n + ids
+    at = np.minimum(keys.searchsorted(want), keys.size - 1)
+    return keys[at] == want
 
 
 class ThorupZwickOracle:
@@ -95,39 +131,40 @@ class ThorupZwickOracle:
                 # (standard fix: resample one element).
                 current = np.array([int(rng.choice(prev))])
             self.levels.append(current)
+        top = np.zeros(n, dtype=np.intp)  # i with w in A_i \ A_{i+1}
+        for i, level in enumerate(self.levels[1:], start=1):
+            top[level] = i
 
-        # Pivots p_i(v) and the distances d(A_i, v).
-        self._pivots = np.zeros((n, k), dtype=int)
-        self._pivot_dist = np.zeros((n, k))
+        # Pivots p_i(v), the distances d(A_i, v), and the bunches
+        # B(v) = {w in A_i \ A_{i+1} : d(w, v) < d(A_{i+1}, v)} ∪ pivots,
+        # one ascending row per node.
+        pivots = np.zeros((n, k), dtype=np.int64)
+        pivot_dist = np.zeros((n, k))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        ids_rows: List[np.ndarray] = []
+        dist_rows: List[np.ndarray] = []
         for v in range(n):
             row = metric.distances_from(v)
             for i, level in enumerate(self.levels):
-                idx = int(level[np.argmin(row[level])])
-                self._pivots[v, i] = idx
-                self._pivot_dist[v, i] = float(row[idx])
+                pivots[v, i] = level[np.argmin(row[level])]
+            pivot_dist[v] = row[pivots[v]]
+            reach = np.append(pivot_dist[v, 1:], np.inf)  # d(A_{i+1}, v)
+            member = row < reach[top]
+            member[pivots[v]] = True
+            ids = np.flatnonzero(member)
+            ids_rows.append(ids)
+            dist_rows.append(self.codec.roundtrip_many(row[ids]))
+            indptr[v + 1] = indptr[v] + ids.size
+        self._adopt(pivots, pivot_dist, indptr,
+                    np.concatenate(ids_rows).astype(np.int64), np.concatenate(dist_rows))
 
-        # Bunches.
-        self._bunches: List[Dict[NodeId, float]] = []
-        level_sets = [set(int(x) for x in level) for level in self.levels]
-        for v in range(n):
-            row = metric.distances_from(v)
-            bunch: Dict[NodeId, float] = {}
-            for i in range(k):
-                # d(A_{i+1}, v); A_k = ∅ -> +inf.
-                next_dist = (
-                    self._pivot_dist[v, i + 1] if i + 1 < k else float("inf")
-                )
-                exclusive = level_sets[i] - (
-                    level_sets[i + 1] if i + 1 < k else set()
-                )
-                for w in exclusive:
-                    if float(row[w]) < next_dist:
-                        bunch[w] = self.codec.roundtrip(float(row[w]))
-            # Pivots are always available to the query algorithm.
-            for i in range(k):
-                p = int(self._pivots[v, i])
-                bunch.setdefault(p, self.codec.roundtrip(float(row[p])))
-            self._bunches.append(bunch)
+    def _adopt(self, pivots, pivot_dist, indptr, ids, dist) -> None:
+        self._pivots = pivots
+        self._pivot_dist = pivot_dist
+        self._bunch_indptr = indptr
+        self._bunch_ids = ids
+        self._bunch_dist = dist
+        self._keys = _bunch_keys(indptr, ids, self.metric.n)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -136,26 +173,11 @@ class ThorupZwickOracle:
     def to_arrays(self) -> tuple:
         """(meta, arrays) inventory: pivots/pivot distances as dense
         (n, k) blocks, the level hierarchy and the bunches as CSR."""
-        n = self.metric.n
         level_indptr = np.zeros(self.k + 1, dtype=np.int64)
         for i, level in enumerate(self.levels):
             level_indptr[i + 1] = level_indptr[i] + level.size
-        level_ids = (
-            np.concatenate(self.levels).astype(np.int64)
-            if self.levels
-            else np.empty(0, dtype=np.int64)
-        )
-        bunch_indptr = np.zeros(n + 1, dtype=np.int64)
-        ids_chunks, dist_chunks = [], []
-        for v, bunch in enumerate(self._bunches):
-            ids = np.fromiter(sorted(bunch), dtype=np.int64, count=len(bunch))
-            ids_chunks.append(ids)
-            dist_chunks.append(
-                np.array([bunch[int(w)] for w in ids], dtype=np.float64)
-            )
-            bunch_indptr[v + 1] = bunch_indptr[v] + ids.size
         meta = {
-            "n": int(n),
+            "n": int(self.metric.n),
             "k": int(self.k),
             "codec": {
                 "min_distance": self.codec.min_distance,
@@ -165,16 +187,12 @@ class ThorupZwickOracle:
         }
         arrays = {
             "level_indptr": level_indptr,
-            "level_ids": level_ids,
-            "pivots": self._pivots.astype(np.int64),
+            "level_ids": np.concatenate(self.levels).astype(np.int64),
+            "pivots": self._pivots,
             "pivot_dist": self._pivot_dist,
-            "bunch_indptr": bunch_indptr,
-            "bunch_ids": np.concatenate(ids_chunks)
-            if ids_chunks
-            else np.empty(0, dtype=np.int64),
-            "bunch_dist": np.concatenate(dist_chunks)
-            if dist_chunks
-            else np.empty(0, dtype=np.float64),
+            "bunch_indptr": self._bunch_indptr,
+            "bunch_ids": self._bunch_ids,
+            "bunch_dist": self._bunch_dist,
         }
         return meta, arrays
 
@@ -182,13 +200,8 @@ class ThorupZwickOracle:
     def from_arrays(
         cls, metric: MetricSpace, meta: dict, arrays: dict
     ) -> "ThorupZwickOracle":
-        """Rehydrate from :meth:`to_arrays`, refusing malformed arrays
-        (:func:`_check_arrays`).
-
-        Bunches are rebuilt as dicts (the query walk needs membership
-        tests); estimates are unaffected by dict order, so the sorted
-        CSR layout is bit-for-bit equivalent to the built oracle.
-        """
+        """Adopt the arrays of :meth:`to_arrays` (zero copy), refusing
+        malformed ones (:func:`_check_arrays`)."""
         n = metric.n
         _check_arrays(n, int(meta["k"]), arrays)
         codec_meta = meta["codec"]
@@ -206,20 +219,13 @@ class ThorupZwickOracle:
             np.array(level_ids[level_indptr[i] : level_indptr[i + 1]])
             for i in range(oracle.k)
         ]
-        oracle._pivots = np.asarray(arrays["pivots"])
-        oracle._pivot_dist = np.asarray(arrays["pivot_dist"])
-        bunch_indptr = np.asarray(arrays["bunch_indptr"])
-        bunch_ids = np.asarray(arrays["bunch_ids"])
-        bunch_dist = np.asarray(arrays["bunch_dist"])
-        oracle._bunches = []
-        for v in range(n):
-            lo, hi = int(bunch_indptr[v]), int(bunch_indptr[v + 1])
-            oracle._bunches.append(
-                {
-                    int(w): float(d)
-                    for w, d in zip(bunch_ids[lo:hi], bunch_dist[lo:hi])
-                }
-            )
+        oracle._adopt(
+            np.asarray(arrays["pivots"], dtype=np.int64),
+            np.asarray(arrays["pivot_dist"]),
+            np.asarray(arrays["bunch_indptr"], dtype=np.int64),
+            np.asarray(arrays["bunch_ids"], dtype=np.int64),
+            np.asarray(arrays["bunch_dist"], dtype=float),
+        )
         return oracle
 
     # ------------------------------------------------------------------
@@ -228,28 +234,32 @@ class ThorupZwickOracle:
 
     def bunch(self, v: NodeId) -> Dict[NodeId, float]:
         """B(v) with stored (quantized) distances."""
-        return self._bunches[v]
+        lo, hi = self._bunch_indptr[v], self._bunch_indptr[v + 1]
+        return dict(zip(self._bunch_ids[lo:hi].tolist(), self._bunch_dist[lo:hi].tolist()))
+
+    def estimate_many(self, us, vs) -> np.ndarray:
+        """The TZ query walk for a batch of pairs, in lockstep: at level
+        i = 1..k−1 every pair whose w is not in B(b) swaps a and b and
+        takes w = p_i(a).  Each answer is d(a, w) + d(b, w) from the
+        bunches, a (2k−1)-approximation of d(u, v) (0 on the diagonal)."""
+        n = self.metric.n
+        a, b = as_node_pairs(us, vs, n)
+        w = a
+        for i in range(1, self.k):
+            miss = ~_holds(self._keys, b, w, n)
+            if not miss.any():
+                break
+            a, b = np.where(miss, b, a), np.where(miss, a, b)
+            w = np.where(miss, self._pivots[a, i], w)
+        dist, keys = self._bunch_dist, self._keys
+        out = dist[keys.searchsorted(a * n + w)] + dist[keys.searchsorted(b * n + w)]
+        out[a == b] = 0.0
+        return out
 
     def estimate(self, u: NodeId, v: NodeId) -> float:
-        """The TZ query walk; a (2k−1)-approximation of d(u, v)."""
+        """The TZ query walk for one pair (a batch of one)."""
         u, v = as_node_pair(u, v, self.metric.n)
-        if u == v:
-            return 0.0
-        w = u
-        i = 0
-        while w not in self._bunches[v]:
-            i += 1
-            if i >= self.k:
-                break  # cannot happen for k>=1 (top pivots are global)
-            u, v = v, u
-            w = int(self._pivots[u, i])
-        d_wu = self._bunches[u].get(w)
-        if d_wu is None:
-            d_wu = self.codec.roundtrip(self.metric.distance(w, u))
-        d_wv = self._bunches[v].get(w)
-        if d_wv is None:
-            d_wv = self.codec.roundtrip(self.metric.distance(w, v))
-        return d_wu + d_wv
+        return float(self.estimate_many([u], [v])[0])
 
     def stretch_bound(self) -> int:
         """The guaranteed worst-case stretch 2k−1."""
@@ -262,7 +272,7 @@ class ThorupZwickOracle:
     def label_bits(self, v: NodeId) -> SizeAccount:
         account = SizeAccount()
         n = self.metric.n
-        entries = len(self._bunches[v])
+        entries = int(self._bunch_indptr[v + 1] - self._bunch_indptr[v])
         account.add("bunch_ids", entries * bits_for_count(n))
         account.add("bunch_distances", entries * self.codec.bits_per_distance)
         account.add("pivot_ids", self.k * bits_for_count(n))
@@ -273,7 +283,7 @@ class ThorupZwickOracle:
 
     def max_bunch_size(self) -> int:
         """Expected O(k n^{1/k}); measured."""
-        return max(len(b) for b in self._bunches)
+        return int(np.diff(self._bunch_indptr).max())
 
     def expected_bunch_bound(self) -> float:
         """The theory's k·n^{1/k} expectation, for shape comparison."""

@@ -17,22 +17,17 @@ header).  Three constructions are reproduced, plus the trivial baseline:
   as routing *on metrics* over self-chosen overlay graphs (Table 2).
 """
 
-from repro.routing.base import RouteResult, RoutingScheme, RoutingStats, evaluate_scheme
+from repro.routing.base import RouteResult, RoutingScheme, RoutingStats
 from repro.routing.trivial import TrivialRouting
 from repro.routing.ring_scheme import RingRouting
 from repro.routing.label_scheme import LabelRouting
 from repro.routing.twomode import TwoModeRouting
 from repro.routing.metric_overlay import MetricRouting, overlay_for_metric
-from repro.routing.stats import SchemeComparison, compare_schemes, format_comparison
 
 __all__ = [
-    "SchemeComparison",
-    "compare_schemes",
-    "format_comparison",
     "RouteResult",
     "RoutingScheme",
     "RoutingStats",
-    "evaluate_scheme",
     "TrivialRouting",
     "RingRouting",
     "LabelRouting",

@@ -1,4 +1,4 @@
-"""Routing-scheme interface, packet simulation and evaluation.
+"""Routing-scheme interface, packet simulation and routing statistics.
 
 The paper's model (§1): a routing scheme consists of (a) labels and tables
 per node, (b) a local forwarding algorithm (table + header -> next edge),
@@ -7,24 +7,20 @@ We mirror that structure: concrete schemes implement
 :meth:`RoutingScheme.route` by simulating the packet hop by hop, and
 expose per-node :meth:`RoutingScheme.table_bits` /
 :meth:`RoutingScheme.label_bits` and per-packet header sizes for the
-Table 1 / Table 2 reproductions.
+Table 1 / Table 2 reproductions.  Evaluation over a pair set is
+:func:`repro.engine.evaluate_routing` on a query plan, which returns the
+:class:`RoutingStats` defined here.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
-
-import numpy as np
-
-if TYPE_CHECKING:
-    from repro.engine.plans import PlanLike
+from typing import List, Optional
 
 from repro._types import NodeId
 from repro.bits import SizeAccount
 from repro.graphs.graph import WeightedGraph
-from repro.rng import SeedLike, ensure_rng
 
 
 @dataclass
@@ -95,47 +91,3 @@ class RoutingStats:
     @property
     def delivery_rate(self) -> float:
         return self.delivered / max(1, self.pairs)
-
-
-def evaluate_scheme(
-    scheme: RoutingScheme,
-    distance_matrix: np.ndarray,
-    pairs: Optional[Iterable[Tuple[NodeId, NodeId]]] = None,
-    sample_pairs: Optional[int] = None,
-    seed: SeedLike = 0,
-    plan: Optional["PlanLike"] = None,
-    metric=None,
-) -> RoutingStats:
-    """Route packets for the planned (or given/sampled) pairs and collect
-    stats.
-
-    ``distance_matrix`` supplies the true shortest-path distances used to
-    compute stretch.  Pair selection, in precedence order: explicit
-    ``pairs``; a query ``plan`` (see :mod:`repro.engine.plans`); the
-    legacy ``sample_pairs``/``seed`` uniform sample (bit-for-bit the
-    historical behaviour at equal seeds); otherwise every ordered pair.
-    Distance-aware plans (stratified) need the underlying
-    :class:`~repro.metrics.base.MetricSpace` passed as ``metric``.  The
-    evaluation itself runs on the batched engine either way.
-    """
-    from repro.engine import AllPairsPlan, evaluate_routing
-
-    n = scheme.graph.n
-    if pairs is not None:
-        chosen: "PlanLike" = np.asarray(
-            pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.intp
-        ).reshape(-1, 2)
-    elif plan is not None:
-        chosen = plan
-    elif sample_pairs is not None and sample_pairs < n * (n - 1):
-        # Legacy sampling: index uniformly without replacement into the
-        # u-major ordered-pair enumeration, decoded arithmetically instead
-        # of via a materialized Θ(n²) list.
-        rng = ensure_rng(seed)
-        idx = np.asarray(rng.choice(n * (n - 1), size=sample_pairs, replace=False))
-        us = idx // (n - 1)
-        k = idx % (n - 1)
-        chosen = np.stack([us, k + (k >= us)], axis=1).astype(np.intp)
-    else:
-        chosen = AllPairsPlan()
-    return evaluate_routing(scheme, distance_matrix, chosen, metric=metric)

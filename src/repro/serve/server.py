@@ -62,17 +62,11 @@ LINE_LIMIT = 1 << 24
 
 
 def _estimate_many(inner, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """One vectorized call when the structure has it, else a tight loop
-    (only the Thorup–Zwick baseline lacks ``estimate_many``).  Routing
+    """One vectorized ``estimate_many`` call for an estimator.  Routing
     structures have no estimator: their estimate is the routed path's
     total weight, which the scheme's stretch guarantee bounds."""
     if hasattr(inner, "estimate_many"):
         return np.asarray(inner.estimate_many(us, vs), dtype=float)
-    if hasattr(inner, "estimate"):
-        out = np.empty(us.shape[0], dtype=float)
-        for i in range(us.shape[0]):
-            out[i] = inner.estimate(int(us[i]), int(vs[i]))
-        return out
     graph = inner.graph
     out = np.empty(us.shape[0], dtype=float)
     for i in range(us.shape[0]):

@@ -6,20 +6,23 @@ list with (distance-to-contact, contact-to-target-distance) pairs — never
 the full metric.  Queries that stall (no admissible hop) or exceed the hop
 budget are recorded as failures, matching the paper's "with high
 probability all queries complete" framing: we measure the failure rate
-instead of looping forever.
+instead of looping forever.  :func:`evaluate_model` routes the pairs of
+an engine query plan (:mod:`repro.engine.plans`) over a contact graph
+the caller draws with :meth:`SmallWorldModel.sample_contacts`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro._types import NodeId
+from repro.engine.plans import PlanLike, resolve_pairs
 from repro.metrics.base import MetricSpace
-from repro.rng import SeedLike, ensure_rng
+from repro.rng import SeedLike
 
 
 @dataclass
@@ -128,22 +131,13 @@ class SmallWorldStats:
 
 def evaluate_model(
     model: SmallWorldModel,
-    graph: Optional[ContactGraph] = None,
-    queries: Optional[Iterable[Tuple[NodeId, NodeId]]] = None,
-    sample_queries: int = 500,
-    seed: SeedLike = 0,
+    graph: ContactGraph,
+    plan: PlanLike,
     max_hops: Optional[int] = None,
 ) -> SmallWorldStats:
-    """Sample (or use given) queries and collect hop statistics."""
-    rng = ensure_rng(seed)
-    if graph is None:
-        graph = model.sample_contacts(seed=rng)
-    n = model.metric.n
-    if queries is None:
-        pairs = rng.integers(0, n, size=(sample_queries, 2))
-        queries = [(int(a), int(b)) for a, b in pairs if a != b]
-    queries = list(queries)
-
+    """Route one query per planned pair over ``graph`` and collect hop
+    statistics."""
+    queries = resolve_pairs(plan, model.metric).tolist()
     hops: List[int] = []
     completed = 0
     for s, t in queries:

@@ -7,11 +7,9 @@ from repro import api
 from repro.engine import (
     AllPairsPlan,
     UniformSamplePlan,
-    bulk_estimates,
     evaluate_estimator,
     evaluate_routing,
 )
-from repro.routing.base import evaluate_scheme
 
 
 @pytest.fixture(scope="module")
@@ -48,12 +46,6 @@ class TestEvaluateEstimator:
         )
         assert np.array_equal(batched, scalar)
 
-    def test_bulk_estimates_fallback_loop(self, workload):
-        metric = workload.metric
-        pairs = np.array([[0, 1], [2, 3]], dtype=np.intp)
-        got = bulk_estimates(lambda u, v: metric.distance(u, v), pairs)
-        assert got == pytest.approx(metric.pairwise(pairs))
-
     def test_empty_plan(self, workload, beacons):
         report = evaluate_estimator(beacons.inner, workload.metric, [])
         assert report.pairs == 0 and report.evaluated == 0
@@ -64,31 +56,37 @@ class TestEvaluateRouting:
     def routed(self):
         return api.build("route-thm2.1", workload="knn-graph", n=40, seed=5)
 
-    def test_matches_evaluate_scheme_on_equal_pairs(self, routed):
-        pairs = UniformSamplePlan(size=120, seed=9).pairs(routed.inner.graph.n)
-        via_plan = evaluate_routing(routed.inner, routed._matrix, pairs)
-        via_legacy = evaluate_scheme(routed.inner, routed._matrix, pairs=pairs)
-        assert via_plan.pairs == via_legacy.pairs
-        assert via_plan.delivered == via_legacy.delivered
-        assert via_plan.max_stretch == via_legacy.max_stretch
-        assert via_plan.mean_stretch == via_legacy.mean_stretch
-        assert via_plan.stretches == via_legacy.stretches
-
     def test_all_pairs_plan_equals_exhaustive(self, routed):
-        via_plan = evaluate_scheme(routed.inner, routed._matrix, plan=AllPairsPlan())
-        exhaustive = evaluate_scheme(routed.inner, routed._matrix)
+        n = routed.inner.graph.n
+        via_plan = evaluate_routing(routed.inner, routed._matrix, AllPairsPlan())
+        exhaustive = evaluate_routing(
+            routed.inner, routed._matrix,
+            [(u, v) for u in range(n) for v in range(n) if u != v],
+        )
         assert via_plan.pairs == exhaustive.pairs
         assert via_plan.stretches == exhaustive.stretches
 
     def test_stratified_plan_with_metric(self, routed):
         from repro.engine import StratifiedPlan
 
-        stats = evaluate_scheme(
+        stats = evaluate_routing(
             routed.inner, routed._matrix,
-            plan=StratifiedPlan(per_scale=8, seed=2),
+            StratifiedPlan(per_scale=8, seed=2),
             metric=routed.workload.metric,
         )
         assert stats.pairs > 0 and stats.delivered == stats.pairs
+
+
+@pytest.mark.parametrize("name", api.SCHEMES.names())
+def test_stats_is_evaluate_on_a_uniform_plan(name):
+    """``stats()`` reports what ``evaluate()`` reports on the same
+    uniform plan, for every registered scheme."""
+    fitted = api.build(name, "knn-graph", n=32, seed=0, cache=api.BuildCache())
+    stats = fitted.stats(samples=60, seed=4)
+    report = api.evaluate(fitted, "uniform", size=60, seed=4)
+    shared = sorted(stats.keys() & report.keys())
+    assert shared
+    assert [stats[key] for key in shared] == [report[key] for key in shared]
 
 
 class TestFacadeEvaluate:

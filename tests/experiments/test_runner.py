@@ -140,6 +140,26 @@ class TestReporting:
         assert changed["title"] == clone.results[0].title
         assert "max_relative_error" in changed["metrics"]
 
+    def test_diff_compares_probes_and_sizes(self, first_run):
+        """A changed probe or size account is reported; NaN against NaN
+        and a changed timing probe are not."""
+        first, _ = first_run
+        base = ResultSet.from_json(first.to_json())
+        clone = ResultSet.from_json(first.to_json())
+        for rs in (base, clone):
+            rs.results[0].probes.update(
+                {"overlap": float("nan"), "merges": 3, "build_s": 1.0, "update_speedup": 2.0}
+            )
+        clone.results[0].probes.update({"merges": 4, "build_s": 9.0, "update_speedup": 5.0})
+        clone.results[0].size_components["extra_bits"] = 8
+        changed = base.diff(clone)["changed"][clone.results[0].key]
+        assert changed["metrics"] == {}
+        assert changed["probes"] == {"merges": {"self": 3, "other": 4}}
+        assert changed["sizes"] == {"size_components.extra_bits": {"self": None, "other": 8}}
+        clone.results[0].probes["merges"] = 3
+        del clone.results[0].size_components["extra_bits"]
+        assert base.diff(clone)["changed"] == {}
+
     def test_diff_keys_disambiguate_identical_titles(self, first_run):
         """Cells differing only in seed must not collide in the diff."""
         first, _ = first_run

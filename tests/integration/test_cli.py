@@ -30,7 +30,7 @@ class TestCli:
         assert "max label bits" in capsys.readouterr().out
 
     def test_route(self, capsys):
-        code = main(["route", "--scheme", "thm2.1", "--n", "48", "--packets", "60"])
+        code = main(["route", "--scheme", "thm2.1", "--n", "48", "--pairs", "60"])
         assert code == 0
         out = capsys.readouterr().out
         assert "delivery      100.0%" in out

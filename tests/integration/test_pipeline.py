@@ -7,6 +7,7 @@ exercise each arrow end to end on one shared workload.
 
 import pytest
 
+from repro.engine import UniformSamplePlan, evaluate_routing
 from repro.graphs import knn_geometric_graph
 from repro.labeling import RingDLS, RingTriangulation, TriangulationDLS
 from repro.labeling._scales import ScaleStructure
@@ -16,7 +17,6 @@ from repro.routing import (
     RingRouting,
     TrivialRouting,
     TwoModeRouting,
-    evaluate_scheme,
 )
 
 
@@ -55,7 +55,7 @@ class TestSharedScaleStructure:
             TwoModeRouting(graph, delta=0.3, metric=metric),
         ]
         for scheme in schemes:
-            stats = evaluate_scheme(scheme, metric.matrix, sample_pairs=150, seed=8)
+            stats = evaluate_routing(scheme, metric.matrix, UniformSamplePlan(size=150, seed=8))
             assert stats.delivery_rate == 1.0, type(scheme).__name__
             assert stats.max_stretch <= 1 + 6 * 0.3, type(scheme).__name__
 
@@ -64,14 +64,13 @@ class TestSharedScaleStructure:
         table size."""
         _graph, metric = workload
         graph = metric.graph
-        trivial = evaluate_scheme(
-            TrivialRouting(graph), metric.matrix, sample_pairs=100, seed=9
+        trivial = evaluate_routing(
+            TrivialRouting(graph), metric.matrix, UniformSamplePlan(size=100, seed=9)
         )
-        ring = evaluate_scheme(
+        ring = evaluate_routing(
             RingRouting(graph, delta=0.3, metric=metric),
             metric.matrix,
-            sample_pairs=100,
-            seed=9,
+            UniformSamplePlan(size=100, seed=9),
         )
         assert trivial.max_stretch == pytest.approx(1.0)
         assert ring.max_stretch >= trivial.max_stretch - 1e-12
@@ -84,7 +83,7 @@ class TestLabelingIntoRouting:
         scheme = LabelRouting(
             metric.graph, delta=0.3, estimator="triangulation", metric=metric
         )
-        stats = evaluate_scheme(scheme, metric.matrix, sample_pairs=150, seed=10)
+        stats = evaluate_routing(scheme, metric.matrix, UniformSamplePlan(size=150, seed=10))
         assert stats.delivery_rate == 1.0
 
     def test_dls_estimates_feed_header_sizes(self, workload):

@@ -7,6 +7,7 @@ sensibly at the smallest sizes.
 import numpy as np
 import pytest
 
+from repro.engine import UniformSamplePlan
 from repro.graphs import WeightedGraph
 from repro.labeling import BeaconTriangulation, RingDLS, RingTriangulation
 from repro.metrics import (
@@ -60,7 +61,9 @@ class TestTinyMetrics:
 
     def test_smallworld_on_three_nodes(self, triple_metric):
         model = GreedyRingsModel(triple_metric, c=2)
-        stats = evaluate_model(model, sample_queries=20, seed=0)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=0), UniformSamplePlan(size=20, seed=0)
+        )
         assert stats.completion_rate == 1.0
 
 

@@ -1,11 +1,10 @@
 """Batched estimates of the ring structures match the per-pair decoders.
 
-The engine's :func:`~repro.engine.evaluate.bulk_estimates` prefers a
+The engine, the probes and the server read every estimator through its
 vectorized ``estimate_many``; these tests pin down that the paper's own
 schemes (Theorem 3.2 triangulation, its corollary DLS, and the Theorem
-3.4 id-free labels) now provide one and that it reproduces the per-pair
-``estimate`` bit for bit — including diagonal pairs and pairs repeated
-within one batch.
+3.4 id-free labels) reproduce the per-pair ``estimate`` bit for bit —
+including diagonal pairs and pairs repeated within one batch.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.packed import pack_csr
-from repro.engine import bulk_estimates
 from repro.labeling import (
     BeaconTriangulation,
     RingDLS,
@@ -68,17 +66,8 @@ def test_estimate_many_matches_per_pair(estimators, hypercube32, name):
     assert np.array_equal(batched, looped)
 
 
-@pytest.mark.parametrize("name", ["triangulation", "triangulation-dls", "ring-dls"])
-def test_bulk_estimates_takes_the_vectorized_path(estimators, hypercube32, name):
-    estimator = estimators[name]
-    us, vs = _pair_batch(hypercube32.n)
-    pairs = np.stack([us, vs], axis=1)
-    via_engine = bulk_estimates(estimator, pairs)
-    assert np.array_equal(via_engine, estimator.estimate_many(us, vs))
-
-
 @pytest.mark.parametrize(
-    "name", ["triangulation", "triangulation-dls", "ring-dls", "beacons"]
+    "name", ["triangulation", "triangulation-dls", "ring-dls", "beacons", "tz-oracle"]
 )
 @pytest.mark.parametrize(
     "us, vs, match",

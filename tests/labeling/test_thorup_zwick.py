@@ -1,8 +1,11 @@
 """Thorup–Zwick distance oracle baseline."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro import api
 from repro.labeling import ThorupZwickOracle
 from repro.metrics import exponential_line
 
@@ -79,3 +82,32 @@ class TestStructure:
     def test_rejects_bad_k(self, hypercube32):
         with pytest.raises(ValueError):
             ThorupZwickOracle(hypercube32, k=0)
+
+
+#: workload -> (n, k, sha256 of the float64 answers on _digest_pairs),
+#: recorded with the scalar walk over per-node bunch dicts that the CSR
+#: arrays and the batched walk replaced.
+ANSWERS = {
+    "hypercube": (64, 2, "230cf3e97e8ee5d8b93c46a2f5ee4b0da6da60f29a2320a3b807d18654acf237"),
+    "knn-graph": (48, 3, "b44e97db570b00134c4d30552081c4e1e0dfc31ab21db2b11be42cc3f649e356"),
+    "expline": (32, 1, "546aaf50071f72f46aa53b163ff20daee4f49ef0f2099b589d25a08fafd19af0"),
+}
+
+
+def _digest_pairs(n):
+    """500 seeded pairs, diagonal pairs, then the first 40 pairs again."""
+    pairs = np.random.default_rng(2030).integers(0, n, size=(500, 2))
+    diagonal = np.stack([np.arange(0, n, 5)] * 2, axis=1)
+    return np.concatenate([pairs, diagonal, pairs[:40]])
+
+
+@pytest.mark.parametrize("name", sorted(ANSWERS))
+def test_answers_are_pinned(name):
+    n, k, golden = ANSWERS[name]
+    oracle = api.build("tz-oracle", name, n=n, seed=0, config={"k": k},
+                       cache=api.BuildCache()).inner
+    pairs = _digest_pairs(n)
+    answers = oracle.estimate_many(pairs[:, 0], pairs[:, 1])
+    assert hashlib.sha256(answers.astype(np.float64).tobytes()).hexdigest() == golden
+    for (u, v), answer in zip(pairs[::25].tolist(), answers[::25]):
+        assert oracle.estimate(u, v) == answer

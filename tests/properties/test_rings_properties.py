@@ -51,8 +51,9 @@ def test_beacon_bounds_always_sandwich(metric, k):
 @settings(max_examples=10, deadline=None)
 @given(small_metrics(min_n=6, max_n=12))
 def test_greedy_rings_route_everything(metric):
+    from repro.engine import UniformSamplePlan
     from repro.smallworld import GreedyRingsModel, evaluate_model
 
     model = GreedyRingsModel(metric, c=2)
-    stats = evaluate_model(model, sample_queries=40, seed=1)
+    stats = evaluate_model(model, model.sample_contacts(seed=1), UniformSamplePlan(size=40, seed=1))
     assert stats.completion_rate == 1.0

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from repro.graphs import knn_geometric_graph
 from repro.metrics.graphmetric import ShortestPathMetric
-from repro.routing import RingRouting, evaluate_scheme
+from repro.engine import UniformSamplePlan, evaluate_routing
+from repro.routing import RingRouting
 
 
 @settings(max_examples=8, deadline=None)
@@ -18,7 +19,7 @@ def test_ring_routing_always_delivers_with_bounded_stretch(n, seed, delta):
     graph = knn_geometric_graph(n, k=3, seed=seed)
     metric = ShortestPathMetric(graph)
     scheme = RingRouting(graph, delta=delta, metric=metric)
-    stats = evaluate_scheme(scheme, metric.matrix, sample_pairs=80, seed=seed)
+    stats = evaluate_routing(scheme, metric.matrix, UniformSamplePlan(size=80, seed=seed))
     assert stats.delivery_rate == 1.0
     assert stats.max_stretch <= 1 + 4 * delta
 
@@ -31,6 +32,6 @@ def test_trivial_routing_exact_on_random_graphs(n, seed):
     graph = knn_geometric_graph(n, k=3, seed=seed)
     metric = ShortestPathMetric(graph)
     scheme = TrivialRouting(graph)
-    stats = evaluate_scheme(scheme, metric.matrix, sample_pairs=60, seed=seed)
+    stats = evaluate_routing(scheme, metric.matrix, UniformSamplePlan(size=60, seed=seed))
     assert stats.delivery_rate == 1.0
     assert abs(stats.max_stretch - 1.0) < 1e-9

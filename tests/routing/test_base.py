@@ -1,10 +1,11 @@
-"""RouteResult / evaluate_scheme plumbing."""
+"""RouteResult / evaluate_routing plumbing."""
 
 import numpy as np
 import pytest
 
 from repro.graphs import WeightedGraph
-from repro.routing import TrivialRouting, evaluate_scheme
+from repro.engine import AllPairsPlan, evaluate_routing
+from repro.routing import TrivialRouting
 from repro.routing.base import RouteResult
 
 
@@ -41,20 +42,14 @@ class TestEvaluate:
             ],
             dtype=float,
         )
-        stats = evaluate_scheme(scheme, dist, pairs=[(0, 3), (3, 0)])
+        stats = evaluate_routing(scheme, dist, [(0, 3), (3, 0)])
         assert stats.pairs == 2
         assert stats.delivery_rate == 1.0
         assert stats.max_stretch == pytest.approx(1.0)
 
-    def test_sampled_pairs_bounded(self, path_graph):
-        scheme = TrivialRouting(path_graph)
-        dist = scheme.first_hops.dist
-        stats = evaluate_scheme(scheme, dist, sample_pairs=5, seed=0)
-        assert stats.pairs == 5
-
     def test_stats_fields(self, path_graph):
         scheme = TrivialRouting(path_graph)
-        stats = evaluate_scheme(scheme, scheme.first_hops.dist)
+        stats = evaluate_routing(scheme, scheme.first_hops.dist, AllPairsPlan())
         assert stats.max_hops >= 1
         assert stats.mean_stretch >= 1.0 - 1e-12
         assert stats.max_table_bits == scheme.max_table_bits()

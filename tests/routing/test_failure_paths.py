@@ -5,7 +5,8 @@ import pytest
 
 from repro import api
 from repro.graphs import WeightedGraph
-from repro.routing import RingRouting, TrivialRouting, evaluate_scheme
+from repro.engine import evaluate_routing
+from repro.routing import RingRouting, TrivialRouting
 from repro.routing.base import RouteResult
 
 
@@ -33,7 +34,7 @@ class TestHopBudgets:
                 return RouteResult(source, target, [source], reached=False)
 
         scheme = FailingScheme(g)
-        stats = evaluate_scheme(scheme, scheme.first_hops.dist, pairs=[(0, 2)])
+        stats = evaluate_routing(scheme, scheme.first_hops.dist, [(0, 2)])
         assert stats.delivery_rate == 0.0
         assert stats.max_stretch == float("inf")
 

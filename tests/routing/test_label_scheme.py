@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.routing import LabelRouting, evaluate_scheme
+from repro.engine import UniformSamplePlan, evaluate_routing
+from repro.routing import LabelRouting
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +24,7 @@ class TestDelivery:
         self, fixture, request, knn_metric64
     ):
         scheme = request.getfixturevalue(fixture)
-        stats = evaluate_scheme(scheme, knn_metric64.matrix, sample_pairs=400, seed=3)
+        stats = evaluate_routing(scheme, knn_metric64.matrix, UniformSamplePlan(size=400, seed=3))
         assert stats.delivery_rate == 1.0
         # 1 + O(delta) with the labels' extra (1+delta') estimate slack.
         assert stats.max_stretch <= 1 + 6 * scheme.delta

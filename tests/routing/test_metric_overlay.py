@@ -3,7 +3,8 @@
 import pytest
 
 from repro.metrics import exponential_line, random_hypercube_metric
-from repro.routing import MetricRouting, RingRouting, evaluate_scheme
+from repro.engine import UniformSamplePlan, evaluate_routing
+from repro.routing import MetricRouting, RingRouting
 from repro.routing.metric_overlay import overlay_for_metric
 
 
@@ -48,7 +49,9 @@ class TestMetricRouting:
     def test_delivery_and_stretch_vs_metric(self, scheme):
         """Stretch vs the METRIC distance — the overlay path sums the
         virtual-hop distances."""
-        stats = evaluate_scheme(scheme, scheme.stretch_matrix(), sample_pairs=300, seed=6)
+        stats = evaluate_routing(
+            scheme, scheme.stretch_matrix(), UniformSamplePlan(size=300, seed=6)
+        )
         assert stats.delivery_rate == 1.0
         assert stats.max_stretch <= 1 + 4 * scheme.delta
 
@@ -64,6 +67,8 @@ class TestMetricRouting:
         scheme = MetricRouting(
             metric, delta=0.25, scheme_factory=lambda g, d: RingRouting(g, d)
         )
-        stats = evaluate_scheme(scheme, scheme.stretch_matrix(), sample_pairs=150, seed=7)
+        stats = evaluate_routing(
+            scheme, scheme.stretch_matrix(), UniformSamplePlan(size=150, seed=7)
+        )
         assert stats.delivery_rate == 1.0
         assert stats.max_stretch <= 1 + 4 * scheme.delta

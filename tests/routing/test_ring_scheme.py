@@ -7,7 +7,8 @@ from repro import api
 from repro.core import patch as patch_policy
 from repro.core.patch import CSRPatch
 from repro.distributed.trace import ChurnTrace
-from repro.routing import RingRouting, evaluate_scheme
+from repro.engine import UniformSamplePlan, evaluate_routing
+from repro.routing import RingRouting
 
 
 @pytest.fixture(scope="module")
@@ -17,19 +18,19 @@ def scheme(knn_graph64):
 
 class TestDeliveryAndStretch:
     def test_all_pairs_delivered(self, scheme, knn_metric64):
-        stats = evaluate_scheme(scheme, knn_metric64.matrix, sample_pairs=500, seed=1)
+        stats = evaluate_routing(scheme, knn_metric64.matrix, UniformSamplePlan(size=500, seed=1))
         assert stats.delivery_rate == 1.0
 
     def test_stretch_bound(self, scheme, knn_metric64):
         """Claim 2.5: stretch 1 + O(delta); assert 1 + 4*delta."""
-        stats = evaluate_scheme(scheme, knn_metric64.matrix, sample_pairs=500, seed=1)
+        stats = evaluate_routing(scheme, knn_metric64.matrix, UniformSamplePlan(size=500, seed=1))
         assert stats.max_stretch <= 1 + 4 * scheme.delta
 
     def test_smaller_delta_smaller_stretch(self, knn_graph64, knn_metric64):
         tight = RingRouting(knn_graph64, delta=0.1, metric=knn_metric64)
         loose = RingRouting(knn_graph64, delta=0.45, metric=knn_metric64)
-        s_tight = evaluate_scheme(tight, knn_metric64.matrix, sample_pairs=200, seed=2)
-        s_loose = evaluate_scheme(loose, knn_metric64.matrix, sample_pairs=200, seed=2)
+        s_tight = evaluate_routing(tight, knn_metric64.matrix, UniformSamplePlan(size=200, seed=2))
+        s_loose = evaluate_routing(loose, knn_metric64.matrix, UniformSamplePlan(size=200, seed=2))
         assert s_tight.max_stretch <= s_loose.max_stretch + 0.05
 
     def test_self_route(self, scheme):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.routing import TrivialRouting, evaluate_scheme
+from repro.engine import UniformSamplePlan, evaluate_routing
+from repro.routing import TrivialRouting
 
 
 @pytest.fixture(scope="module")
@@ -12,7 +13,7 @@ def scheme(knn_graph64):
 
 class TestTrivialRouting:
     def test_stretch_exactly_one(self, scheme, knn_metric64):
-        stats = evaluate_scheme(scheme, knn_metric64.matrix, sample_pairs=300, seed=0)
+        stats = evaluate_routing(scheme, knn_metric64.matrix, UniformSamplePlan(size=300, seed=0))
         assert stats.delivery_rate == 1.0
         assert stats.max_stretch == pytest.approx(1.0)
 

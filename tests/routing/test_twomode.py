@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.engine import UniformSamplePlan, evaluate_routing
 from repro.graphs import WeightedGraph
-from repro.routing import TwoModeRouting, evaluate_scheme
+from repro.routing import TwoModeRouting
 
 
 @pytest.fixture(scope="module")
@@ -29,15 +30,15 @@ def gap_scheme(gap_graph):
 
 class TestDelivery:
     def test_all_delivered_doubling_graph(self, small_scheme, knn_metric64):
-        stats = evaluate_scheme(
-            small_scheme, knn_metric64.matrix, sample_pairs=300, seed=4
+        stats = evaluate_routing(
+            small_scheme, knn_metric64.matrix, UniformSamplePlan(size=300, seed=4)
         )
         assert stats.delivery_rate == 1.0
         assert stats.max_stretch <= 1 + 5 * small_scheme.delta
 
     def test_all_delivered_gap_graph(self, gap_scheme):
-        stats = evaluate_scheme(
-            gap_scheme, gap_scheme.metric.matrix, sample_pairs=300, seed=4
+        stats = evaluate_routing(
+            gap_scheme, gap_scheme.metric.matrix, UniformSamplePlan(size=300, seed=4)
         )
         assert stats.delivery_rate == 1.0
         assert stats.max_stretch <= 1 + 5 * gap_scheme.delta
@@ -62,7 +63,7 @@ class TestDelivery:
         scheme = TwoModeRouting(
             knn_graph64, delta=0.2, metric=knn_metric64, strict_goodness=True
         )
-        stats = evaluate_scheme(scheme, knn_metric64.matrix, sample_pairs=100, seed=5)
+        stats = evaluate_routing(scheme, knn_metric64.matrix, UniformSamplePlan(size=100, seed=5))
         assert stats.delivery_rate == 1.0
 
 

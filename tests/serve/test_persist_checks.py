@@ -348,6 +348,20 @@ def _swap_in_bunch(ids, arrays, row=7):
     return ids
 
 
+def _drop_from_bunch(row, node):
+    """Delete ``node`` from bunch ``row``: its id, its distance and one
+    offset of every later row."""
+    def change(ids, arrays):
+        indptr = arrays["bunch_indptr"]
+        lo, hi = indptr[row], indptr[row + 1]
+        at = lo + int(np.flatnonzero(ids[lo:hi] == node)[0])
+        arrays["bunch_dist"] = np.delete(arrays["bunch_dist"], at)
+        indptr[row + 1 :] -= 1
+        return np.delete(ids, at)
+
+    return change
+
+
 MALFORMED_TZ = {
     "bunch-id-past-n": ("bunch_ids", _shift_bunch, "bunch_ids must lie in \\[0, 40\\)"),
     "negative-bunch-id": ("bunch_ids", _set(0, -1), "bunch_ids must lie in \\[0, 40\\)"),
@@ -374,6 +388,14 @@ MALFORMED_TZ = {
                        "pivot_dist entries must be finite and >= 0"),
     "pivot-dist-negative": ("pivot_dist", _set((2, 0), -1.0),
                             "pivot_dist entries must be finite and >= 0"),
+    # The walk reads d(a, w) and d(b, w) from the bunches: each of these
+    # makes some pair read a bunch that does not hold w.
+    "node-outside-its-own-bunch": ("bunch_ids", _drop_from_bunch(7, 7),
+                                   "every node must be in its own bunch"),
+    "pivot-outside-its-bunch": ("pivots", _set((3, 1), 0),
+                                "every pivot p_i\\(v\\) must be in the bunch B\\(v\\)"),
+    "top-pivot-outside-a-bunch": ("bunch_ids", _drop_from_bunch(2, 21),
+                                  "every top-level pivot p_\\{k-1\\} must be in every bunch"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import UniformSamplePlan
 from repro.metrics import uniform_line
 from repro.smallworld import (
     ContactGraph,
@@ -60,7 +61,9 @@ class TestEvaluate:
     def test_stats_consistent(self):
         metric = uniform_line(20)
         model = GreedyRingsModel(metric, c=2)
-        stats = evaluate_model(model, sample_queries=50, seed=1)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=1), UniformSamplePlan(size=50, seed=1)
+        )
         assert stats.completed <= stats.queries
         assert stats.completion_rate == stats.completed / stats.queries
         assert len(stats.hop_counts) == stats.completed
@@ -69,5 +72,5 @@ class TestEvaluate:
         metric = uniform_line(10)
         model = GreedyRingsModel(metric, c=2)
         graph = model.sample_contacts(seed=2)
-        stats = evaluate_model(model, graph=graph, queries=[(0, 9), (9, 0)])
+        stats = evaluate_model(model, graph, [(0, 9), (9, 0)])
         assert stats.queries == 2

@@ -58,7 +58,7 @@ class TestEdgeCases:
         metric = uniform_line(8)
         model = GreedyRingsModel(metric, c=1)
         empty = ContactGraph(contacts=[() for _ in range(8)])
-        stats = evaluate_model(model, graph=empty, queries=[(0, 7)])
+        stats = evaluate_model(model, empty, [(0, 7)])
         assert stats.completed == 0
         assert stats.mean_hops == float("inf")
         assert stats.max_hops == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import UniformSamplePlan
 from repro.smallworld import KleinbergGridModel, evaluate_model
 
 
@@ -16,7 +17,9 @@ class TestKleinbergGrid:
 
     def test_critical_exponent_routes_fast(self):
         model = KleinbergGridModel(10, exponent=2.0, q=1)
-        stats = evaluate_model(model, sample_queries=200, seed=1)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=1), UniformSamplePlan(size=200, seed=1)
+        )
         assert stats.completion_rate == 1.0
         assert stats.max_hops <= 40  # O(log^2 n) with small constants
 
@@ -26,11 +29,13 @@ class TestKleinbergGrid:
         so greedy needs more hops than at the critical r=2.  (The r=0 side
         of the transition only separates at much larger grids; the
         benchmark sweep covers the full curve.)"""
+        critical = KleinbergGridModel(12, exponent=2.0, q=1)
         fast = evaluate_model(
-            KleinbergGridModel(12, exponent=2.0, q=1), sample_queries=300, seed=2
+            critical, critical.sample_contacts(seed=2), UniformSamplePlan(size=300, seed=2)
         )
+        steep = KleinbergGridModel(12, exponent=4.0, q=1)
         slow = evaluate_model(
-            KleinbergGridModel(12, exponent=4.0, q=1), sample_queries=300, seed=2
+            steep, steep.sample_contacts(seed=2), UniformSamplePlan(size=300, seed=2)
         )
         assert fast.mean_hops < slow.mean_hops
 

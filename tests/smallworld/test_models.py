@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.engine import UniformSamplePlan
 from repro.graphs import grid_graph
 from repro.metrics import exponential_line, random_hypercube_metric
 from repro.metrics.graphmetric import ShortestPathMetric
@@ -25,14 +26,18 @@ class TestGreedyRings:
     def test_olog_n_hops_on_exponential_line(self, expline64):
         """Theorem 5.2(a)'s headline: O(log n) hops when Δ = 2^n."""
         model = GreedyRingsModel(expline64, c=2)
-        stats = evaluate_model(model, sample_queries=300, seed=0)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=0), UniformSamplePlan(size=300, seed=0)
+        )
         assert stats.completion_rate == 1.0
         assert stats.max_hops <= 3 * math.log2(64)
 
     def test_olog_n_hops_on_hypercube(self):
         metric = random_hypercube_metric(128, dim=2, seed=11)
         model = GreedyRingsModel(metric, c=2)
-        stats = evaluate_model(model, sample_queries=300, seed=1)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=1), UniformSamplePlan(size=300, seed=1)
+        )
         assert stats.completion_rate == 1.0
         assert stats.max_hops <= 3 * math.log2(128)
 
@@ -57,7 +62,9 @@ class TestGreedyRings:
 class TestPrunedRings:
     def test_completes_on_exponential_line(self, expline64):
         model = PrunedRingsModel(expline64, c=2)
-        stats = evaluate_model(model, sample_queries=300, seed=2)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=2), UniformSamplePlan(size=300, seed=2)
+        )
         assert stats.completion_rate >= 0.99
         assert stats.max_hops <= 4 * math.log2(64)
 
@@ -116,7 +123,9 @@ class TestSingleLink:
     def test_completes_with_polylog_delta_hops(self, setup):
         graph, metric = setup
         model = SingleLinkModel(metric, graph)
-        stats = evaluate_model(model, sample_queries=200, seed=4)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=4), UniformSamplePlan(size=200, seed=4)
+        )
         assert stats.completion_rate == 1.0
         # 2^O(alpha) log^2 Delta with Delta = 14: generous constant.
         log_delta = math.log2(metric.aspect_ratio())

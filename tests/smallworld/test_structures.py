@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.engine import UniformSamplePlan
 from repro.metrics import uniform_line
 from repro.smallworld import GreedyRingsModel, GroupStructuresModel, evaluate_model
 
@@ -33,7 +34,9 @@ class TestStructuresModel:
 
     def test_queries_complete(self, uline64):
         model = GroupStructuresModel(uline64)
-        stats = evaluate_model(model, sample_queries=200, seed=0)
+        stats = evaluate_model(
+            model, model.sample_contacts(seed=0), UniformSamplePlan(size=200, seed=0)
+        )
         assert stats.completion_rate >= 0.98
         assert stats.max_hops <= 4 * math.log2(64)
 
@@ -62,11 +65,13 @@ class TestTheorem54Comparison:
         assert max(products) / min(products) <= 40.0
 
     def test_hops_comparable_on_ul_metric(self, uline64):
+        rings = GreedyRingsModel(uline64, c=2)
         ring_stats = evaluate_model(
-            GreedyRingsModel(uline64, c=2), sample_queries=150, seed=3
+            rings, rings.sample_contacts(seed=3), UniformSamplePlan(size=150, seed=3)
         )
+        structures = GroupStructuresModel(uline64)
         structures_stats = evaluate_model(
-            GroupStructuresModel(uline64), sample_queries=150, seed=3
+            structures, structures.sample_contacts(seed=3), UniformSamplePlan(size=150, seed=3)
         )
         assert ring_stats.completion_rate == 1.0
         # Both are O(log n); within a small factor of each other.
