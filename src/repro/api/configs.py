@@ -13,6 +13,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
+from repro._types import integer_field
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -168,6 +170,8 @@ class PlanConfig(SchemeConfig):
                 f"kind must be 'all-pairs', 'uniform' or 'stratified', "
                 f"got {self.kind!r}"
             )
+        for name in ("pairs", "per_scale", "seed"):
+            integer_field(getattr(self, name), name)
         if self.pairs < 1:
             raise ValueError(f"pairs must be positive, got {self.pairs}")
         if self.per_scale < 1:

@@ -44,9 +44,8 @@ import numpy as np
 
 from repro._types import NodeId
 from repro.metrics.base import MetricSpace
-from repro.metrics.measure import counting_measure
 from repro.metrics.nets import NestedNets
-from repro.metrics.packing import EpsMuPacking, eps_mu_packing
+from repro.metrics.packing import EpsMuPacking, distance_rows, eps_mu_packings
 
 
 class ScaleStructure:
@@ -73,10 +72,16 @@ class ScaleStructure:
         self.levels_n = max(1, int(math.ceil(math.log2(max(2, metric.n)))))
         net_levels = metric.log_aspect_ratio() + 4
         self.nets = NestedNets(metric, levels=net_levels, base_radius=self.base)
-        mu = counting_measure(metric)
-        self.packings: List[EpsMuPacking] = [
-            eps_mu_packing(metric, 2.0**-i, mu) for i in range(self.levels_n)
-        ]
+        # One read of every row serves all the levels' packings and the
+        # radii r_ui: the ceil(n/2^i)-th smallest distance from u, the
+        # rule of MetricSpace.rui.
+        rows = distance_rows(metric)
+        self.packings: List[EpsMuPacking] = eps_mu_packings(
+            metric, [2.0**-i for i in range(self.levels_n)], rows=rows
+        )
+        ranks = [int(np.ceil(metric.n / float(2**i))) - 1 for i in range(self.levels_n)]
+        self._radii = np.partition(rows, ranks, axis=1)[:, ranks]
+        del rows
         # Each packing level as (centres h_B, radii) arrays.
         self._reps: List[Tuple[np.ndarray, np.ndarray]] = [
             (
@@ -88,17 +93,14 @@ class ScaleStructure:
         self._net_masks: Dict[int, np.ndarray] = {}
         # Global level-0 Y set (see module docstring).
         self._y0_level = self.net_level(self.delta * self.diameter / 8.0)
-        self._rui_cache: Dict[Tuple[NodeId, int], float] = {}
         self._x_cache: Dict[Tuple[NodeId, int], Tuple[NodeId, ...]] = {}
         self._y_cache: Dict[Tuple[NodeId, int], Tuple[NodeId, ...]] = {}
 
     # -- scale helpers ---------------------------------------------------
 
     def rui(self, u: NodeId, i: int) -> float:
-        key = (u, i)
-        if key not in self._rui_cache:
-            self._rui_cache[key] = self.metric.rui(u, i)
-        return self._rui_cache[key]
+        """``r_ui = r_u(2^-i)`` for a scale ``0 <= i < levels_n``."""
+        return float(self._radii[u, i])
 
     def r_prev(self, u: NodeId, i: int) -> float:
         """``r_{u,i-1}``, with the ``i = 0`` convention of +inf (2·diam)."""

@@ -39,7 +39,10 @@ def _check_arrays(n: int, arrays: dict) -> None:
         fail("beacons must be a one-dimensional integer array")
     if beacons.size and (beacons.min() < 0 or beacons.max() >= n):
         fail(f"beacons must lie in [0, {n})")
-    if np.unique(beacons).size != beacons.size:
+    # Sorted neighbours, not np.unique: the first np.unique call of a
+    # process imports numpy.ma (~10 ms), which a cold open would pay.
+    ordered = np.sort(beacons)
+    if (ordered[1:] == ordered[:-1]).any():
         fail("beacons must be distinct")
     labels = np.asarray(arrays["labels"])
     if labels.dtype.kind != "f" or labels.shape != (n, beacons.size):

@@ -39,7 +39,7 @@ from repro.metrics.dimension import (
 )
 from repro.metrics.nets import NestedNets, greedy_net
 from repro.metrics.measure import DoublingMeasure, doubling_measure
-from repro.metrics.packing import EpsMuPacking, PackedBall, eps_mu_packing
+from repro.metrics.packing import EpsMuPacking, PackedBall, eps_mu_packing, eps_mu_packings
 from repro.metrics.lowerbound import label_entropy_bits, scale_coded_metric
 from repro.metrics.io import load_metric, load_points, save_metric
 
@@ -65,6 +65,7 @@ __all__ = [
     "EpsMuPacking",
     "PackedBall",
     "eps_mu_packing",
+    "eps_mu_packings",
     "label_entropy_bits",
     "scale_coded_metric",
     "load_metric",

@@ -18,7 +18,7 @@ lemma in the paper actually uses.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -32,27 +32,19 @@ def greedy_ball_cover(
 ) -> list[NodeId]:
     """Greedily cover ``nodes`` with balls of the given radius (Lemma 1.1).
 
-    Repeatedly selects an uncovered node, adds it as a center, and removes
-    every node within ``radius`` of it.  Returns the list of centers.
+    Repeatedly selects the first uncovered node (in the order given), adds
+    it as a center, and removes every node within ``radius`` of it, one
+    :meth:`MetricSpace.distances_from` row per center.  Returns the list of
+    centers.  The (ε,µ)-packings run the same scan for many balls at once
+    over rows they already hold (:mod:`repro.metrics.packing`).
     """
-    return greedy_cover_rows(metric, nodes, radius)[0]
-
-
-def greedy_cover_rows(
-    metric: MetricSpace, nodes: np.ndarray, radius: float
-) -> Tuple[list[NodeId], list[np.ndarray]]:
-    """:func:`greedy_ball_cover`'s centers, each with the distance row the
-    scan read for it (callers weigh the cover balls from those rows)."""
     remaining = np.asarray(nodes, dtype=int)
     centers: list[NodeId] = []
-    rows: list[np.ndarray] = []
     while remaining.size:
         center = int(remaining[0])
-        row = metric.distances_from(center)
         centers.append(center)
-        rows.append(row)
-        remaining = remaining[row[remaining] > radius]
-    return centers, rows
+        remaining = remaining[metric.distances_from(center)[remaining] > radius]
+    return centers
 
 
 def doubling_dimension(

@@ -28,7 +28,7 @@ than uniformly.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from repro._types import NodeId
 from repro.metrics.base import MetricSpace
 from repro.metrics.nets import NestedNets
 from repro.rng import SeedLike, ensure_rng
-
-#: Max elements per stacked block of distance rows (~8 MB of float64).
-_BLOCK_ELEMS = 1 << 20
 
 
 class DoublingMeasure:
@@ -68,26 +65,29 @@ class DoublingMeasure:
         closed ball has measure at least ``eps``."""
         row = self.metric.distances_from(u)
         order = np.argsort(row, kind="stable")
-        return float(row[order[_mass_rank(self.weights[order], eps)]])
+        return float(row[order[_mass_rank(np.cumsum(self.weights[order]), eps)]])
 
-    def radii_for_mass(self, eps: float) -> np.ndarray:
-        """:meth:`radius_for_mass` of every node, in id order.
+    def radii_from_rows(
+        self, rows: np.ndarray, epsilons: Sequence[float]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(n, n)`` block ``rows`` (row u is u's distance row) with
+        each row sorted, and :meth:`radius_for_mass` of every node for each
+        eps, shape ``(len(epsilons), n)``.
 
         Under equal weights the cumulative mass in nearest-first order is
-        the same from every node, so ``r_u(eps)`` is one order statistic
-        of every row: one partition per block of rows replaces a sort of
-        each row.
+        the same from every node, so ``r_u(eps)`` is one column of the
+        sorted rows; otherwise each row's stable order accumulates its own.
         """
-        n = self.metric.n
-        if self.count_masses is None:
-            return np.array([self.radius_for_mass(u, eps) for u in range(n)])
-        rank = _mass_rank(self.weights, eps)
-        out = np.empty(n)
-        chunk = max(1, _BLOCK_ELEMS // n)
-        for start in range(0, n, chunk):
-            rows = [self.metric.distances_from(u) for u in range(start, min(n, start + chunk))]
-            out[start : start + len(rows)] = np.partition(rows, rank, axis=1)[:, rank]
-        return out
+        if self.count_masses is not None:
+            sorted_rows = np.sort(rows, axis=1)
+            cum = np.cumsum(self.weights)
+        else:
+            order = np.argsort(rows, axis=1, kind="stable")
+            sorted_rows = np.take_along_axis(rows, order, axis=1)
+            cum = np.cumsum(self.weights[order], axis=1)
+        nodes = np.arange(rows.shape[0])
+        radii = [sorted_rows[nodes, _mass_rank(cum, eps)] for eps in epsilons]
+        return sorted_rows, np.array(radii).reshape(len(epsilons), rows.shape[0])
 
     @cached_property
     def count_masses(self) -> Optional[np.ndarray]:
@@ -146,13 +146,12 @@ class DoublingMeasure:
         return worst
 
 
-def _mass_rank(ordered_weights: np.ndarray, eps: float) -> int:
+def _mass_rank(cum: np.ndarray, eps: float) -> np.ndarray:
     """Position, in nearest-first order, of the node at which the
-    cumulative mass first reaches ``eps`` (the last node if it never
-    does)."""
-    cum = np.cumsum(ordered_weights)
-    idx = int(np.searchsorted(cum, eps - 1e-15, side="left"))
-    return min(idx, cum.size - 1)
+    cumulative mass ``cum`` (along the last axis, non-decreasing) first
+    reaches ``eps`` (the last node if it never does)."""
+    idx = np.count_nonzero(cum < eps - 1e-15, axis=-1)
+    return np.minimum(idx, cum.shape[-1] - 1)
 
 
 def counting_measure(metric: MetricSpace) -> DoublingMeasure:

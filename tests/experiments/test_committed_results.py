@@ -17,7 +17,13 @@ from repro.experiments import ResultSet, get_suite, run
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 
-@pytest.mark.parametrize("name", ["smoke", "netsim-smoke", "churn-stream-smoke", "netsim"])
+SMALL_SUITES = [
+    "smoke", "netsim-smoke", "churn-stream-smoke", "netsim", "distributed", "dls",
+    "fig1", "fig2", "stretch", "table1", "table2", "table3",
+]
+
+
+@pytest.mark.parametrize("name", SMALL_SUITES)
 def test_committed_result_set_reproduces(name):
     fresh = run(get_suite(name), processes=1, persist=False, cache=BuildCache())
     committed = ResultSet.load(RESULTS / f"{name}.resultset.json")

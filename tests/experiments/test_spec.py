@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -115,6 +116,22 @@ class TestValidation:
     def test_workload_scalars_must_be_integers(self, spec, field, value, match):
         data = spec.to_dict()
         data["workloads"][0][field] = value
+        with pytest.raises(ValueError, match=match):
+            ExperimentSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pairs", True), ("pairs", 100.5), ("per_scale", "8"), ("seed", 1.5),
+         ("seed", False)],
+    )
+    def test_plan_fields_must_be_integers(self, spec, field, value):
+        """``"pairs": true`` would otherwise score one pair, and ``100.5``
+        or ``"seed": 1.5`` fail at run time with numpy's untyped errors."""
+        match = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=match):
+            PlanConfig(kind="uniform", **{field: value})
+        data = spec.to_dict()
+        data["plans"][0][field] = value
         with pytest.raises(ValueError, match=match):
             ExperimentSpec.from_dict(data)
 

@@ -118,4 +118,7 @@ class TestBatchedMasses:
         for metric in (hypercube32, expline32):
             mu = make(metric)
             expected = [mu.radius_for_mass(u, eps) for u in range(metric.n)]
-            assert mu.radii_for_mass(eps).tolist() == expected
+            rows = np.array([metric.distances_from(u) for u in range(metric.n)])
+            sorted_rows, radii = mu.radii_from_rows(rows, [eps])
+            assert radii.tolist() == [expected]
+            assert np.array_equal(sorted_rows, np.sort(rows, axis=1))

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.metrics import eps_mu_packing, exponential_line
+from repro.metrics import eps_mu_packing, exponential_line, random_hypercube_metric
+from repro.metrics.base import MetricSpace
 from repro.metrics.measure import counting_measure, doubling_measure
+from repro.metrics.packing import eps_mu_packings
 
 
 class TestPackingGuarantees:
@@ -97,3 +99,46 @@ class TestPackingStructure:
         packing = eps_mu_packing(m, 0.5)
         assert packing.verify_disjoint()
         assert len(packing) >= 1
+
+
+class RowCounter(MetricSpace):
+    """Serves ``inner``'s rows and counts, per node, the rows asked of
+    ``distances_from`` and ``distances_between``."""
+
+    def __init__(self, inner: MetricSpace) -> None:
+        super().__init__()
+        self.inner = inner
+        self.asked = np.zeros(inner.n, dtype=int)
+
+    @property
+    def n(self) -> int:
+        return self.inner.n
+
+    def distances_from(self, u):
+        self.asked[u] += 1
+        return self.inner.distances_from(u)
+
+    def distances_between(self, us, vs):
+        np.add.at(self.asked, np.atleast_1d(np.asarray(us, dtype=np.intp)), 1)
+        return self.inner.distances_between(us, vs)
+
+    def min_distance(self) -> float:
+        return self.inner.min_distance()
+
+    def diameter(self) -> float:
+        return self.inner.diameter()
+
+
+class TestRowReads:
+    def test_scale_structure_levels_read_each_row_once(self):
+        """The packings of all of a ScaleStructure's levels come from one
+        read of each node's row (the per-node construction asked 34,622
+        rows here, one per cover centre)."""
+        inner = random_hypercube_metric(200, seed=0)
+        metric = RowCounter(inner)
+        levels = int(np.ceil(np.log2(metric.n)))
+        epsilons = [2.0**-i for i in range(levels)]
+        packings = eps_mu_packings(metric, epsilons)
+        assert metric.asked.max() == 1
+        for packing, alone in zip(packings, eps_mu_packings(inner, epsilons)):
+            assert packing.balls == alone.balls

@@ -17,6 +17,11 @@ Thorup–Zwick oracle whose bunches, levels or pivots would.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -316,6 +321,8 @@ MALFORMED_BEACONS = {
     "beacon-past-n": ("beacons", _set(0, 999), "beacons must lie in \\[0, 40\\)"),
     "negative-beacon": ("beacons", _set(0, -1), "beacons must lie in \\[0, 40\\)"),
     "beacons-repeated": ("beacons", _repeat_beacon, "beacons must be distinct"),
+    "beacons-repeated-apart": ("beacons", lambda b, arrays: np.r_[b[:-1], b[:1]],
+                               "beacons must be distinct"),
     "beacons-not-integers": ("beacons", lambda b, arrays: b.astype(float),
                              "beacons must be a one-dimensional integer array"),
     "labels-short": ("labels", lambda lab, arrays: lab[:10],
@@ -334,6 +341,29 @@ def test_malformed_beacons_container_is_refused(tmp_path, case):
     with pytest.raises(ContainerError, match=check) as err:
         api.load(path)
     assert str(path) in str(err.value)
+
+
+def test_a_beacons_load_leaves_numpy_ma_unimported(tmp_path):
+    """The load checks run on every cold open.  The first ``np.unique``
+    call of a process imports ``numpy.ma`` (about 10 ms), ten times a
+    beacons open at n = 10^4, so a fresh interpreter must load without
+    it."""
+    path = tmp_path / "beacons.repro"
+    api.save(api.build("beacons", "hypercube", n=64, seed=0), path)
+    script = (
+        "import sys\n"
+        "from repro import api\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        f"api.load({str(path)!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def _shift_bunch(ids, arrays, row=7, by=40):
